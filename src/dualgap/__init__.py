@@ -44,21 +44,16 @@ from .market import (
     coefficient_bounds,
     cuoco_liu_model,
     dual_coefficient_bounds,
-    dual_drift,
-    dual_vol,
     merton_model,
     merton_optimal_fraction,
     merton_value,
     penalty_conjugate,
-    primal_drift,
-    primal_vol,
 )
 from .quadrature import QuadratureRule, double_factorial, gauss_hermite_rule, moment_defect
 from .solver import (
     ChainSpec,
     ValueSurface,
     dual_step,
-    enumerate_chain,
     enumerate_coupled,
     primal_step,
     solve,
@@ -68,7 +63,6 @@ from .utility import (
     ConjugateSpec,
     UtilitySpec,
     conjugate_spec,
-    convex_conjugate,
     lipschitz_truncate,
     power_utility,
 )
@@ -100,17 +94,13 @@ __all__ = [
     "constant_set",
     "control_mesh",
     "convergence_orders",
-    "dual_cell_count",
-    "convex_conjugate",
     "cuoco_liu_model",
     "double_factorial",
+    "dual_cell_count",
     "dual_coefficient_bounds",
-    "dual_drift",
     "dual_step",
-    "dual_vol",
     "duality_gap",
     "em_bound",
-    "enumerate_chain",
     "enumerate_coupled",
     "envelope_constants",
     "gauss_hermite_rule",
@@ -124,9 +114,7 @@ __all__ = [
     "penalty_conjugate",
     "polar_defect",
     "power_utility",
-    "primal_drift",
     "primal_step",
-    "primal_vol",
     "refinement_ladder",
     "run_ladder",
     "solve",

@@ -25,6 +25,9 @@ from .solver import solve
 
 _NORM_KEYS = ("l1", "l2", "linf")
 
+#: space window of the error-mode norms
+_ERROR_WINDOW = (1.0, 2.0)
+
 
 def dual_cell_count(steps):
     """Dual-grid cells for a solve with the given number of time steps.
@@ -153,16 +156,14 @@ def run_ladder(
     y_max=None,
     conjugate=None,
     reference: Optional[Union[Callable, np.ndarray]] = None,
-    window=None,
-    time_index=0,
 ):
     """Solve every ladder level and collect windowed norms.
 
     mode "error" compares the primal surface at the initial time
     against ``reference`` (the closed-form value as a callable of x)
-    over the window, default [1, 2].  mode "gap" solves both surfaces,
-    takes the duality gap at ``time_index``, and measures it against
-    zero over the window, default the whole positive axis of the grid.
+    over the window [1, 2].  mode "gap" solves both surfaces, takes the
+    duality gap at the initial time, and measures it against zero over
+    the whole positive axis of the grid.
     """
     if mode not in ("error", "gap"):
         raise ValueError(f"unknown ladder mode {mode!r}")
@@ -177,26 +178,24 @@ def run_ladder(
         begin = _time.perf_counter()
         primal = solve(model, terminal, disc, "primal")
         if mode == "error":
-            xs = primal.grid.nodes
-            values = primal.data[time_index]
             norms.append(
                 window_norms(
-                    xs,
-                    values,
+                    primal.grid.nodes,
+                    primal.data[0],
                     reference,
-                    window if window is not None else (1.0, 2.0),
+                    _ERROR_WINDOW,
                     primal.grid.spacing,
                 )
             )
         else:
             dual = solve(model, conjugate, disc, "dual")
-            report = duality_gap(primal, dual, time_index)
+            report = duality_gap(primal, dual, 0)
             norms.append(
                 window_norms(
                     report.x,
                     report.gap,
                     lambda x: np.zeros_like(x),
-                    window if window is not None else (0.0, float(x_max)),
+                    (0.0, float(x_max)),
                     primal.grid.spacing,
                 )
             )

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .errors import ResourceLimit
 from .quadrature import double_factorial, moment_defect
 
 #: summed tail terms below this are dropped
@@ -44,28 +45,6 @@ class ConstantSet:
         """c_mu^2 T + c_psi^2, the exponential rate of second moments."""
         return self.drift_bound**2 * self.horizon + self.vol_bound**2
 
-    def step_variance(self, dt):
-        """c_mu^2 dt + 4 c_psi^2, scale of one conditional squared increment."""
-        return self.drift_bound**2 * dt + 4.0 * self.vol_bound**2
-
-    def running_square(self, x):
-        """Bound on the running squared state from start x.
-
-        3 (x^2 + 2 k2(T) T) e^{6 k2(T) T} with k2 the step variance scale.
-        """
-        k2 = self.step_variance(self.horizon)
-        return 3.0 * (x * x + 2.0 * k2 * self.horizon) * math.exp(6.0 * k2 * self.horizon)
-
-    def power_moment_rate(self, order):
-        """Growth rate of the 2M-th state moment.
-
-        2M c1 2^{2M} + (2M (2M - 1)/2) c1^2 2^{2M-2}, c1 the larger
-        coefficient bound; used only by the full-growth envelope.
-        """
-        two_m = 2 * order
-        c1 = max(self.drift_bound, self.vol_bound)
-        return two_m * c1 * 2.0**two_m + 0.5 * two_m * (two_m - 1) * c1 * c1 * 2.0 ** (two_m - 2)
-
     @property
     def defect_envelope(self):
         """sqrt(3 + 9 k1 T e^{3 k1 T}), carrying one-step defects to the horizon."""
@@ -80,48 +59,35 @@ def constant_set(bounds, horizon):
     return ConstantSet(drift_bound=bounds.drift, vol_bound=bounds.vol, horizon=float(horizon))
 
 
-def em_bound(step, x, lipschitz, constants, general=False):
+def em_bound(step, x, lipschitz, constants):
     """Lipschitz-weighted distance between the chain and its diffusion.
 
-    Order sqrt(step).  The default form keeps the quadratic dependence
-    on the start state explicit; the general form trades it for blanket
-    constants that also cover state-dependent coefficients, at the
-    price of being much larger.
+    Order sqrt(step), with the quadratic dependence on the start state
+    kept explicit.
     """
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step}")
     k1 = constants.growth_rate
     t = constants.horizon
-    if general:
-        body = (
-            8.0
-            * k1
-            * (1.0 + 2.0 * constants.step_variance(step))
-            * (1.0 + constants.running_square(x))
-            * (1.0 + 8.0 * k1 * t * math.exp(8.0 * k1 * t))
-        )
-    else:
-        body = (
-            24.0
-            * k1
-            * t
-            * constants.vol_bound**2
-            * x
-            * x
-            * (1.0 + 4.0 * k1 * t * math.exp(4.0 * k1 * t))
-        )
+    body = (
+        24.0
+        * k1
+        * t
+        * constants.vol_bound**2
+        * x
+        * x
+        * (1.0 + 4.0 * k1 * t * math.exp(4.0 * k1 * t))
+    )
     return lipschitz * math.sqrt(body) * math.sqrt(step)
 
 
-def gh_bound(step, x, rule, lipschitz, constants, full_growth=False):
+def gh_bound(step, x, rule, lipschitz, constants):
     """One-step Gaussian-replacement error accumulated over the horizon.
 
     The rule is exact through degree 2M - 1, so the defect starts at the
     2M-th moment of the branch factors; collecting powers of sqrt(step)
-    leaves order step^((M-1)/2M) with the coefficient below.  The
-    default polynomial growth 1 + x^{2M} matches the bounded-moment
-    regime; ``full_growth`` switches to the variant that carries the
-    2M-th moment growth rate explicitly.
+    leaves order step^((M-1)/2M) with the coefficient below and the
+    polynomial growth 1 + x^{2M} of the bounded-moment regime.
     """
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step}")
@@ -129,14 +95,7 @@ def gh_bound(step, x, rule, lipschitz, constants, full_growth=False):
     two_m = 2 * m
     moment = float(double_factorial(two_m - 1)) + moment_defect(rule)
     coeff = (2.0 ** (two_m - 1) / math.factorial(two_m)) * constants.vol_bound**two_m * moment
-    if full_growth:
-        k4 = constants.power_moment_rate(m)
-        exponent = k4 * constants.horizon
-        # the 2M-th moment rate clears the float exponent range from M = 4 on
-        boost = math.inf if exponent > 709.0 else math.exp(exponent)
-        growth = 1.0 + x**two_m * boost + exponent
-    else:
-        growth = 1.0 + x**two_m
+    growth = 1.0 + x**two_m
     return (
         lipschitz
         * constants.defect_envelope
@@ -177,7 +136,10 @@ def truncation_allowance(x, utility, rho, c0, constants):
     weight of falling under it.  Large-wealth part: the marginal
     utility at rho times the summed tail over integer barriers from
     floor(rho) up, truncated once terms drop below 1e-16.  A truncated
-    utility has zero slope at rho, killing the second part.
+    utility has zero slope at rho, killing the second part.  Raises
+    ResourceLimit if the terms are still above the cutoff after
+    ``_TAIL_MAX_TERMS`` of them, since a partial sum would understate
+    the allowance.
     """
     if x <= 0.0:
         raise ValueError(f"state must be positive, got {x}")
@@ -195,6 +157,11 @@ def truncation_allowance(x, utility, rho, c0, constants):
                 break
             tail_sum += term
             level += 1
+        else:
+            raise ResourceLimit(
+                f"tail sum from state {x} still above {_TAIL_CUTOFF} "
+                f"after {_TAIL_MAX_TERMS} terms"
+            )
         total += slope * tail_sum
     return total
 
@@ -202,29 +169,17 @@ def truncation_allowance(x, utility, rho, c0, constants):
 def envelope_constants(primal_constants, dual_constants, rule):
     """Per-unit-growth coefficients for the two-sided gap bounds.
 
-    For each side: the chain envelope coefficient at unit state, plus
-    the quadrature replacement coefficient, plus one unit covering
-    space interpolation.  The caller applies the growth factor
-    1 + s^{2M} and the rate step^((M-1)/2M) + spacing/step, which both
-    dominate the per-state forms of ``em_bound`` and ``gh_bound`` for
-    steps below one.
+    For each side: the chain envelope coefficient (``em_bound`` at unit
+    state, step and Lipschitz constant), plus the quadrature replacement
+    coefficient (``gh_bound`` at unit step and state 0, where its growth
+    factor is one), plus one unit covering space interpolation.  The
+    caller applies the growth factor 1 + s^{2M} and the rate
+    step^((M-1)/2M) + spacing/step, which both dominate the per-state
+    forms of ``em_bound`` and ``gh_bound`` for steps below one.
     """
 
     def per_side(c):
-        k1 = c.growth_rate
-        t = c.horizon
-        em_unit = math.sqrt(
-            24.0 * k1 * t * c.vol_bound**2 * (1.0 + 4.0 * k1 * t * math.exp(4.0 * k1 * t))
-        )
-        two_m = 2 * rule.order
-        moment = float(double_factorial(two_m - 1)) + moment_defect(rule)
-        gh_unit = (
-            c.defect_envelope
-            * (2.0 ** (two_m - 1) / math.factorial(two_m))
-            * c.vol_bound**two_m
-            * moment
-        )
-        return em_unit + gh_unit + 1.0
+        return em_bound(1.0, 1.0, 1.0, c) + gh_bound(1.0, 0.0, rule, 1.0, c) + 1.0
 
     return per_side(primal_constants), per_side(dual_constants)
 

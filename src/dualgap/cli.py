@@ -10,7 +10,7 @@ config problem, 3 on a numerical failure.
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, make_dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -58,43 +58,25 @@ _SCHEMA = {
 }
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    problem: str
-    p: float
-    r: float
-    b: float
-    sigma: float
-    T: float
-    x_max: float
-    y_max: float  # resolved numeric value
-    R: float
-    iota: float
-    lambda_plus: float
-    lambda_minus: float
-    a_min: float
-    a_max: float
-    gamma_min: float
-    gamma_max: float
-    M: int
-    k_min: int
-    k_max: int
-    rho: float
-    c0: float
-    mode: str
-    out: str
-    seed: int
+def _echo(self):
+    """Canonical one-line rendering of the resolved config."""
+    parts = []
+    for key in sorted(_SCHEMA):
+        value = getattr(self, key)
+        if isinstance(value, float):
+            parts.append(f"{key}={value:g}")
+        else:
+            parts.append(f"{key}={value}")
+    return "config: " + " ".join(parts)
 
-    def echo(self):
-        """Canonical one-line rendering of the resolved config."""
-        parts = []
-        for key in sorted(_SCHEMA):
-            value = getattr(self, key)
-            if isinstance(value, float):
-                parts.append(f"{key}={value:g}")
-            else:
-                parts.append(f"{key}={value}")
-        return "config: " + " ".join(parts)
+
+#: the fully resolved config, one field per schema key; ``y_max`` holds a number
+ExperimentConfig = make_dataclass(
+    "ExperimentConfig",
+    [(key, cast) for key, (cast, _) in _SCHEMA.items()],
+    namespace={"echo": _echo, "__module__": __name__},
+    frozen=True,
+)
 
 
 def resolve_config_path(spec):

@@ -107,8 +107,8 @@ def aposteriori_bounds(
     Both sides carry the scheme rate step^((M-1)/2M) + spacing/step with
     polynomial growth 1 + s^{2M}, where s is the space node for the
     lower side and the attained conjugate argument for the upper side.
-    ``allowance`` is what the domain truncation may cost, as a callable
-    of x or a precomputed array; it enters the upper side only.
+    ``allowance`` is what the domain truncation may cost, as an array
+    over the report nodes; it enters the upper side only.
     """
     if order < 1:
         raise ValueError(f"quadrature order must be positive, got {order}")
@@ -118,8 +118,6 @@ def aposteriori_bounds(
     two_m = 2 * order
     if allowance is None:
         slack = np.zeros(report.x.shape)
-    elif callable(allowance):
-        slack = np.array([float(allowance(x)) for x in report.x])
     else:
         slack = np.asarray(allowance, dtype=float)
         if slack.shape != report.x.shape:
@@ -161,7 +159,6 @@ def polar_defect(model, rule, steps, step, start, primal_policy, dual_policy, a_
         start_state=x0,
         step=step,
         policy=tuple(primal_policy),
-        direction="primal",
     )
     dual = ChainSpec(
         model=model,
@@ -170,7 +167,6 @@ def polar_defect(model, rule, steps, step, start, primal_policy, dual_policy, a_
         start_state=y0,
         step=step,
         policy=tuple(dual_policy),
-        direction="dual",
         a_mesh=a_mesh,
     )
     xs, ys, probs = enumerate_coupled(primal, dual, steps)

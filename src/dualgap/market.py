@@ -27,8 +27,6 @@ import numpy as np
 
 from .optim import golden_max
 
-_INTERVAL_SLACK = 1.0e-12
-
 #: mesh resolutions for the coefficient-bound scans
 _BOUND_A_STEP = 1.0e-4
 _BOUND_TIME_SAMPLES = 65
@@ -55,44 +53,11 @@ class CoefficientBounds:
     """Worst-case coefficient sizes feeding the error constants.
 
     ``drift`` bounds |r + a (b - r) + g| over controls and time,
-    ``vol`` bounds |a sigma|.  The Hoelder fields measure half-order
-    time variation of the raw coefficients and are zero for
-    time-constant models; they are informational only.
+    ``vol`` bounds |a sigma|.
     """
 
     drift: float
     vol: float
-    holder_drift: float = 0.0
-    holder_vol: float = 0.0
-
-
-def _require_control(model, a):
-    lo, hi = model.a_interval
-    if a < lo - _INTERVAL_SLACK or a > hi + _INTERVAL_SLACK:
-        raise ValueError(f"control {a} outside [{lo}, {hi}]")
-
-
-def _require_dual_control(model, gamma):
-    lo, hi = model.gamma_interval
-    if gamma < lo - _INTERVAL_SLACK or gamma > hi + _INTERVAL_SLACK:
-        raise ValueError(f"dual control {gamma} outside [{lo}, {hi}]")
-
-
-def primal_drift(model, t, x, a):
-    """Wealth drift x (r + a (b - r) + g(t, a))."""
-    _require_control(model, a)
-    if x < 0.0:
-        raise ValueError(f"wealth must be nonnegative, got {x}")
-    r = model.rate(t)
-    return x * (r + a * (model.appreciation(t) - r) + float(model.penalty(t, a)))
-
-
-def primal_vol(model, t, x, a):
-    """Wealth volatility x a sigma(t)."""
-    _require_control(model, a)
-    if x < 0.0:
-        raise ValueError(f"wealth must be nonnegative, got {x}")
-    return x * a * model.vol(t)
 
 
 def penalty_conjugate(model, t, nu, a_mesh):
@@ -110,18 +75,6 @@ def penalty_conjugate(model, t, nu, a_mesh):
     hi = mesh[min(best + 1, mesh.size - 1)]
     refined, _ = golden_max(lambda a: float(model.penalty(t, a)) - a * nu, lo, hi)
     return max(float(values[best]), refined)
-
-
-def dual_drift(model, t, y, gamma, a_mesh):
-    """Dual state drift -y (r + sup_a {g - a gamma})."""
-    _require_dual_control(model, gamma)
-    return -y * (model.rate(t) + penalty_conjugate(model, t, gamma, a_mesh))
-
-
-def dual_vol(model, t, y, gamma):
-    """Dual state volatility y (r - b - gamma) / sigma."""
-    _require_dual_control(model, gamma)
-    return y * (model.rate(t) - model.appreciation(t) - gamma) / model.vol(t)
 
 
 def merton_model(r=0.8, b=1.2, sigma=1.0, horizon=0.5, a_interval=(-1.0, 1.0)):
@@ -247,13 +200,6 @@ def _mesh(lo, hi, step):
     return np.linspace(lo, hi, count)
 
 
-def _holder_variation(f, times):
-    worst = 0.0
-    for s, t in zip(times[:-1], times[1:]):
-        worst = max(worst, abs(f(t) - f(s)) / math.sqrt(t - s))
-    return worst
-
-
 def coefficient_bounds(model, a_step=_BOUND_A_STEP, time_samples=_BOUND_TIME_SAMPLES):
     """Scan the primal coefficients for their worst-case sizes."""
     mesh = _mesh(*model.a_interval, a_step)
@@ -269,13 +215,7 @@ def coefficient_bounds(model, a_step=_BOUND_A_STEP, time_samples=_BOUND_TIME_SAM
         candidates = np.abs(r + mesh * (b - r) + np.asarray(model.penalty(t, mesh), dtype=float))
         drift = max(drift, float(candidates.max()))
         vol = max(vol, float(np.abs(mesh * sig).max()))
-    return CoefficientBounds(
-        drift=drift,
-        vol=vol,
-        holder_drift=_holder_variation(model.rate, times)
-        + _holder_variation(model.appreciation, times),
-        holder_vol=_holder_variation(model.vol, times),
-    )
+    return CoefficientBounds(drift=drift, vol=vol)
 
 
 def dual_coefficient_bounds(

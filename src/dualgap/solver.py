@@ -13,9 +13,9 @@ shared by the whole row:
 with xi running over the quadrature nodes.  The state at the origin is
 absorbing in both cases, so row entry 0 is copied through time.
 
-The same factors drive ``enumerate_chain``, which expands every branch
-of the discrete chain explicitly for small step counts; it is the
-ground truth the expectation-level tests and the polar check run on.
+The same factors drive ``enumerate_coupled``, which expands every branch
+of the primal and dual chains explicitly for small step counts; it is
+the ground truth the expectation-level tests and the polar check run on.
 """
 
 import math
@@ -82,7 +82,10 @@ class ValueSurface:
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """One explicit Markov chain: start point, step, and per-step controls."""
+    """One explicit Markov chain: start point, step, and per-step controls.
+
+    ``a_mesh`` is read only when the spec drives the dual chain.
+    """
 
     model: object
     rule: QuadratureRule
@@ -90,7 +93,6 @@ class ChainSpec:
     start_state: float
     step: float
     policy: Tuple[float, ...]
-    direction: str = "primal"
     a_mesh: Optional[np.ndarray] = None
 
 
@@ -226,48 +228,33 @@ def _checked_branch_count(order, steps):
     return total
 
 
-def enumerate_chain(spec, steps):
-    """All endpoint states of the chain after ``steps`` steps, with probabilities.
-
-    Branches multiply by the rule order each step, so this is only for
-    small step counts; the cap guards against runaway requests.  States
-    and probabilities come back in a fixed depth-first order.
-    """
-    if steps < 0:
-        raise ValueError(f"step count must be nonnegative, got {steps}")
-    if len(spec.policy) < steps:
-        raise ValueError(f"policy provides {len(spec.policy)} controls for {steps} steps")
-    _checked_branch_count(spec.rule.order, steps)
-    states = np.array([float(spec.start_state)])
-    probs = np.array([1.0])
-    for i in range(steps):
-        t = spec.start_time + i * spec.step
-        factors = step_factors(
-            spec.model, t, spec.policy[i], spec.rule, spec.step, spec.direction, spec.a_mesh
-        )
-        states = (states[:, None] * factors[None, :]).reshape(-1)
-        probs = (probs[:, None] * spec.rule.weights[None, :]).reshape(-1)
-    return states, probs
-
-
 def enumerate_coupled(primal_spec, dual_spec, steps):
-    """Joint enumeration of both chains driven by the same branch noise.
+    """All endpoint states of both chains after ``steps`` steps, with probabilities.
 
-    Per step the two states multiply by their own factors at the same
-    quadrature branch, with that branch's weight; this is the coupling
-    under which the product of the chains is a near-supermartingale.
+    The two chains are driven by the same branch noise: per step both
+    states multiply by their own factors at the same quadrature branch,
+    with that branch's weight.  This is the coupling under which the
+    product of the chains is a near-supermartingale.  Branches multiply
+    by the rule order each step, so this is only for small step counts;
+    the cap guards against runaway requests.  States and probabilities
+    come back in a fixed depth-first order.
     """
-    if primal_spec.rule is not dual_spec.rule and primal_spec.rule.order != dual_spec.rule.order:
+    rule = primal_spec.rule
+    if not (
+        np.array_equal(rule.nodes, dual_spec.rule.nodes)
+        and np.array_equal(rule.weights, dual_spec.rule.weights)
+    ):
         raise ValueError("coupled chains must share one quadrature rule")
     if primal_spec.step != dual_spec.step or primal_spec.start_time != dual_spec.start_time:
         raise ValueError("coupled chains must share the time lattice")
+    if steps < 0:
+        raise ValueError(f"step count must be nonnegative, got {steps}")
     if len(primal_spec.policy) < steps or len(dual_spec.policy) < steps:
         raise ValueError(f"both policies must cover {steps} steps")
-    _checked_branch_count(primal_spec.rule.order, steps)
+    _checked_branch_count(rule.order, steps)
     xs = np.array([float(primal_spec.start_state)])
     ys = np.array([float(dual_spec.start_state)])
     probs = np.array([1.0])
-    rule = primal_spec.rule
     for i in range(steps):
         t = primal_spec.start_time + i * primal_spec.step
         fx = step_factors(

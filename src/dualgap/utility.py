@@ -15,11 +15,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .optim import golden_max
-
-#: grid points used when a conjugate has to be computed by scanning
-_FALLBACK_SCAN_POINTS = 20001
-
 
 def _match_shape(out, template):
     """Return a float for scalar input, the array otherwise."""
@@ -132,79 +127,44 @@ def lipschitz_truncate(base, rho, c0):
     )
 
 
-def convex_conjugate(spec, y, search_grid):
-    """sup_x {U(x) - x y} by grid scan plus golden refinement.
+def conjugate_spec(spec):
+    """Closed-form conjugate of a Lipschitz-truncated power utility.
 
-    The scan picks the best mesh point (first index on ties), the
-    refinement polishes the bracket around it.  Exact for the analytic
-    cases up to the refinement tolerance; used as the general fallback
-    and as a cross-check oracle.
-    """
-    if y < 0.0:
-        raise ValueError(f"conjugate argument must satisfy y >= 0, got {y}")
-    grid = np.asarray(search_grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
-        raise ValueError("search grid must be a 1-d array with at least 2 points")
-    values = np.asarray(spec.evaluate(grid), dtype=float) - grid * y
-    best = int(np.argmax(values))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, grid.size - 1)]
-    refined, _ = golden_max(lambda x: float(spec.evaluate(x)) - x * y, lo, hi)
-    return max(float(values[best]), refined)
-
-
-def conjugate_spec(spec, search_grid=None):
-    """Conjugate of a Lipschitz-truncated utility, closed form when possible.
-
-    For a truncated power base the supremum is attained at the chord
-    kink, at the interior stationary point y^{1/(p-1)}, or at the
-    plateau edge rho, depending on which slope band y falls into; the
-    four bands below are exactly those cases.  Other truncated bases
-    fall back to a deterministic scan.  Untruncated utilities are
-    rejected: without the truncation the conjugate is infinite near 0.
+    The supremum is attained at the chord kink, at the interior
+    stationary point y^{1/(p-1)}, or at the plateau edge rho, depending
+    on which slope band y falls into; the four bands below are exactly
+    those cases.  Untruncated utilities are rejected, since without the
+    truncation the conjugate is infinite near 0, and so are truncated
+    bases other than a power.
     """
     if spec.lipschitz is None or spec.rho is None:
         raise ValueError("conjugate_spec needs a Lipschitz-truncated utility")
+    if spec.kind != "truncated-power":
+        raise ValueError(f"no closed-form conjugate for a {spec.kind} utility")
+    p = spec.p
     rho = spec.rho
-
-    if spec.kind == "truncated-power" and spec.p is not None:
-        p = spec.p
-        x_rho = spec.x_rho
-        slope = spec.lipschitz
-        y_kink = x_rho ** (p - 1.0)  # marginal utility at the chord cutoff
-        y_plateau = rho ** (p - 1.0)  # marginal utility at the plateau edge
-        at_cut = x_rho**p / p
-        at_plateau = rho**p / p
-
-        def evaluate(y):
-            arr = np.asarray(y, dtype=float)
-            if np.any(arr < 0.0):
-                raise ValueError("conjugate is defined for y >= 0")
-            with np.errstate(divide="ignore", over="ignore"):
-                interior = (1.0 / p - 1.0) * np.power(arr, -p / (1.0 - p))
-            out = np.where(
-                arr >= slope,
-                0.0,
-                np.where(
-                    arr >= y_kink,
-                    at_cut - x_rho * arr,
-                    np.where(arr > y_plateau, interior, at_plateau - rho * arr),
-                ),
-            )
-            return _match_shape(out, y)
-
-        return ConjugateSpec(evaluate=evaluate, lipschitz=rho, y_cut=slope, base=spec)
-
-    grid = (
-        np.linspace(0.0, rho, _FALLBACK_SCAN_POINTS)
-        if search_grid is None
-        else np.asarray(search_grid, dtype=float)
-    )
+    x_rho = spec.x_rho
+    slope = spec.lipschitz
+    y_kink = x_rho ** (p - 1.0)  # marginal utility at the chord cutoff
+    y_plateau = rho ** (p - 1.0)  # marginal utility at the plateau edge
+    at_cut = x_rho**p / p
+    at_plateau = rho**p / p
 
     def evaluate(y):
         arr = np.asarray(y, dtype=float)
-        flat = np.reshape(arr, -1)
-        out = np.array([convex_conjugate(spec, float(v), grid) for v in flat])
-        return _match_shape(out.reshape(np.shape(arr)), y)
+        if np.any(arr < 0.0):
+            raise ValueError("conjugate is defined for y >= 0")
+        with np.errstate(divide="ignore", over="ignore"):
+            interior = (1.0 / p - 1.0) * np.power(arr, -p / (1.0 - p))
+        out = np.where(
+            arr >= slope,
+            0.0,
+            np.where(
+                arr >= y_kink,
+                at_cut - x_rho * arr,
+                np.where(arr > y_plateau, interior, at_plateau - rho * arr),
+            ),
+        )
+        return _match_shape(out, y)
 
-    return ConjugateSpec(evaluate=evaluate, lipschitz=rho, y_cut=spec.lipschitz, base=spec)
+    return ConjugateSpec(evaluate=evaluate, lipschitz=rho, y_cut=slope, base=spec)

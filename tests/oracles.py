@@ -1,9 +1,9 @@
 """Independent reference implementations used to pin solver results.
 
 Everything here is deliberately naive: plain Python loops, one state at a
-time, no shared code with the production sweep beyond the control meshes
-and the penalty transform leaf.  Slow is fine; these only run on toy
-problem sizes.
+time, no shared code with the production sweep beyond the control meshes,
+the penalty transform leaf and the golden-section polish.  Slow is fine;
+these only run on toy problem sizes.
 """
 
 import dataclasses
@@ -14,6 +14,7 @@ import numpy as np
 
 from dualgap.lattice import control_mesh
 from dualgap.market import cuoco_liu_model, merton_model, penalty_conjugate
+from dualgap.optim import golden_max
 from dualgap.utility import conjugate_spec, lipschitz_truncate, power_utility
 
 
@@ -81,6 +82,27 @@ def naive_solve(model, terminal, disc, direction, rule):
             row[m] = max(candidates) if direction == "primal" else min(candidates)
         rows[n] = row
     return nodes, np.stack(rows)
+
+
+def convex_conjugate(spec, y, search_grid):
+    """sup_x {U(x) - x y} by grid scan plus golden refinement.
+
+    The scan picks the best mesh point (first index on ties), the
+    refinement polishes the bracket around it.  Exact for the analytic
+    cases up to the refinement tolerance; the cross-check oracle for the
+    closed-form conjugate.
+    """
+    if y < 0.0:
+        raise ValueError(f"conjugate argument must satisfy y >= 0, got {y}")
+    grid = np.asarray(search_grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 2:
+        raise ValueError("search grid must be a 1-d array with at least 2 points")
+    values = np.asarray(spec.evaluate(grid), dtype=float) - grid * y
+    best = int(np.argmax(values))
+    lo = grid[max(best - 1, 0)]
+    hi = grid[min(best + 1, grid.size - 1)]
+    refined, _ = golden_max(lambda x: float(spec.evaluate(x)) - x * y, lo, hi)
+    return max(float(values[best]), refined)
 
 
 def random_setup(rng):

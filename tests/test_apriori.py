@@ -11,6 +11,7 @@ import pytest
 
 from dualgap import (
     CoefficientBounds,
+    ResourceLimit,
     coefficient_bounds,
     constant_set,
     dual_coefficient_bounds,
@@ -25,6 +26,7 @@ from dualgap import (
     truncation_allowance,
     write_bound_table_csv,
 )
+from dualgap import apriori
 
 
 @pytest.fixture(scope="module")
@@ -45,17 +47,6 @@ def rule4():
 def test_growth_rate(primal_constants, dual_constants):
     assert primal_constants.growth_rate == pytest.approx(1.72, abs=1.0e-12)
     assert dual_constants.growth_rate == pytest.approx(0.48, abs=1.0e-9)
-
-
-def test_step_variance(primal_constants):
-    assert primal_constants.step_variance(0.5) == pytest.approx(4.72, abs=1.0e-12)
-    assert primal_constants.step_variance(0.0) == pytest.approx(4.0, abs=1.0e-12)
-
-
-def test_running_square_frozen(primal_constants):
-    assert primal_constants.running_square(1.0) == pytest.approx(
-        24217379.488622718, rel=1.0e-12
-    )
 
 
 def test_defect_envelope_frozen(primal_constants):
@@ -89,12 +80,6 @@ def test_em_scales_linearly_in_state(primal_constants):
     assert ratio == pytest.approx(2.0, rel=1.0e-12)
 
 
-def test_em_general_form_is_larger(primal_constants):
-    default = em_bound(0.01, 1.0, 3.0, primal_constants)
-    general = em_bound(0.01, 1.0, 3.0, primal_constants, general=True)
-    assert general > default
-
-
 def test_gh_coefficient_frozen(primal_constants, rule4):
     got = gh_bound(0.01, 1.0, rule4, 3.0, primal_constants) / 0.01**0.375
     assert got == pytest.approx(25.195702611150285, rel=1.0e-12)
@@ -113,17 +98,6 @@ def test_gh_growth_in_state(primal_constants, rule4):
         0.01, 1.0, rule4, 3.0, primal_constants
     )
     assert ratio == pytest.approx(257.0 / 2.0, rel=1.0e-12)
-
-
-def test_gh_full_growth_is_larger(primal_constants, rule4):
-    rule2 = gauss_hermite_rule(2)
-    default = gh_bound(0.01, 1.0, rule2, 3.0, primal_constants)
-    full = gh_bound(0.01, 1.0, rule2, 3.0, primal_constants, full_growth=True)
-    assert math.isfinite(full)
-    assert full > default
-    # the eighth-moment rate already clears the float exponent range
-    saturated = gh_bound(0.01, 1.0, rule4, 3.0, primal_constants, full_growth=True)
-    assert math.isinf(saturated)
 
 
 def test_bound_step_validation(primal_constants, rule4):
@@ -178,6 +152,13 @@ def test_allowance_monotone_in_state(primal_constants):
         for x in (0.5, 1.0, 2.0, 4.0)
     ]
     assert all(a <= b + 1.0e-12 for a, b in zip(values, values[1:]))
+
+
+def test_allowance_refuses_a_cut_off_tail(primal_constants, monkeypatch):
+    """A tail sum stopped before its terms fall below the cutoff is an error."""
+    monkeypatch.setattr(apriori, "_TAIL_MAX_TERMS", 3)
+    with pytest.raises(ResourceLimit):
+        truncation_allowance(1.0, power_utility(0.5), 18.0, 8.0, primal_constants)
 
 
 def test_allowance_validation(primal_constants):

@@ -144,18 +144,6 @@ def test_bounds_allowance_forms():
         allowance=np.array([0.25]),
     )
     assert shifted.upper[0] == pytest.approx(base.upper[0] + 0.25, abs=1.0e-14)
-    called = aposteriori_bounds(
-        _toy_report(),
-        order=4,
-        step=0.25,
-        spacing=0.25,
-        lip_primal=1.0,
-        lip_dual=1.0,
-        c_primal=0.0,
-        c_dual=0.0,
-        allowance=lambda x: 2.0 * x,
-    )
-    assert called.upper[0] == pytest.approx(base.upper[0] + 2.0, abs=1.0e-14)
 
 
 def test_bounds_validation():

@@ -1,12 +1,9 @@
 """Market coefficient functions, benchmark models, closed-form values."""
 
-import math
-
 import numpy as np
 import pytest
 
 from dualgap import (
-    MarketModel,
     coefficient_bounds,
     cuoco_liu_model,
     dual_coefficient_bounds,
@@ -14,13 +11,7 @@ from dualgap import (
     merton_optimal_fraction,
     merton_value,
 )
-from dualgap.market import (
-    dual_drift,
-    dual_vol,
-    penalty_conjugate,
-    primal_drift,
-    primal_vol,
-)
+from dualgap.market import penalty_conjugate
 
 A_MESH = np.linspace(-1.0, 1.0, 201)
 
@@ -33,29 +24,6 @@ def merton():
 @pytest.fixture(scope="module")
 def cuoco():
     return cuoco_liu_model()
-
-
-def test_primal_coefficients(merton):
-    assert primal_drift(merton, 0.0, 2.0, 0.3) == pytest.approx(2.0 * 0.92, abs=1.0e-14)
-    assert primal_vol(merton, 0.0, 2.0, 0.3) == pytest.approx(0.6, abs=1.0e-14)
-    assert primal_drift(merton, 0.0, 0.0, 0.3) == 0.0
-
-
-def test_primal_control_validation(merton):
-    with pytest.raises(ValueError):
-        primal_drift(merton, 0.0, 1.0, 1.5)
-    with pytest.raises(ValueError):
-        primal_vol(merton, 0.0, 1.0, -1.0001)
-    with pytest.raises(ValueError):
-        primal_drift(merton, 0.0, -1.0, 0.5)
-
-
-def test_dual_coefficients(merton):
-    # zero conjugate penalty, so the drift is -y r and the vol y (r - b) / sigma
-    assert dual_drift(merton, 0.0, 2.0, 0.0, A_MESH) == pytest.approx(-1.6, abs=1.0e-12)
-    assert dual_vol(merton, 0.0, 2.0, 0.0) == pytest.approx(-0.8, abs=1.0e-14)
-    with pytest.raises(ValueError):
-        dual_vol(merton, 0.0, 1.0, 0.5)
 
 
 def test_merton_penalty_is_zero(merton):
@@ -158,8 +126,6 @@ def test_primal_bounds_merton(merton):
     bounds = coefficient_bounds(merton)
     assert bounds.drift == pytest.approx(1.2, abs=1.0e-9)
     assert bounds.vol == pytest.approx(1.0, abs=1.0e-9)
-    assert bounds.holder_drift == 0.0
-    assert bounds.holder_vol == 0.0
 
 
 def test_primal_bounds_cuoco(cuoco):
@@ -181,18 +147,3 @@ def test_dual_bounds_cuoco(cuoco):
     assert bounds.drift == pytest.approx(1.8, abs=1.0e-9)
     assert bounds.vol == pytest.approx(2.8, abs=1.0e-9)
 
-
-def test_holder_variation_of_root_rate():
-    model = MarketModel(
-        name="rough-rate",
-        rate=lambda t: 0.8 + 0.1 * math.sqrt(t),
-        appreciation=lambda t: 1.2,
-        vol=lambda t: 1.0,
-        penalty=lambda t, a: np.zeros_like(np.asarray(a, dtype=float)),
-        a_interval=(-1.0, 1.0),
-        gamma_interval=(0.0, 0.0),
-        horizon=0.5,
-    )
-    bounds = coefficient_bounds(model)
-    assert bounds.holder_drift == pytest.approx(0.1, abs=1.0e-12)
-    assert bounds.holder_vol == 0.0

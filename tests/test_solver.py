@@ -13,6 +13,7 @@ from dualgap import (
     ChainSpec,
     Discretization,
     NumericalFailure,
+    QuadratureRule,
     ResourceLimit,
     SpaceGrid,
     TimeGrid,
@@ -27,7 +28,6 @@ from dualgap import (
 )
 from dualgap.solver import (
     MAX_BRANCHES,
-    enumerate_chain,
     enumerate_coupled,
     step_factors,
     write_surface_csv,
@@ -200,7 +200,7 @@ def test_enumerate_chain_shapes(merton):
         step=0.125,
         policy=(0.5, -0.25),
     )
-    states, probs = enumerate_chain(spec, 2)
+    states, _, probs = enumerate_coupled(spec, spec, 2)
     assert states.shape == (9,)
     assert abs(float(probs.sum()) - 1.0) < 1.0e-12
     # depth-first order: children of branch i sit at positions 3 i + j
@@ -214,8 +214,9 @@ def test_enumerate_chain_zero_steps(merton, rule2):
     spec = ChainSpec(
         model=merton, rule=rule2, start_time=0.0, start_state=2.0, step=0.1, policy=()
     )
-    states, probs = enumerate_chain(spec, 0)
-    assert np.array_equal(states, [2.0])
+    xs, ys, probs = enumerate_coupled(spec, spec, 0)
+    assert np.array_equal(xs, [2.0])
+    assert np.array_equal(ys, [2.0])
     assert np.array_equal(probs, [1.0])
 
 
@@ -224,9 +225,9 @@ def test_enumerate_chain_policy_too_short(merton, rule2):
         model=merton, rule=rule2, start_time=0.0, start_state=1.0, step=0.1, policy=(0.0,)
     )
     with pytest.raises(ValueError):
-        enumerate_chain(spec, 2)
+        enumerate_coupled(spec, spec, 2)
     with pytest.raises(ValueError):
-        enumerate_chain(spec, -1)
+        enumerate_coupled(spec, spec, -1)
 
 
 def test_enumeration_cap(merton):
@@ -241,7 +242,7 @@ def test_enumeration_cap(merton):
     )
     assert 4**13 > MAX_BRANCHES
     with pytest.raises(ResourceLimit):
-        enumerate_chain(spec, 13)
+        enumerate_coupled(spec, spec, 13)
 
 
 def test_enumerate_coupled_consistency(merton):
@@ -252,13 +253,16 @@ def test_enumerate_coupled_consistency(merton):
     )
     dual = ChainSpec(
         model=merton, rule=rule, start_time=0.0, start_state=1.0, step=0.125,
-        policy=(0.0, 0.0), direction="dual",
+        policy=(0.0, 0.0),
     )
     xs, ys, probs = enumerate_coupled(primal, dual, 2)
     assert xs.shape == ys.shape == probs.shape == (9,)
-    states, single_probs = enumerate_chain(primal, 2)
-    assert np.allclose(np.sort(xs), np.sort(states), atol=1.0e-13)
-    assert abs(float(np.sum(probs * xs)) - float(np.sum(single_probs * states))) < 1.0e-13
+    # both chains take the same branch: children of branch i sit at 3 i + j
+    fx = step_factors(merton, 0.0, 0.8, rule, 0.125, "primal")
+    fy = step_factors(merton, 0.0, 0.0, rule, 0.125, "dual")
+    assert np.allclose(xs, np.repeat(fx, 3) * np.tile(fx, 3), atol=1.0e-13)
+    assert np.allclose(ys, np.repeat(fy, 3) * np.tile(fy, 3), atol=1.0e-13)
+    assert np.allclose(probs, np.repeat(rule.weights, 3) * np.tile(rule.weights, 3), atol=1.0e-15)
 
 
 def test_enumerate_coupled_validation(merton, rule2):
@@ -268,22 +272,37 @@ def test_enumerate_coupled_validation(merton, rule2):
     )
     mismatched_rule = ChainSpec(
         model=merton, rule=gauss_hermite_rule(3), start_time=0.0, start_state=1.0,
-        step=0.1, policy=(0.0,), direction="dual",
+        step=0.1, policy=(0.0,),
     )
     with pytest.raises(ValueError):
         enumerate_coupled(primal, mismatched_rule, 1)
     mismatched_step = ChainSpec(
         model=merton, rule=rule2, start_time=0.0, start_state=1.0, step=0.2,
-        policy=(0.0,), direction="dual",
+        policy=(0.0,),
     )
     with pytest.raises(ValueError):
         enumerate_coupled(primal, mismatched_step, 1)
     short = ChainSpec(
         model=merton, rule=rule2, start_time=0.0, start_state=1.0, step=0.1,
-        policy=(), direction="dual",
+        policy=(),
     )
     with pytest.raises(ValueError):
         enumerate_coupled(primal, short, 1)
+
+
+def test_enumerate_coupled_rejects_a_different_rule_of_the_same_order(merton, rule2):
+    """The dual chain must not run on the primal rule's nodes and weights."""
+    skewed = QuadratureRule(order=2, nodes=np.array([-0.5, 2.0]), weights=np.array([0.8, 0.2]))
+    primal = ChainSpec(
+        model=merton, rule=rule2, start_time=0.0, start_state=1.0, step=0.1,
+        policy=(0.0,),
+    )
+    dual = ChainSpec(
+        model=merton, rule=skewed, start_time=0.0, start_state=1.0, step=0.1,
+        policy=(0.0,),
+    )
+    with pytest.raises(ValueError):
+        enumerate_coupled(primal, dual, 1)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
