@@ -53,9 +53,7 @@ from .quadrature import QuadratureRule, double_factorial, gauss_hermite_rule, mo
 from .solver import (
     ChainSpec,
     ValueSurface,
-    dual_step,
     enumerate_coupled,
-    primal_step,
     solve,
     write_surface_csv,
 )
@@ -98,7 +96,6 @@ __all__ = [
     "double_factorial",
     "dual_cell_count",
     "dual_coefficient_bounds",
-    "dual_step",
     "duality_gap",
     "em_bound",
     "enumerate_coupled",
@@ -114,7 +111,6 @@ __all__ = [
     "penalty_conjugate",
     "polar_defect",
     "power_utility",
-    "primal_step",
     "refinement_ladder",
     "run_ladder",
     "solve",

@@ -25,6 +25,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
+from .lattice import control_mesh
 from .optim import golden_max
 
 #: mesh resolutions for the coefficient-bound scans
@@ -227,12 +228,11 @@ def dual_coefficient_bounds(
     """Worst-case sizes of the dual drift and volatility coefficients.
 
     The conjugate penalty is convex in gamma, so the scan over a modest
-    gamma mesh, which always contains both endpoints, is reliable.
+    gamma mesh, which contains both endpoints from two points on, is
+    reliable.  A reversed control interval raises ``ValueError``.
     """
-    lo, hi = model.gamma_interval
-    gammas = np.linspace(lo, hi, gamma_points) if hi > lo else np.array([lo])
-    a_lo, a_hi = model.a_interval
-    a_mesh = np.linspace(a_lo, a_hi, a_points) if a_hi > a_lo else np.array([a_lo])
+    gammas = control_mesh(model.gamma_interval, gamma_points)
+    a_mesh = control_mesh(model.a_interval, a_points)
     times = np.linspace(0.0, model.horizon, time_samples)
     drift = 0.0
     vol = 0.0

@@ -11,7 +11,9 @@ shared by the whole row:
     dual,   minimising:  1 - h (r + sup_a {g - a gamma}) + sqrt(h) (r - b - gamma) / sigma xi
 
 with xi running over the quadrature nodes.  The state at the origin is
-absorbing in both cases, so row entry 0 is copied through time.
+absorbing in both cases, so row entry 0 is copied through time.  Both
+directions run the same step kernel; they differ only in these factors
+and in max versus min.
 
 The same factors drive ``enumerate_coupled``, which expands every branch
 of the primal and dual chains explicitly for small step counts; it is
@@ -99,63 +101,57 @@ class ChainSpec:
 def step_factors(model, t, control, rule, step, direction, a_mesh=None):
     """Branch multipliers for one step of the chosen chain.
 
-    Returns an array over quadrature branches; the displaced state is
-    the current state times the factor.  The dual chain needs a mesh
-    over the primal control interval to evaluate the conjugate penalty.
+    For a scalar control this is an array over quadrature branches; for
+    a control mesh it is a (controls, branches) array.  The displaced
+    state is the current state times the factor.  The dual chain needs a
+    mesh over the primal control interval to evaluate the conjugate
+    penalty, once per gamma.
     """
     r = model.rate(t)
     b = model.appreciation(t)
     sig = model.vol(t)
     root = math.sqrt(step)
+    c = np.asarray(control, dtype=float)[..., None]
     if direction == "primal":
-        mu = r + control * (b - r) + float(model.penalty(t, control))
-        return 1.0 + step * mu + root * control * sig * rule.nodes
+        mu = r + c * (b - r) + np.asarray(model.penalty(t, c), dtype=float)
+        return 1.0 + step * mu + root * c * sig * rule.nodes
     if direction == "dual":
         mesh = a_mesh if a_mesh is not None else control_mesh(model.a_interval, 2)
-        conj = penalty_conjugate(model, t, control, mesh)
-        return 1.0 - step * (r + conj) + root * ((r - b - control) / sig) * rule.nodes
+        conj = np.array([penalty_conjugate(model, t, g, mesh) for g in c.ravel()]).reshape(c.shape)
+        return 1.0 - step * (r + conj) + root * ((r - b - c) / sig) * rule.nodes
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def primal_step(next_row, t, model, rule, controls, grid, step, plateau):
-    """One backward step of the maximising sweep.
+def _sweep_step(next_row, factors, weights, controls, grid, plateau, select):
+    """One backward step in either direction, given its (controls, branches) factors.
 
-    Returns the new row and the selected control per node.  Branches are
-    accumulated in ascending node order and ties between controls keep
-    the earliest mesh point, so the sweep is bit-reproducible.
+    Branches are accumulated in ascending node order, and ``select``
+    (``np.argmax`` or ``np.argmin``) keeps the earliest mesh point on
+    ties, so the sweep is bit-reproducible.  Returns the new row and the
+    selected control per node; the absorbing origin is copied through.
     """
     nodes = grid.nodes
-    best = np.full(nodes.shape, -np.inf)
-    chosen = np.empty(nodes.shape)
-    for a in controls:
-        factors = step_factors(model, t, a, rule, step, "primal")
-        value = np.zeros(nodes.shape)
-        for weight, factor in zip(rule.weights, factors):
-            value += weight * interpolate(grid, next_row, nodes * factor, plateau)
-        better = value > best
-        best = np.where(better, value, best)
-        chosen = np.where(better, a, chosen)
+    value = np.zeros((controls.size, nodes.size))
+    for weight, factor in zip(weights, factors.T):
+        value += weight * interpolate(grid, next_row, factor[:, None] * nodes, plateau)
+    pick = select(value, axis=0)
+    best = value[pick, np.arange(nodes.size)]
+    chosen = controls[pick]
     best[0] = next_row[0]
     chosen[0] = controls[0]
     return best, chosen
 
 
+def primal_step(next_row, t, model, rule, controls, grid, step, plateau):
+    """One backward step of the maximising sweep."""
+    factors = step_factors(model, t, controls, rule, step, "primal")
+    return _sweep_step(next_row, factors, rule.weights, controls, grid, plateau, np.argmax)
+
+
 def dual_step(next_row, t, model, rule, gammas, a_mesh, grid, step, plateau):
-    """One backward step of the minimising sweep, mirror image of the primal."""
-    nodes = grid.nodes
-    best = np.full(nodes.shape, np.inf)
-    chosen = np.empty(nodes.shape)
-    for gamma in gammas:
-        factors = step_factors(model, t, gamma, rule, step, "dual", a_mesh)
-        value = np.zeros(nodes.shape)
-        for weight, factor in zip(rule.weights, factors):
-            value += weight * interpolate(grid, next_row, nodes * factor, plateau)
-        better = value < best
-        best = np.where(better, value, best)
-        chosen = np.where(better, gamma, chosen)
-    best[0] = next_row[0]
-    chosen[0] = gammas[0]
-    return best, chosen
+    """One backward step of the minimising sweep."""
+    factors = step_factors(model, t, gammas, rule, step, "dual", a_mesh)
+    return _sweep_step(next_row, factors, rule.weights, gammas, grid, plateau, np.argmin)
 
 
 def solve(model, terminal, disc, direction="primal"):

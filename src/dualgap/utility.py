@@ -46,14 +46,12 @@ class UtilitySpec:
 class ConjugateSpec:
     """The convex conjugate sup_x {U(x) - x y} of a truncated utility.
 
-    ``evaluate`` vanishes for y >= y_cut and is Lipschitz in y with
-    constant ``lipschitz`` (the plateau abscissa of the primal side).
+    ``evaluate`` vanishes from the chord slope on and is Lipschitz in y
+    with constant ``lipschitz`` (the plateau abscissa of the primal side).
     """
 
     evaluate: Callable
     lipschitz: float
-    y_cut: float
-    base: Optional[UtilitySpec] = None
 
 
 def power_utility(p):
@@ -167,4 +165,4 @@ def conjugate_spec(spec):
         )
         return _match_shape(out, y)
 
-    return ConjugateSpec(evaluate=evaluate, lipschitz=rho, y_cut=slope, base=spec)
+    return ConjugateSpec(evaluate=evaluate, lipschitz=rho)

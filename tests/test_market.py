@@ -147,3 +147,8 @@ def test_dual_bounds_cuoco(cuoco):
     assert bounds.drift == pytest.approx(1.8, abs=1.0e-9)
     assert bounds.vol == pytest.approx(2.8, abs=1.0e-9)
 
+
+
+def test_dual_bounds_reject_a_reversed_gamma_interval():
+    with pytest.raises(ValueError, match="empty control interval"):
+        dual_coefficient_bounds(cuoco_liu_model(gamma_interval=(1.0, -1.0)))

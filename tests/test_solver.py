@@ -19,6 +19,7 @@ from dualgap import (
     TimeGrid,
     ValueSurface,
     conjugate_spec,
+    control_mesh,
     cuoco_liu_model,
     gauss_hermite_rule,
     lipschitz_truncate,
@@ -28,7 +29,9 @@ from dualgap import (
 )
 from dualgap.solver import (
     MAX_BRANCHES,
+    dual_step,
     enumerate_coupled,
+    primal_step,
     step_factors,
     write_surface_csv,
 )
@@ -60,6 +63,42 @@ def test_step_factors_dual(merton, rule2):
 def test_step_factors_rejects_unknown_direction(merton, rule2):
     with pytest.raises(ValueError):
         step_factors(merton, 0.0, 0.0, rule2, 0.1, "sideways")
+
+
+@pytest.mark.parametrize(
+    "make_model, direction",
+    [(merton_model, "primal"), (cuoco_liu_model, "primal"), (cuoco_liu_model, "dual")],
+)
+def test_step_factors_over_a_mesh_stack_the_scalar_calls(make_model, direction):
+    model = make_model()
+    rule = gauss_hermite_rule(4)
+    interval = model.a_interval if direction == "primal" else model.gamma_interval
+    mesh = control_mesh(interval, 7)
+    a_mesh = control_mesh(model.a_interval, 5)
+    got = step_factors(model, 0.1, mesh, rule, 0.125, direction, a_mesh)
+    want = np.stack(
+        [step_factors(model, 0.1, float(c), rule, 0.125, direction, a_mesh) for c in mesh]
+    )
+    assert got.shape == (7, 4)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("direction", ["primal", "dual"])
+def test_steps_keep_the_first_mesh_point_on_ties(direction):
+    """A constant row ties every control at every node."""
+    model = cuoco_liu_model()
+    rule = gauss_hermite_rule(3)
+    grid = SpaceGrid(2.0, 8)
+    row = np.full(grid.cells + 1, 0.75)
+    a_mesh = control_mesh(model.a_interval, 5)
+    if direction == "primal":
+        controls = a_mesh
+        values, chosen = primal_step(row, 0.0, model, rule, controls, grid, 0.125, 0.75)
+    else:
+        controls = control_mesh(model.gamma_interval, 5)
+        values, chosen = dual_step(row, 0.0, model, rule, controls, a_mesh, grid, 0.125, 0.75)
+    assert np.array_equal(chosen, np.full(grid.nodes.shape, controls[0]))
+    assert np.allclose(values, 0.75, rtol=0.0, atol=1.0e-14)
 
 
 def test_sweep_is_exact_on_linear_data():

@@ -107,10 +107,8 @@ def test_conjugate_frozen_values(conj):
     assert conj.evaluate(5.0) == 0.0
 
 
-def test_conjugate_fields(conj, truncated):
+def test_conjugate_fields(conj):
     assert conj.lipschitz == 18.0
-    assert conj.y_cut == pytest.approx(3.0, abs=1.0e-12)
-    assert conj.base is truncated
 
 
 def test_conjugate_band_edges(conj):
