@@ -51,7 +51,6 @@ from .market import (
 )
 from .quadrature import QuadratureRule, double_factorial, gauss_hermite_rule, moment_defect
 from .solver import (
-    ChainSpec,
     ValueSurface,
     enumerate_coupled,
     solve,
@@ -69,7 +68,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport",
-    "ChainSpec",
     "CoefficientBounds",
     "ConfigError",
     "ConjugateSpec",

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import analytics, apriori, duality, market, solver, utility
 from .errors import ConfigError, NumericalFailure, ResourceLimit
-from .lattice import control_mesh
 from .quadrature import gauss_hermite_rule
 
 _PROBLEMS = ("merton", "cuoco-liu")
@@ -58,16 +57,17 @@ _SCHEMA = {
 }
 
 
+def _render(value):
+    """``:g`` where it reads back as the same float, else the shortest round-trip repr."""
+    if not isinstance(value, float):
+        return str(value)
+    short = f"{value:g}"
+    return short if float(short) == value else repr(value)
+
+
 def _echo(self):
-    """Canonical one-line rendering of the resolved config."""
-    parts = []
-    for key in sorted(_SCHEMA):
-        value = getattr(self, key)
-        if isinstance(value, float):
-            parts.append(f"{key}={value:g}")
-        else:
-            parts.append(f"{key}={value}")
-    return "config: " + " ".join(parts)
+    """Canonical one-line rendering of the resolved config; distinct configs echo distinctly."""
+    return "config: " + " ".join(f"{key}={_render(getattr(self, key))}" for key in sorted(_SCHEMA))
 
 
 #: the fully resolved config, one field per schema key; ``y_max`` holds a number
@@ -387,7 +387,6 @@ def cmd_polar_check(cfg, out, args):
     problem = build_problem(cfg)
     model = problem.model
     rule = gauss_hermite_rule(cfg.M)
-    a_mesh = control_mesh(model.a_interval, 2 ** max(cfg.k_min, 1) + 1)
     rng = np.random.default_rng(cfg.seed)
     lines_out = []
     for steps in _POLAR_STEPS:
@@ -400,7 +399,7 @@ def cmd_polar_check(cfg, out, args):
             dual_policy = rng.uniform(lo, hi, size=steps) if hi > lo else np.full(steps, lo)
             _, defect = duality.polar_defect(
                 model, rule, steps, step, (1.0, 1.0),
-                tuple(primal_policy), tuple(dual_policy), a_mesh,
+                tuple(primal_policy), tuple(dual_policy),
             )
             ratios.append(abs(defect) / step)
             violation = max(violation, max(defect, 0.0) / step)

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .solver import ChainSpec, enumerate_coupled
+from .solver import enumerate_coupled
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,7 @@ def aposteriori_bounds(
     )
 
 
-def polar_defect(model, rule, steps, step, start, primal_policy, dual_policy, a_mesh=None):
+def polar_defect(model, rule, steps, step, start, primal_policy, dual_policy):
     """Expectation of the coupled product chain and its defect from x y.
 
     Enumerates every branch pair of the two chains under shared noise
@@ -151,27 +151,11 @@ def polar_defect(model, rule, steps, step, start, primal_policy, dual_policy, a_
     1 + h (g - conj(g) - a gamma) - h^2 mu (r + conj(g)) whose middle
     term is nonpositive by conjugacy.
     """
-    x0, y0 = float(start[0]), float(start[1])
-    primal = ChainSpec(
-        model=model,
-        rule=rule,
-        start_time=0.0,
-        start_state=x0,
-        step=step,
-        policy=tuple(primal_policy),
+    xs, ys, probs = enumerate_coupled(
+        model, rule, steps, step, start, primal_policy, dual_policy
     )
-    dual = ChainSpec(
-        model=model,
-        rule=rule,
-        start_time=0.0,
-        start_state=y0,
-        step=step,
-        policy=tuple(dual_policy),
-        a_mesh=a_mesh,
-    )
-    xs, ys, probs = enumerate_coupled(primal, dual, steps)
     expectation = float(np.sum(probs * xs * ys))
-    return expectation, expectation - x0 * y0
+    return expectation, expectation - float(start[0]) * float(start[1])
 
 
 def write_gap_csv(report, path, header=None, bounds: Optional[BoundReport] = None):

@@ -3,9 +3,10 @@
 The schemes live on [0, x_max] x [0, T] with J space cells and N time
 steps.  One-step displacements can leave the space interval on both
 sides; the closure used everywhere is linear continuation of the first
-cell on the left (the displaced state is negative only by a vanishing
-drift margin) and a configured constant on the right, where the
-truncated terminal reward really is flat.
+cell on the left and a configured constant on the right, where the
+truncated terminal reward really is flat.  The left continuation is an
+extrapolation: at coarse levels whole branches can land at negative
+states, and nothing here checks how far.
 """
 
 import math

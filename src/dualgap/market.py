@@ -31,8 +31,10 @@ from .optim import golden_max
 #: mesh resolutions for the coefficient-bound scans
 _BOUND_A_STEP = 1.0e-4
 _BOUND_TIME_SAMPLES = 65
-_DUAL_BOUND_MESH = 201
 _DUAL_BOUND_TIME_SAMPLES = 9
+
+#: points of the a mesh the penalty conjugate scans and of the dual bounds' gamma mesh
+_SCAN_MESH = 201
 
 
 @dataclass(frozen=True)
@@ -61,15 +63,17 @@ class CoefficientBounds:
     vol: float
 
 
-def penalty_conjugate(model, t, nu, a_mesh):
+def penalty_conjugate(model, t, nu):
     """sup over admissible a of g(t, a) - a nu.
 
-    Scans the supplied control mesh, then polishes the winning bracket
-    with a golden-section pass, so the mesh density is not critical.
-    For a concave penalty (every bundled model) the result is exact up
-    to the refinement tolerance.
+    Scans a fixed mesh over ``model.a_interval``, then polishes the
+    winning bracket with a golden-section pass and keeps the larger of
+    the two.  For a concave penalty (every bundled model) the result is
+    exact up to the refinement tolerance; for a piecewise-linear one
+    whose kinks are mesh points (both bundled models on their default
+    intervals) the scan alone is exact.
     """
-    mesh = np.asarray(a_mesh, dtype=float)
+    mesh = control_mesh(model.a_interval, _SCAN_MESH)
     values = np.asarray(model.penalty(t, mesh), dtype=float) - mesh * nu
     best = int(np.argmax(values))
     lo = mesh[max(best - 1, 0)]
@@ -201,10 +205,10 @@ def _mesh(lo, hi, step):
     return np.linspace(lo, hi, count)
 
 
-def coefficient_bounds(model, a_step=_BOUND_A_STEP, time_samples=_BOUND_TIME_SAMPLES):
+def coefficient_bounds(model):
     """Scan the primal coefficients for their worst-case sizes."""
-    mesh = _mesh(*model.a_interval, a_step)
-    times = np.linspace(0.0, model.horizon, time_samples)
+    mesh = _mesh(*model.a_interval, _BOUND_A_STEP)
+    times = np.linspace(0.0, model.horizon, _BOUND_TIME_SAMPLES)
     drift = 0.0
     vol = 0.0
     for t in times:
@@ -219,21 +223,15 @@ def coefficient_bounds(model, a_step=_BOUND_A_STEP, time_samples=_BOUND_TIME_SAM
     return CoefficientBounds(drift=drift, vol=vol)
 
 
-def dual_coefficient_bounds(
-    model,
-    gamma_points=_DUAL_BOUND_MESH,
-    a_points=_DUAL_BOUND_MESH,
-    time_samples=_DUAL_BOUND_TIME_SAMPLES,
-):
+def dual_coefficient_bounds(model):
     """Worst-case sizes of the dual drift and volatility coefficients.
 
     The conjugate penalty is convex in gamma, so the scan over a modest
-    gamma mesh, which contains both endpoints from two points on, is
-    reliable.  A reversed control interval raises ``ValueError``.
+    gamma mesh, which contains both endpoints, is reliable.  A reversed
+    control interval raises ``ValueError``.
     """
-    gammas = control_mesh(model.gamma_interval, gamma_points)
-    a_mesh = control_mesh(model.a_interval, a_points)
-    times = np.linspace(0.0, model.horizon, time_samples)
+    gammas = control_mesh(model.gamma_interval, _SCAN_MESH)
+    times = np.linspace(0.0, model.horizon, _DUAL_BOUND_TIME_SAMPLES)
     drift = 0.0
     vol = 0.0
     for t in times:
@@ -241,7 +239,7 @@ def dual_coefficient_bounds(
         b = model.appreciation(t)
         sig = model.vol(t)
         for gamma in gammas:
-            conj = penalty_conjugate(model, t, float(gamma), a_mesh)
+            conj = penalty_conjugate(model, t, float(gamma))
             drift = max(drift, abs(r + conj))
             vol = max(vol, abs((r - b - gamma) / sig))
     return CoefficientBounds(drift=drift, vol=vol)

@@ -23,14 +23,14 @@ the ground truth the expectation-level tests and the polar check run on.
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from .errors import NumericalFailure, ResourceLimit
 from .lattice import SpaceGrid, TimeGrid, control_mesh, interpolate
 from .market import penalty_conjugate
-from .quadrature import QuadratureRule, gauss_hermite_rule
+from .quadrature import gauss_hermite_rule
 
 #: hard cap on explicitly enumerated chain branches
 MAX_BRANCHES = 10_000_000
@@ -82,30 +82,13 @@ class ValueSurface:
             )
 
 
-@dataclass(frozen=True)
-class ChainSpec:
-    """One explicit Markov chain: start point, step, and per-step controls.
-
-    ``a_mesh`` is read only when the spec drives the dual chain.
-    """
-
-    model: object
-    rule: QuadratureRule
-    start_time: float
-    start_state: float
-    step: float
-    policy: Tuple[float, ...]
-    a_mesh: Optional[np.ndarray] = None
-
-
-def step_factors(model, t, control, rule, step, direction, a_mesh=None):
+def step_factors(model, t, control, rule, step, direction):
     """Branch multipliers for one step of the chosen chain.
 
     For a scalar control this is an array over quadrature branches; for
     a control mesh it is a (controls, branches) array.  The displaced
-    state is the current state times the factor.  The dual chain needs a
-    mesh over the primal control interval to evaluate the conjugate
-    penalty, once per gamma.
+    state is the current state times the factor.  The dual chain
+    evaluates the conjugate penalty once per gamma.
     """
     r = model.rate(t)
     b = model.appreciation(t)
@@ -116,8 +99,7 @@ def step_factors(model, t, control, rule, step, direction, a_mesh=None):
         mu = r + c * (b - r) + np.asarray(model.penalty(t, c), dtype=float)
         return 1.0 + step * mu + root * c * sig * rule.nodes
     if direction == "dual":
-        mesh = a_mesh if a_mesh is not None else control_mesh(model.a_interval, 2)
-        conj = np.array([penalty_conjugate(model, t, g, mesh) for g in c.ravel()]).reshape(c.shape)
+        conj = np.array([penalty_conjugate(model, t, g) for g in c.ravel()]).reshape(c.shape)
         return 1.0 - step * (r + conj) + root * ((r - b - c) / sig) * rule.nodes
     raise ValueError(f"unknown direction {direction!r}")
 
@@ -148,9 +130,9 @@ def primal_step(next_row, t, model, rule, controls, grid, step, plateau):
     return _sweep_step(next_row, factors, rule.weights, controls, grid, plateau, np.argmax)
 
 
-def dual_step(next_row, t, model, rule, gammas, a_mesh, grid, step, plateau):
+def dual_step(next_row, t, model, rule, gammas, grid, step, plateau):
     """One backward step of the minimising sweep."""
-    factors = step_factors(model, t, gammas, rule, step, "dual", a_mesh)
+    factors = step_factors(model, t, gammas, rule, step, "dual")
     return _sweep_step(next_row, factors, rule.weights, gammas, grid, plateau, np.argmin)
 
 
@@ -177,11 +159,11 @@ def solve(model, terminal, disc, direction="primal"):
     if direction == "primal":
         grid = SpaceGrid(disc.x_max, disc.cells)
         mesh = control_mesh(model.a_interval, disc.primal_controls)
-        a_mesh = None
+        sweep_step = primal_step
     else:
         grid = SpaceGrid(disc.y_max, disc.dual_cells)
         mesh = control_mesh(model.gamma_interval, disc.dual_controls)
-        a_mesh = control_mesh(model.a_interval, disc.primal_controls)
+        sweep_step = dual_step
     bottom = np.asarray(terminal.evaluate(grid.nodes), dtype=float)
     if bottom.shape != grid.nodes.shape or not np.all(np.isfinite(bottom)):
         raise ValueError("terminal reward must be finite on the grid")
@@ -191,12 +173,7 @@ def solve(model, terminal, disc, direction="primal"):
     controls = np.empty((disc.steps, grid.cells + 1))
     for n in range(disc.steps - 1, -1, -1):
         t = time.times[n]
-        if direction == "primal":
-            row, arg = primal_step(data[n + 1], t, model, rule, mesh, grid, time.step, plateau)
-        else:
-            row, arg = dual_step(
-                data[n + 1], t, model, rule, mesh, a_mesh, grid, time.step, plateau
-            )
+        row, arg = sweep_step(data[n + 1], t, model, rule, mesh, grid, time.step, plateau)
         if not np.all(np.isfinite(row)):
             raise NumericalFailure(f"non-finite value row at time index {n}")
         data[n] = row
@@ -224,47 +201,31 @@ def _checked_branch_count(order, steps):
     return total
 
 
-def enumerate_coupled(primal_spec, dual_spec, steps):
+def enumerate_coupled(model, rule, steps, step, start, primal_policy, dual_policy):
     """All endpoint states of both chains after ``steps`` steps, with probabilities.
 
-    The two chains are driven by the same branch noise: per step both
-    states multiply by their own factors at the same quadrature branch,
-    with that branch's weight.  This is the coupling under which the
-    product of the chains is a near-supermartingale.  Branches multiply
-    by the rule order each step, so this is only for small step counts;
-    the cap guards against runaway requests.  States and probabilities
-    come back in a fixed depth-first order.
+    The chains start at time 0 from ``start = (x, y)`` and run on one
+    model, one quadrature rule and one step.  They are driven by the
+    same branch noise: per step both states multiply by their own
+    factors at the same quadrature branch, with that branch's weight.
+    This is the coupling under which the product of the chains is a
+    near-supermartingale.  Branches multiply by the rule order each
+    step, so this is only for small step counts; the cap guards against
+    runaway requests.  States and probabilities come back in a fixed
+    depth-first order.
     """
-    rule = primal_spec.rule
-    if not (
-        np.array_equal(rule.nodes, dual_spec.rule.nodes)
-        and np.array_equal(rule.weights, dual_spec.rule.weights)
-    ):
-        raise ValueError("coupled chains must share one quadrature rule")
-    if primal_spec.step != dual_spec.step or primal_spec.start_time != dual_spec.start_time:
-        raise ValueError("coupled chains must share the time lattice")
     if steps < 0:
         raise ValueError(f"step count must be nonnegative, got {steps}")
-    if len(primal_spec.policy) < steps or len(dual_spec.policy) < steps:
+    if len(primal_policy) < steps or len(dual_policy) < steps:
         raise ValueError(f"both policies must cover {steps} steps")
     _checked_branch_count(rule.order, steps)
-    xs = np.array([float(primal_spec.start_state)])
-    ys = np.array([float(dual_spec.start_state)])
+    xs = np.array([float(start[0])])
+    ys = np.array([float(start[1])])
     probs = np.array([1.0])
     for i in range(steps):
-        t = primal_spec.start_time + i * primal_spec.step
-        fx = step_factors(
-            primal_spec.model, t, primal_spec.policy[i], rule, primal_spec.step, "primal"
-        )
-        fy = step_factors(
-            dual_spec.model,
-            t,
-            dual_spec.policy[i],
-            rule,
-            dual_spec.step,
-            "dual",
-            dual_spec.a_mesh,
-        )
+        t = i * step
+        fx = step_factors(model, t, primal_policy[i], rule, step, "primal")
+        fy = step_factors(model, t, dual_policy[i], rule, step, "dual")
         xs = (xs[:, None] * fx[None, :]).reshape(-1)
         ys = (ys[:, None] * fy[None, :]).reshape(-1)
         probs = (probs[:, None] * rule.weights[None, :]).reshape(-1)

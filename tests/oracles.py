@@ -46,7 +46,6 @@ def naive_solve(model, terminal, disc, direction, rule):
     else:
         length, cells = disc.y_max, disc.dual_cells
         controls = control_mesh(model.gamma_interval, disc.dual_controls)
-    a_mesh = control_mesh(model.a_interval, disc.primal_controls)
     nodes = np.linspace(0.0, length, cells + 1)
     step = model.horizon / disc.steps
     root = math.sqrt(step)
@@ -72,7 +71,7 @@ def naive_solve(model, terminal, disc, direction, rule):
                     drift += float(model.penalty(t, control))
                     noise = control * vol
                 else:
-                    drift = -(rate + penalty_conjugate(model, t, control, a_mesh))
+                    drift = -(rate + penalty_conjugate(model, t, control))
                     noise = (rate - appreciation - control) / vol
                 total = 0.0
                 for weight, xi in zip(rule.weights, rule.nodes):

@@ -132,6 +132,15 @@ def test_echo_is_sorted_and_stable(tmp_path):
     assert "k_max=2" in echoed
 
 
+def test_echo_tells_apart_floats_that_g_would_merge(tmp_path):
+    """A results header must name the config that wrote it."""
+    plain = load_config(str(write_cfg(tmp_path, MERTON_SMALL + "r = 0.8\n", "plain.cfg")))
+    nudged = load_config(str(write_cfg(tmp_path, MERTON_SMALL + "r = 0.8000001\n", "nudged.cfg")))
+    assert " r=0.8 " in plain.echo()
+    assert " r=0.8000001 " in nudged.echo()
+    assert plain.echo() != nudged.echo()
+
+
 def test_run_config_error_exit_code(capsys, tmp_path):
     code = run(["gap", "--config", str(tmp_path / "missing.cfg")])
     assert code == 2

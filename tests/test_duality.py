@@ -262,7 +262,6 @@ def test_polar_constrained_violation_vanishes_with_step():
 
     model = cuoco_liu_model()
     rng = np.random.default_rng(7)
-    a_mesh = np.linspace(-1.0, 1.0, 201)
     for steps in (1, 2, 4):
         step = 0.5 / steps
         for _ in range(6):
@@ -276,7 +275,6 @@ def test_polar_constrained_violation_vanishes_with_step():
                 (1.0, 1.0),
                 primal_policy,
                 dual_policy,
-                a_mesh=a_mesh,
             )
             assert defect <= 1.5 * step + 1.0e-12
             assert abs(defect) <= 1.0

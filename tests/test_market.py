@@ -5,6 +5,7 @@ import pytest
 
 from dualgap import (
     coefficient_bounds,
+    control_mesh,
     cuoco_liu_model,
     dual_coefficient_bounds,
     merton_model,
@@ -94,7 +95,7 @@ def test_cuoco_conjugate_frozen(cuoco):
         1.0: -0.2,
     }
     for gamma, want in cases.items():
-        got = penalty_conjugate(cuoco, 0.0, gamma, A_MESH)
+        got = penalty_conjugate(cuoco, 0.0, gamma)
         assert got == pytest.approx(want, abs=1.0e-9), gamma
 
 
@@ -102,13 +103,53 @@ def test_conjugate_dominates_penalty(cuoco):
     """Fenchel: g(a) - a gamma never exceeds the conjugate."""
     for gamma in np.linspace(-1.0, 1.0, 9):
         tilt = np.asarray(cuoco.penalty(0.0, A_MESH), dtype=float) - A_MESH * gamma
-        assert penalty_conjugate(cuoco, 0.0, float(gamma), A_MESH) >= float(tilt.max()) - 1.0e-12
+        assert penalty_conjugate(cuoco, 0.0, float(gamma)) >= float(tilt.max()) - 1.0e-12
 
 
 def test_conjugate_convex_in_gamma(cuoco):
     gammas = np.linspace(-1.0, 1.0, 81)
-    vals = np.array([penalty_conjugate(cuoco, 0.0, float(g), A_MESH) for g in gammas])
+    vals = np.array([penalty_conjugate(cuoco, 0.0, float(g)) for g in gammas])
     assert np.all(np.diff(vals, 2) >= -1.0e-9)
+
+
+def _kink_and_ends(model, nu):
+    """max of g(a) - a nu over a in {lo, 0, hi}.
+
+    That is the supremum for a concave penalty that is linear on either
+    side of a kink at 0, as both cuoco-liu pieces are.
+    """
+    lo, hi = model.a_interval
+    g = model.penalty
+    return max(float(g(0.0, lo)) - lo * nu, float(g(0.0, 0.0)), float(g(0.0, hi)) - hi * nu)
+
+
+def test_conjugate_is_exact_on_the_bundled_model(cuoco):
+    """The fixed scan mesh holds -1, 0 and 1, so the scan alone is exact.
+
+    The gammas are those of the finest ladder mesh, which holds every
+    coarser one.  (At gamma = R - r, where g(a) - a gamma is flat for
+    a > 0, the polish can exceed the scan by rounding.)
+    """
+    for gamma in control_mesh(cuoco.gamma_interval, 2**8 + 1):
+        nu = float(gamma)
+        assert penalty_conjugate(cuoco, 0.0, nu) == _kink_and_ends(cuoco, nu), nu
+
+
+def test_conjugate_matches_the_kink_on_random_intervals():
+    """Off-mesh kinks are found by the golden-section polish."""
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        model = cuoco_liu_model(
+            r=float(rng.uniform(0.0, 1.0)),
+            borrowing_rate=1.2,
+            iota=float(rng.uniform(0.0, 1.0)),
+            lambda_plus=float(rng.uniform(0.5, 2.0)),
+            lambda_minus=float(rng.uniform(0.5, 2.0)),
+        )
+        nu = float(rng.uniform(-1.0, 1.0))
+        assert penalty_conjugate(model, 0.0, nu) == pytest.approx(
+            _kink_and_ends(model, nu), rel=0.0, abs=1.0e-12
+        )
 
 
 def test_cuoco_model_validation():

@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 
 import oracles
 from dualgap import (
-    ChainSpec,
     Discretization,
     NumericalFailure,
-    QuadratureRule,
     ResourceLimit,
     SpaceGrid,
     TimeGrid,
@@ -74,11 +72,8 @@ def test_step_factors_over_a_mesh_stack_the_scalar_calls(make_model, direction):
     rule = gauss_hermite_rule(4)
     interval = model.a_interval if direction == "primal" else model.gamma_interval
     mesh = control_mesh(interval, 7)
-    a_mesh = control_mesh(model.a_interval, 5)
-    got = step_factors(model, 0.1, mesh, rule, 0.125, direction, a_mesh)
-    want = np.stack(
-        [step_factors(model, 0.1, float(c), rule, 0.125, direction, a_mesh) for c in mesh]
-    )
+    got = step_factors(model, 0.1, mesh, rule, 0.125, direction)
+    want = np.stack([step_factors(model, 0.1, float(c), rule, 0.125, direction) for c in mesh])
     assert got.shape == (7, 4)
     assert np.array_equal(got, want)
 
@@ -90,13 +85,12 @@ def test_steps_keep_the_first_mesh_point_on_ties(direction):
     rule = gauss_hermite_rule(3)
     grid = SpaceGrid(2.0, 8)
     row = np.full(grid.cells + 1, 0.75)
-    a_mesh = control_mesh(model.a_interval, 5)
     if direction == "primal":
-        controls = a_mesh
+        controls = control_mesh(model.a_interval, 5)
         values, chosen = primal_step(row, 0.0, model, rule, controls, grid, 0.125, 0.75)
     else:
         controls = control_mesh(model.gamma_interval, 5)
-        values, chosen = dual_step(row, 0.0, model, rule, controls, a_mesh, grid, 0.125, 0.75)
+        values, chosen = dual_step(row, 0.0, model, rule, controls, grid, 0.125, 0.75)
     assert np.array_equal(chosen, np.full(grid.nodes.shape, controls[0]))
     assert np.allclose(values, 0.75, rtol=0.0, atol=1.0e-14)
 
@@ -231,15 +225,9 @@ def test_validate_tolerates_interpolation_slack():
 
 def test_enumerate_chain_shapes(merton):
     rule = gauss_hermite_rule(3)
-    spec = ChainSpec(
-        model=merton,
-        rule=rule,
-        start_time=0.0,
-        start_state=1.5,
-        step=0.125,
-        policy=(0.5, -0.25),
+    states, _, probs = enumerate_coupled(
+        merton, rule, 2, 0.125, (1.5, 1.0), (0.5, -0.25), (0.0, 0.0)
     )
-    states, _, probs = enumerate_coupled(spec, spec, 2)
     assert states.shape == (9,)
     assert abs(float(probs.sum()) - 1.0) < 1.0e-12
     # depth-first order: children of branch i sit at positions 3 i + j
@@ -250,51 +238,29 @@ def test_enumerate_chain_shapes(merton):
 
 
 def test_enumerate_chain_zero_steps(merton, rule2):
-    spec = ChainSpec(
-        model=merton, rule=rule2, start_time=0.0, start_state=2.0, step=0.1, policy=()
-    )
-    xs, ys, probs = enumerate_coupled(spec, spec, 0)
+    xs, ys, probs = enumerate_coupled(merton, rule2, 0, 0.1, (2.0, 3.0), (), ())
     assert np.array_equal(xs, [2.0])
-    assert np.array_equal(ys, [2.0])
+    assert np.array_equal(ys, [3.0])
     assert np.array_equal(probs, [1.0])
 
 
 def test_enumerate_chain_policy_too_short(merton, rule2):
-    spec = ChainSpec(
-        model=merton, rule=rule2, start_time=0.0, start_state=1.0, step=0.1, policy=(0.0,)
-    )
     with pytest.raises(ValueError):
-        enumerate_coupled(spec, spec, 2)
+        enumerate_coupled(merton, rule2, 2, 0.1, (1.0, 1.0), (0.0,), (0.0,))
     with pytest.raises(ValueError):
-        enumerate_coupled(spec, spec, -1)
+        enumerate_coupled(merton, rule2, -1, 0.1, (1.0, 1.0), (0.0,), (0.0,))
 
 
 def test_enumeration_cap(merton):
-    rule = gauss_hermite_rule(4)
-    spec = ChainSpec(
-        model=merton,
-        rule=rule,
-        start_time=0.0,
-        start_state=1.0,
-        step=0.01,
-        policy=(0.0,) * 13,
-    )
+    policy = (0.0,) * 13
     assert 4**13 > MAX_BRANCHES
     with pytest.raises(ResourceLimit):
-        enumerate_coupled(spec, spec, 13)
+        enumerate_coupled(merton, gauss_hermite_rule(4), 13, 0.01, (1.0, 1.0), policy, policy)
 
 
 def test_enumerate_coupled_consistency(merton):
     rule = gauss_hermite_rule(3)
-    primal = ChainSpec(
-        model=merton, rule=rule, start_time=0.0, start_state=1.0, step=0.125,
-        policy=(0.8, 0.8),
-    )
-    dual = ChainSpec(
-        model=merton, rule=rule, start_time=0.0, start_state=1.0, step=0.125,
-        policy=(0.0, 0.0),
-    )
-    xs, ys, probs = enumerate_coupled(primal, dual, 2)
+    xs, ys, probs = enumerate_coupled(merton, rule, 2, 0.125, (1.0, 1.0), (0.8, 0.8), (0.0, 0.0))
     assert xs.shape == ys.shape == probs.shape == (9,)
     # both chains take the same branch: children of branch i sit at 3 i + j
     fx = step_factors(merton, 0.0, 0.8, rule, 0.125, "primal")
@@ -305,43 +271,9 @@ def test_enumerate_coupled_consistency(merton):
 
 
 def test_enumerate_coupled_validation(merton, rule2):
-    primal = ChainSpec(
-        model=merton, rule=rule2, start_time=0.0, start_state=1.0, step=0.1,
-        policy=(0.0,),
-    )
-    mismatched_rule = ChainSpec(
-        model=merton, rule=gauss_hermite_rule(3), start_time=0.0, start_state=1.0,
-        step=0.1, policy=(0.0,),
-    )
+    """Each policy must cover the requested steps, the dual one included."""
     with pytest.raises(ValueError):
-        enumerate_coupled(primal, mismatched_rule, 1)
-    mismatched_step = ChainSpec(
-        model=merton, rule=rule2, start_time=0.0, start_state=1.0, step=0.2,
-        policy=(0.0,),
-    )
-    with pytest.raises(ValueError):
-        enumerate_coupled(primal, mismatched_step, 1)
-    short = ChainSpec(
-        model=merton, rule=rule2, start_time=0.0, start_state=1.0, step=0.1,
-        policy=(),
-    )
-    with pytest.raises(ValueError):
-        enumerate_coupled(primal, short, 1)
-
-
-def test_enumerate_coupled_rejects_a_different_rule_of_the_same_order(merton, rule2):
-    """The dual chain must not run on the primal rule's nodes and weights."""
-    skewed = QuadratureRule(order=2, nodes=np.array([-0.5, 2.0]), weights=np.array([0.8, 0.2]))
-    primal = ChainSpec(
-        model=merton, rule=rule2, start_time=0.0, start_state=1.0, step=0.1,
-        policy=(0.0,),
-    )
-    dual = ChainSpec(
-        model=merton, rule=skewed, start_time=0.0, start_state=1.0, step=0.1,
-        policy=(0.0,),
-    )
-    with pytest.raises(ValueError):
-        enumerate_coupled(primal, dual, 1)
+        enumerate_coupled(merton, rule2, 1, 0.1, (1.0, 1.0), (0.0,), ())
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -377,6 +309,32 @@ def test_sweep_matches_enumeration_constrained_market():
         surface = solve(model, terminal, disc, direction)
         _, want = oracles.naive_solve(model, terminal, disc, direction, rule)
         assert float(np.max(np.abs(surface.data - want))) < 1.0e-9
+
+
+def test_dual_solve_ignores_the_primal_control_count():
+    """The dual sweep reads the a interval only through the penalty conjugate."""
+    model = cuoco_liu_model()
+    terminal = conjugate_spec(lipschitz_truncate(power_utility(0.5), 1.6, 0.768))
+    surfaces = [
+        solve(
+            model,
+            terminal,
+            Discretization(
+                steps=3,
+                cells=9,
+                dual_cells=9,
+                order=3,
+                primal_controls=count,
+                dual_controls=5,
+                x_max=2.0,
+                y_max=2.0,
+            ),
+            "dual",
+        )
+        for count in (2, 9)
+    ]
+    assert np.array_equal(surfaces[0].data, surfaces[1].data)
+    assert np.array_equal(surfaces[0].controls, surfaces[1].controls)
 
 
 def test_surface_csv_schema(tmp_path, merton):
