@@ -1,18 +1,18 @@
 """Market models: controlled wealth dynamics and their convex duals.
 
-A model bundles the riskless rate r(t), the risky appreciation rate
-b(t), the volatility sigma(t), and a concave drift penalty g(t, a)
-encoding trading constraints (zero for the unconstrained case).  The
-wealth fraction a invested in the risky asset lives in a bounded
-interval containing 0, so the primal drift and volatility are
+A model is plain data: a constant riskless rate r, risky appreciation
+rate b and volatility sigma, and a concave drift penalty g(a) encoding
+trading constraints (zero for the unconstrained case).  The wealth
+fraction a invested in the risky asset lives in a bounded interval
+containing 0, so the primal drift and volatility are
 
-    x * (r + a (b - r) + g(t, a)),    x * a * sigma.
+    x * (r + a (b - r) + g(a)),    x * a * sigma.
 
 The dual state process runs against an auxiliary control gamma from a
 second interval, with the penalty replaced by its concave conjugate in
 the control argument and the drift reversed in sign:
 
-    -y * (r + sup_a {g(t, a) - a gamma}),    y * (r - b - gamma) / sigma.
+    -y * (r + sup_a {g(a) - a gamma}),    y * (r - b - gamma) / sigma.
 
 The product of the two chains driven by the same noise is then a
 supermartingale up to O(h^2) per step, which is what makes the computed
@@ -28,10 +28,8 @@ import numpy as np
 from .lattice import control_mesh
 from .optim import golden_max
 
-#: mesh resolutions for the coefficient-bound scans
+#: mesh resolution of the primal coefficient-bound scan
 _BOUND_A_STEP = 1.0e-4
-_BOUND_TIME_SAMPLES = 65
-_DUAL_BOUND_TIME_SAMPLES = 9
 
 #: points of the a mesh the penalty conjugate scans and of the dual bounds' gamma mesh
 _SCAN_MESH = 201
@@ -39,23 +37,29 @@ _SCAN_MESH = 201
 
 @dataclass(frozen=True)
 class MarketModel:
-    """Time-dependent coefficients and control intervals of one market."""
+    """Constant coefficients, drift penalty and control intervals of one market."""
 
     name: str
-    rate: Callable[[float], float]
-    appreciation: Callable[[float], float]
-    vol: Callable[[float], float]
-    penalty: Callable  # penalty(t, a), vectorised in a
+    rate: float
+    appreciation: float
+    vol: float
+    penalty: Callable  # penalty(a), vectorised in a
     a_interval: Tuple[float, float]
     gamma_interval: Tuple[float, float]
     horizon: float
+
+    def __post_init__(self):
+        if self.vol <= 0.0:
+            raise ValueError(f"volatility must be positive, got {self.vol}")
+        if self.horizon <= 0.0:
+            raise ValueError(f"horizon must be positive, got {self.horizon}")
 
 
 @dataclass(frozen=True)
 class CoefficientBounds:
     """Worst-case coefficient sizes feeding the error constants.
 
-    ``drift`` bounds |r + a (b - r) + g| over controls and time,
+    ``drift`` bounds |r + a (b - r) + g| over controls,
     ``vol`` bounds |a sigma|.
     """
 
@@ -63,8 +67,8 @@ class CoefficientBounds:
     vol: float
 
 
-def penalty_conjugate(model, t, nu):
-    """sup over admissible a of g(t, a) - a nu.
+def penalty_conjugate(model, nu):
+    """sup over admissible a of g(a) - a nu.
 
     Scans a fixed mesh over ``model.a_interval``, then polishes the
     winning bracket with a golden-section pass and keeps the larger of
@@ -74,11 +78,11 @@ def penalty_conjugate(model, t, nu):
     intervals) the scan alone is exact.
     """
     mesh = control_mesh(model.a_interval, _SCAN_MESH)
-    values = np.asarray(model.penalty(t, mesh), dtype=float) - mesh * nu
+    values = np.asarray(model.penalty(mesh), dtype=float) - mesh * nu
     best = int(np.argmax(values))
     lo = mesh[max(best - 1, 0)]
     hi = mesh[min(best + 1, mesh.size - 1)]
-    refined, _ = golden_max(lambda a: float(model.penalty(t, a)) - a * nu, lo, hi)
+    refined, _ = golden_max(lambda a: float(model.penalty(a)) - a * nu, lo, hi)
     return max(float(values[best]), refined)
 
 
@@ -91,19 +95,15 @@ def merton_model(r=0.8, b=1.2, sigma=1.0, horizon=0.5, a_interval=(-1.0, 1.0)):
     lo, hi = a_interval
     if not lo <= 0.0 <= hi:
         raise ValueError(f"control interval must contain 0, got {a_interval}")
-    if sigma <= 0.0:
-        raise ValueError(f"volatility must be positive, got {sigma}")
-    if horizon <= 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
 
-    def penalty(t, a):
+    def penalty(a):
         return np.zeros_like(np.asarray(a, dtype=float))
 
     return MarketModel(
         name="merton",
-        rate=lambda t: r,
-        appreciation=lambda t: b,
-        vol=lambda t: sigma,
+        rate=float(r),
+        appreciation=float(b),
+        vol=float(sigma),
         penalty=penalty,
         a_interval=(float(lo), float(hi)),
         gamma_interval=(0.0, 0.0),
@@ -173,14 +173,10 @@ def cuoco_liu_model(
         raise ValueError("margin rates must be positive, unbounded positions are unsupported")
     if iota < 0.0:
         raise ValueError(f"short haircut must be nonnegative, got {iota}")
-    if sigma <= 0.0:
-        raise ValueError(f"volatility must be positive, got {sigma}")
-    if horizon <= 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
     spread = borrowing_rate - r
     short_rate = r * (1.0 + iota * lambda_minus)
 
-    def penalty(t, a):
+    def penalty(a):
         arr = np.asarray(a, dtype=float)
         long_part = np.maximum(0.0, arr)
         short_part = np.maximum(0.0, -arr)
@@ -188,9 +184,9 @@ def cuoco_liu_model(
 
     return MarketModel(
         name="cuoco-liu",
-        rate=lambda t: r,
-        appreciation=lambda t: b,
-        vol=lambda t: sigma,
+        rate=float(r),
+        appreciation=float(b),
+        vol=float(sigma),
         penalty=penalty,
         a_interval=(-1.0 / lambda_minus, 1.0 / lambda_plus),
         gamma_interval=(float(gamma_interval[0]), float(gamma_interval[1])),
@@ -208,19 +204,10 @@ def _mesh(lo, hi, step):
 def coefficient_bounds(model):
     """Scan the primal coefficients for their worst-case sizes."""
     mesh = _mesh(*model.a_interval, _BOUND_A_STEP)
-    times = np.linspace(0.0, model.horizon, _BOUND_TIME_SAMPLES)
-    drift = 0.0
-    vol = 0.0
-    for t in times:
-        r = model.rate(t)
-        b = model.appreciation(t)
-        sig = model.vol(t)
-        if sig <= 0.0:
-            raise ValueError(f"volatility must stay positive, got {sig} at t = {t}")
-        candidates = np.abs(r + mesh * (b - r) + np.asarray(model.penalty(t, mesh), dtype=float))
-        drift = max(drift, float(candidates.max()))
-        vol = max(vol, float(np.abs(mesh * sig).max()))
-    return CoefficientBounds(drift=drift, vol=vol)
+    r, b = model.rate, model.appreciation
+    drift = np.abs(r + mesh * (b - r) + np.asarray(model.penalty(mesh), dtype=float))
+    vol = np.abs(mesh * model.vol)
+    return CoefficientBounds(drift=float(drift.max()), vol=float(vol.max()))
 
 
 def dual_coefficient_bounds(model):
@@ -231,15 +218,8 @@ def dual_coefficient_bounds(model):
     control interval raises ``ValueError``.
     """
     gammas = control_mesh(model.gamma_interval, _SCAN_MESH)
-    times = np.linspace(0.0, model.horizon, _DUAL_BOUND_TIME_SAMPLES)
-    drift = 0.0
-    vol = 0.0
-    for t in times:
-        r = model.rate(t)
-        b = model.appreciation(t)
-        sig = model.vol(t)
-        for gamma in gammas:
-            conj = penalty_conjugate(model, t, float(gamma))
-            drift = max(drift, abs(r + conj))
-            vol = max(vol, abs((r - b - gamma) / sig))
-    return CoefficientBounds(drift=drift, vol=vol)
+    conj = np.array([penalty_conjugate(model, float(gamma)) for gamma in gammas])
+    r, b = model.rate, model.appreciation
+    drift = np.abs(r + conj)
+    vol = np.abs((r - b - gammas) / model.vol)
+    return CoefficientBounds(drift=float(drift.max()), vol=float(vol.max()))

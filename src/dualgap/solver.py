@@ -4,8 +4,9 @@ One step freezes the control over [t_n, t_n + h], advances the state by
 the Euler displacement with the Gaussian increment collapsed onto the
 quadrature nodes, reads the next value row by linear interpolation, and
 optimises over a finite control mesh.  Both state processes are
-geometric, so the displaced states are the current node times a factor
-shared by the whole row:
+geometric and the coefficients constant, so the displaced states are
+the current node times a factor shared by every node and every step,
+built once per solve:
 
     primal, maximising:  1 + h (r + a (b - r) + g) + sqrt(h) a sigma xi
     dual,   minimising:  1 - h (r + sup_a {g - a gamma}) + sqrt(h) (r - b - gamma) / sigma xi
@@ -82,7 +83,7 @@ class ValueSurface:
             )
 
 
-def step_factors(model, t, control, rule, step, direction):
+def step_factors(model, control, rule, step, direction):
     """Branch multipliers for one step of the chosen chain.
 
     For a scalar control this is an array over quadrature branches; for
@@ -90,16 +91,14 @@ def step_factors(model, t, control, rule, step, direction):
     state is the current state times the factor.  The dual chain
     evaluates the conjugate penalty once per gamma.
     """
-    r = model.rate(t)
-    b = model.appreciation(t)
-    sig = model.vol(t)
+    r, b, sig = model.rate, model.appreciation, model.vol
     root = math.sqrt(step)
     c = np.asarray(control, dtype=float)[..., None]
     if direction == "primal":
-        mu = r + c * (b - r) + np.asarray(model.penalty(t, c), dtype=float)
+        mu = r + c * (b - r) + np.asarray(model.penalty(c), dtype=float)
         return 1.0 + step * mu + root * c * sig * rule.nodes
     if direction == "dual":
-        conj = np.array([penalty_conjugate(model, t, g) for g in c.ravel()]).reshape(c.shape)
+        conj = np.array([penalty_conjugate(model, g) for g in c.ravel()]).reshape(c.shape)
         return 1.0 - step * (r + conj) + root * ((r - b - c) / sig) * rule.nodes
     raise ValueError(f"unknown direction {direction!r}")
 
@@ -124,16 +123,14 @@ def _sweep_step(next_row, factors, weights, controls, grid, plateau, select):
     return best, chosen
 
 
-def primal_step(next_row, t, model, rule, controls, grid, step, plateau):
+def primal_step(next_row, factors, weights, controls, grid, plateau):
     """One backward step of the maximising sweep."""
-    factors = step_factors(model, t, controls, rule, step, "primal")
-    return _sweep_step(next_row, factors, rule.weights, controls, grid, plateau, np.argmax)
+    return _sweep_step(next_row, factors, weights, controls, grid, plateau, np.argmax)
 
 
-def dual_step(next_row, t, model, rule, gammas, grid, step, plateau):
+def dual_step(next_row, factors, weights, gammas, grid, plateau):
     """One backward step of the minimising sweep."""
-    factors = step_factors(model, t, gammas, rule, step, "dual")
-    return _sweep_step(next_row, factors, rule.weights, gammas, grid, plateau, np.argmin)
+    return _sweep_step(next_row, factors, weights, gammas, grid, plateau, np.argmin)
 
 
 def solve(model, terminal, disc, direction="primal"):
@@ -168,14 +165,17 @@ def solve(model, terminal, disc, direction="primal"):
     if bottom.shape != grid.nodes.shape or not np.all(np.isfinite(bottom)):
         raise ValueError("terminal reward must be finite on the grid")
     plateau = float(bottom[-1])
+    factors = step_factors(model, mesh, rule, time.step, direction)
     data = np.empty((disc.steps + 1, grid.cells + 1))
     data[disc.steps] = bottom
     controls = np.empty((disc.steps, grid.cells + 1))
     for n in range(disc.steps - 1, -1, -1):
-        t = time.times[n]
-        row, arg = sweep_step(data[n + 1], t, model, rule, mesh, grid, time.step, plateau)
+        row, arg = sweep_step(data[n + 1], factors, rule.weights, mesh, grid, plateau)
         if not np.all(np.isfinite(row)):
-            raise NumericalFailure(f"non-finite value row at time index {n}")
+            raise NumericalFailure(
+                f"non-finite {direction} value row at time index {n} "
+                f"(N={disc.steps}, J={grid.cells})"
+            )
         data[n] = row
         controls[n] = arg
     data.setflags(write=False)
@@ -223,9 +223,8 @@ def enumerate_coupled(model, rule, steps, step, start, primal_policy, dual_polic
     ys = np.array([float(start[1])])
     probs = np.array([1.0])
     for i in range(steps):
-        t = i * step
-        fx = step_factors(model, t, primal_policy[i], rule, step, "primal")
-        fy = step_factors(model, t, dual_policy[i], rule, step, "dual")
+        fx = step_factors(model, primal_policy[i], rule, step, "primal")
+        fy = step_factors(model, dual_policy[i], rule, step, "dual")
         xs = (xs[:, None] * fx[None, :]).reshape(-1)
         ys = (ys[:, None] * fy[None, :]).reshape(-1)
         probs = (probs[:, None] * rule.weights[None, :]).reshape(-1)

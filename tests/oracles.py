@@ -54,24 +54,21 @@ def naive_solve(model, terminal, disc, direction, rule):
     rows[-1] = np.array([float(terminal.evaluate(float(x))) for x in nodes])
     plateau = float(rows[-1][-1])
 
+    rate, appreciation, vol = model.rate, model.appreciation, model.vol
     for n in range(disc.steps - 1, -1, -1):
-        t = n * step
         prev = rows[n + 1]
         row = np.empty_like(prev)
         row[0] = prev[0]
-        rate = float(model.rate(t))
-        appreciation = float(model.appreciation(t))
-        vol = float(model.vol(t))
         for m in range(1, cells + 1):
             x = float(nodes[m])
             candidates = []
             for control in controls:
                 if direction == "primal":
                     drift = rate + control * (appreciation - rate)
-                    drift += float(model.penalty(t, control))
+                    drift += float(model.penalty(control))
                     noise = control * vol
                 else:
-                    drift = -(rate + penalty_conjugate(model, t, control))
+                    drift = -(rate + penalty_conjugate(model, control))
                     noise = (rate - appreciation - control) / vol
                 total = 0.0
                 for weight, xi in zip(rule.weights, rule.nodes):

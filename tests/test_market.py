@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dualgap import (
+    MarketModel,
     coefficient_bounds,
     control_mesh,
     cuoco_liu_model,
@@ -28,8 +29,8 @@ def cuoco():
 
 
 def test_merton_penalty_is_zero(merton):
-    assert float(merton.penalty(0.0, 0.7)) == 0.0
-    assert np.all(merton.penalty(0.0, A_MESH) == 0.0)
+    assert float(merton.penalty(0.7)) == 0.0
+    assert np.all(merton.penalty(A_MESH) == 0.0)
     assert merton.gamma_interval == (0.0, 0.0)
 
 
@@ -73,14 +74,14 @@ def test_merton_value_validation():
 
 def test_cuoco_penalty_frozen(cuoco):
     """Hand-derived penalty values for the default constrained market."""
-    assert float(cuoco.penalty(0.0, 1.0)) == pytest.approx(0.0, abs=1.0e-14)
-    assert float(cuoco.penalty(0.0, 0.0)) == pytest.approx(-0.2, abs=1.0e-14)
-    assert float(cuoco.penalty(0.0, -1.0)) == pytest.approx(-1.3, abs=1.0e-14)
+    assert float(cuoco.penalty(1.0)) == pytest.approx(0.0, abs=1.0e-14)
+    assert float(cuoco.penalty(0.0)) == pytest.approx(-0.2, abs=1.0e-14)
+    assert float(cuoco.penalty(-1.0)) == pytest.approx(-1.3, abs=1.0e-14)
     assert cuoco.a_interval == (-1.0, 1.0)
 
 
 def test_cuoco_penalty_concave_piecewise_linear(cuoco):
-    vals = np.asarray(cuoco.penalty(0.0, A_MESH), dtype=float)
+    vals = np.asarray(cuoco.penalty(A_MESH), dtype=float)
     assert np.all(np.diff(vals, 2) <= 1.0e-12)
     assert np.all(vals <= 1.0e-14)
 
@@ -95,20 +96,20 @@ def test_cuoco_conjugate_frozen(cuoco):
         1.0: -0.2,
     }
     for gamma, want in cases.items():
-        got = penalty_conjugate(cuoco, 0.0, gamma)
+        got = penalty_conjugate(cuoco, gamma)
         assert got == pytest.approx(want, abs=1.0e-9), gamma
 
 
 def test_conjugate_dominates_penalty(cuoco):
     """Fenchel: g(a) - a gamma never exceeds the conjugate."""
     for gamma in np.linspace(-1.0, 1.0, 9):
-        tilt = np.asarray(cuoco.penalty(0.0, A_MESH), dtype=float) - A_MESH * gamma
-        assert penalty_conjugate(cuoco, 0.0, float(gamma)) >= float(tilt.max()) - 1.0e-12
+        tilt = np.asarray(cuoco.penalty(A_MESH), dtype=float) - A_MESH * gamma
+        assert penalty_conjugate(cuoco, float(gamma)) >= float(tilt.max()) - 1.0e-12
 
 
 def test_conjugate_convex_in_gamma(cuoco):
     gammas = np.linspace(-1.0, 1.0, 81)
-    vals = np.array([penalty_conjugate(cuoco, 0.0, float(g)) for g in gammas])
+    vals = np.array([penalty_conjugate(cuoco, float(g)) for g in gammas])
     assert np.all(np.diff(vals, 2) >= -1.0e-9)
 
 
@@ -120,7 +121,7 @@ def _kink_and_ends(model, nu):
     """
     lo, hi = model.a_interval
     g = model.penalty
-    return max(float(g(0.0, lo)) - lo * nu, float(g(0.0, 0.0)), float(g(0.0, hi)) - hi * nu)
+    return max(float(g(lo)) - lo * nu, float(g(0.0)), float(g(hi)) - hi * nu)
 
 
 def test_conjugate_is_exact_on_the_bundled_model(cuoco):
@@ -132,7 +133,7 @@ def test_conjugate_is_exact_on_the_bundled_model(cuoco):
     """
     for gamma in control_mesh(cuoco.gamma_interval, 2**8 + 1):
         nu = float(gamma)
-        assert penalty_conjugate(cuoco, 0.0, nu) == _kink_and_ends(cuoco, nu), nu
+        assert penalty_conjugate(cuoco, nu) == _kink_and_ends(cuoco, nu), nu
 
 
 def test_conjugate_matches_the_kink_on_random_intervals():
@@ -147,7 +148,7 @@ def test_conjugate_matches_the_kink_on_random_intervals():
             lambda_minus=float(rng.uniform(0.5, 2.0)),
         )
         nu = float(rng.uniform(-1.0, 1.0))
-        assert penalty_conjugate(model, 0.0, nu) == pytest.approx(
+        assert penalty_conjugate(model, nu) == pytest.approx(
             _kink_and_ends(model, nu), rel=0.0, abs=1.0e-12
         )
 
@@ -161,6 +162,24 @@ def test_cuoco_model_validation():
         cuoco_liu_model(iota=-0.1)
     with pytest.raises(ValueError):
         cuoco_liu_model(sigma=0.0)
+
+
+def test_model_built_directly_checks_its_vol_and_horizon(merton):
+    fields = dict(
+        name="direct",
+        rate=0.8,
+        appreciation=1.2,
+        vol=1.0,
+        penalty=merton.penalty,
+        a_interval=(-1.0, 1.0),
+        gamma_interval=(0.0, 0.0),
+        horizon=0.5,
+    )
+    assert MarketModel(**fields).vol == 1.0
+    with pytest.raises(ValueError, match="volatility must be positive, got 0.0"):
+        MarketModel(**{**fields, "vol": 0.0})
+    with pytest.raises(ValueError, match="horizon must be positive, got -1.0"):
+        MarketModel(**{**fields, "horizon": -1.0})
 
 
 def test_primal_bounds_merton(merton):

@@ -1,6 +1,7 @@
 """Backward sweeps against exhaustive enumeration, chains, surfaces."""
 
 import math
+import re
 import types
 
 import numpy as np
@@ -19,12 +20,16 @@ from dualgap import (
     conjugate_spec,
     control_mesh,
     cuoco_liu_model,
+    dual_coefficient_bounds,
     gauss_hermite_rule,
     lipschitz_truncate,
     merton_model,
     power_utility,
+    refinement_ladder,
     solve,
 )
+from dualgap import market, solver
+from dualgap.market import penalty_conjugate
 from dualgap.solver import (
     MAX_BRANCHES,
     dual_step,
@@ -46,21 +51,21 @@ def merton():
 
 
 def test_step_factors_primal(merton, rule2):
-    got = step_factors(merton, 0.0, 0.5, rule2, 0.1, "primal")
+    got = step_factors(merton, 0.5, rule2, 0.1, "primal")
     noise = math.sqrt(0.1) * 0.5
     assert np.allclose(got, [1.1 - noise, 1.1 + noise], atol=1.0e-14)
 
 
 def test_step_factors_dual(merton, rule2):
     # drift 1 - h r, noise (r - b) / sigma per unit node
-    got = step_factors(merton, 0.0, 0.0, rule2, 0.1, "dual")
+    got = step_factors(merton, 0.0, rule2, 0.1, "dual")
     noise = math.sqrt(0.1) * 0.4
     assert np.allclose(got, [0.92 + noise, 0.92 - noise], atol=1.0e-14)
 
 
 def test_step_factors_rejects_unknown_direction(merton, rule2):
     with pytest.raises(ValueError):
-        step_factors(merton, 0.0, 0.0, rule2, 0.1, "sideways")
+        step_factors(merton, 0.0, rule2, 0.1, "sideways")
 
 
 @pytest.mark.parametrize(
@@ -72,8 +77,8 @@ def test_step_factors_over_a_mesh_stack_the_scalar_calls(make_model, direction):
     rule = gauss_hermite_rule(4)
     interval = model.a_interval if direction == "primal" else model.gamma_interval
     mesh = control_mesh(interval, 7)
-    got = step_factors(model, 0.1, mesh, rule, 0.125, direction)
-    want = np.stack([step_factors(model, 0.1, float(c), rule, 0.125, direction) for c in mesh])
+    got = step_factors(model, mesh, rule, 0.125, direction)
+    want = np.stack([step_factors(model, float(c), rule, 0.125, direction) for c in mesh])
     assert got.shape == (7, 4)
     assert np.array_equal(got, want)
 
@@ -85,12 +90,11 @@ def test_steps_keep_the_first_mesh_point_on_ties(direction):
     rule = gauss_hermite_rule(3)
     grid = SpaceGrid(2.0, 8)
     row = np.full(grid.cells + 1, 0.75)
-    if direction == "primal":
-        controls = control_mesh(model.a_interval, 5)
-        values, chosen = primal_step(row, 0.0, model, rule, controls, grid, 0.125, 0.75)
-    else:
-        controls = control_mesh(model.gamma_interval, 5)
-        values, chosen = dual_step(row, 0.0, model, rule, controls, grid, 0.125, 0.75)
+    interval = model.a_interval if direction == "primal" else model.gamma_interval
+    controls = control_mesh(interval, 5)
+    factors = step_factors(model, controls, rule, 0.125, direction)
+    sweep_step = primal_step if direction == "primal" else dual_step
+    values, chosen = sweep_step(row, factors, rule.weights, controls, grid, 0.75)
     assert np.array_equal(chosen, np.full(grid.nodes.shape, controls[0]))
     assert np.allclose(values, 0.75, rtol=0.0, atol=1.0e-14)
 
@@ -231,8 +235,8 @@ def test_enumerate_chain_shapes(merton):
     assert states.shape == (9,)
     assert abs(float(probs.sum()) - 1.0) < 1.0e-12
     # depth-first order: children of branch i sit at positions 3 i + j
-    f1 = step_factors(merton, 0.0, 0.5, rule, 0.125, "primal")
-    f2 = step_factors(merton, 0.125, -0.25, rule, 0.125, "primal")
+    f1 = step_factors(merton, 0.5, rule, 0.125, "primal")
+    f2 = step_factors(merton, -0.25, rule, 0.125, "primal")
     want = np.repeat(1.5 * f1, 3) * np.tile(f2, 3)
     assert np.allclose(states, want, atol=1.0e-13)
 
@@ -263,8 +267,8 @@ def test_enumerate_coupled_consistency(merton):
     xs, ys, probs = enumerate_coupled(merton, rule, 2, 0.125, (1.0, 1.0), (0.8, 0.8), (0.0, 0.0))
     assert xs.shape == ys.shape == probs.shape == (9,)
     # both chains take the same branch: children of branch i sit at 3 i + j
-    fx = step_factors(merton, 0.0, 0.8, rule, 0.125, "primal")
-    fy = step_factors(merton, 0.0, 0.0, rule, 0.125, "dual")
+    fx = step_factors(merton, 0.8, rule, 0.125, "primal")
+    fy = step_factors(merton, 0.0, rule, 0.125, "dual")
     assert np.allclose(xs, np.repeat(fx, 3) * np.tile(fx, 3), atol=1.0e-13)
     assert np.allclose(ys, np.repeat(fy, 3) * np.tile(fy, 3), atol=1.0e-13)
     assert np.allclose(probs, np.repeat(rule.weights, 3) * np.tile(rule.weights, 3), atol=1.0e-15)
@@ -335,6 +339,47 @@ def test_dual_solve_ignores_the_primal_control_count():
     ]
     assert np.array_equal(surfaces[0].data, surfaces[1].data)
     assert np.array_equal(surfaces[0].controls, surfaces[1].controls)
+
+
+def test_conjugate_is_evaluated_once_per_gamma(monkeypatch):
+    """Constant coefficients: a dual solve builds its factors once, before the time loop."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return penalty_conjugate(*args)
+
+    monkeypatch.setattr(solver, "penalty_conjugate", counting)
+    monkeypatch.setattr(market, "penalty_conjugate", counting)
+    model = cuoco_liu_model()
+    terminal = conjugate_spec(lipschitz_truncate(power_utility(0.5), 1.6, 0.768))
+    disc = refinement_ladder(2, 2)[0].discretization(2.0, 2.0)
+    solve(model, terminal, disc, "dual")
+    assert (disc.steps, disc.dual_controls) == (16, 5)
+    assert len(calls) == disc.dual_controls
+    calls.clear()
+    dual_coefficient_bounds(model)
+    assert len(calls) == 201
+
+
+def test_non_finite_row_names_direction_level_and_time(monkeypatch):
+    monkeypatch.setattr(
+        solver, "dual_step", lambda row, *args: (np.full_like(row, np.nan), np.zeros_like(row))
+    )
+    terminal = conjugate_spec(lipschitz_truncate(power_utility(0.5), 1.6, 0.768))
+    disc = Discretization(
+        steps=4,
+        cells=6,
+        dual_cells=6,
+        order=2,
+        primal_controls=3,
+        dual_controls=3,
+        x_max=2.0,
+        y_max=2.0,
+    )
+    message = "non-finite dual value row at time index 3 (N=4, J=6)"
+    with pytest.raises(NumericalFailure, match=re.escape(message)):
+        solve(cuoco_liu_model(), terminal, disc, "dual")
 
 
 def test_surface_csv_schema(tmp_path, merton):
