@@ -11,6 +11,11 @@ needed.  Three ingredients:
   * tail weights and a truncation allowance bounding what restricting
     the domain to [0, rho] can cost (``truncation_allowance``).
 
+The allowance's tail sum is one numpy pass per state, up to a
+closed-form last barrier.  numpy's log and exp may differ from
+``math``'s in the last ulp, so it can differ from a per-term ``math``
+loop in the 16th significant digit.
+
 The constants are crude by design: they are fully explicit, monotone in
 the inputs, and meant to dominate the observed errors, not to hug them.
 """
@@ -18,6 +23,8 @@ the inputs, and meant to dominate the observed errors, not to hug them.
 import math
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ResourceLimit
 from .quadrature import double_factorial, moment_defect
@@ -108,9 +115,15 @@ def gh_bound(step, x, rule, lipschitz, constants):
 def _gaussian_tail_weight(log_ratio, drift_bound, vol_bound, horizon):
     # Large-deviation shape: the bound is informative only once the
     # barrier clears the drifted mean, below that it clamps to one.
-    margin = max(0.0, log_ratio - drift_bound * horizon)
-    exponent = -(3.0 / (8.0 * vol_bound**2 * horizon)) * margin * margin
-    return min(1.0, 2.0 * math.exp(exponent))
+    # Takes a float array of log level ratios and overwrites it.
+    margin = log_ratio
+    margin -= drift_bound * horizon
+    np.maximum(margin, 0.0, out=margin)
+    weight = -(3.0 / (8.0 * vol_bound**2 * horizon)) * margin
+    weight *= margin
+    np.exp(weight, out=weight)
+    weight *= 2.0
+    return np.minimum(weight, 1.0, out=weight)
 
 
 def tail_weights(x, rho, c0, drift_bound, vol_bound, horizon):
@@ -124,46 +137,85 @@ def tail_weights(x, rho, c0, drift_bound, vol_bound, horizon):
         raise ValueError("tail weights need positive x, rho, c0")
     if vol_bound <= 0.0 or horizon <= 0.0:
         raise ValueError("tail weights need positive volatility bound and horizon")
-    upper = _gaussian_tail_weight(math.log(rho / x), drift_bound, vol_bound, horizon)
-    lower = _gaussian_tail_weight(math.log(rho / (c0 * x)), drift_bound, vol_bound, horizon)
-    return upper, lower
+    log_ratios = np.array([math.log(rho / x), math.log(rho / (c0 * x))])
+    upper, lower = _gaussian_tail_weight(log_ratios, drift_bound, vol_bound, horizon)
+    return float(upper), float(lower)
+
+
+def _barriers(x, rho, constants):
+    """First and last integer barrier of the tail sum from state x.
+
+    The first is floor(rho) (at least 1).  A term falls below
+    ``_TAIL_CUTOFF`` once log(L / x) - c_mu T exceeds sqrt(ln(2 / cutoff) / k)
+    with k = 3 / (8 c_psi^2 T), so the last is the ceiling of that L plus
+    a margin of two for rounding, and never below the first.  It is a
+    float, inf when x is too large for the level to be represented.
+    """
+    first = max(math.floor(rho), 1)
+    k = 3.0 / (8.0 * constants.vol_bound**2 * constants.horizon)
+    reach = constants.drift_bound * constants.horizon + math.sqrt(math.log(2.0 / _TAIL_CUTOFF) / k)
+    level = x * math.exp(reach)
+    last = math.ceil(level) + 2.0 if math.isfinite(level) else math.inf
+    return first, max(last, first)
+
+
+def _tail_sum(x, rho, constants):
+    """Tail weights from barrier floor(rho) up, before the first under the cutoff."""
+    first, last = _barriers(x, rho, constants)
+    if last - first + 1 > _TAIL_MAX_TERMS:
+        raise ResourceLimit(
+            f"tail sum from state {x} needs {last - first + 1:.6g} terms "
+            f"to fall below {_TAIL_CUTOFF}, more than {_TAIL_MAX_TERMS}"
+        )
+    levels = np.arange(first, int(last) + 1, dtype=float)
+    np.divide(levels, x, out=levels)
+    terms = _gaussian_tail_weight(
+        np.log(levels, out=levels), constants.drift_bound, constants.vol_bound, constants.horizon
+    )
+    below = terms < _TAIL_CUTOFF
+    if not below.any():
+        raise ResourceLimit(
+            f"tail sum from state {x} still above {_TAIL_CUTOFF} at barrier {int(last)}"
+        )
+    cut = int(below.argmax())
+    # cumsum adds in barrier order, as a loop would; np.sum adds pairwise.
+    # The spent log ratios' buffer takes the partial sums.
+    return float(np.cumsum(terms[:cut], out=levels[:cut])[-1]) if cut else 0.0
 
 
 def truncation_allowance(x, utility, rho, c0, constants):
     """What restricting the domain to [0, rho] can cost at state x.
 
-    Small-wealth part: the utility at the scaled-down cutoff times the
-    weight of falling under it.  Large-wealth part: the marginal
-    utility at rho times the summed tail over integer barriers from
-    floor(rho) up, truncated once terms drop below 1e-16.  A truncated
-    utility has zero slope at rho, killing the second part.  Raises
-    ResourceLimit if the terms are still above the cutoff after
-    ``_TAIL_MAX_TERMS`` of them, since a partial sum would understate
-    the allowance.
+    ``x`` is one state or a 1-D array of states; the result is a float
+    or an array of the same length.  Small-wealth part: the utility at
+    the scaled-down cutoff times the weight of falling under it.
+    Large-wealth part: the marginal utility at rho times the summed
+    tail over integer barriers from floor(rho) up, truncated before the
+    first term under 1e-16.  A truncated utility has zero slope at rho,
+    killing the second part.
+
+    Each state's tail terms are one numpy evaluation up to the
+    closed-form last barrier of ``_barriers``, cut where a per-term
+    loop would stop and added in barrier order with ``np.cumsum``; only
+    one state's terms are held at a time.  A state whose closed-form
+    count exceeds ``_TAIL_MAX_TERMS`` raises ResourceLimit before its
+    terms are allocated, as does a tail that never falls below the
+    cutoff: a partial sum would understate the allowance.
     """
-    if x <= 0.0:
-        raise ValueError(f"state must be positive, got {x}")
-    _, lower = tail_weights(x, rho, c0, constants.drift_bound, constants.vol_bound, constants.horizon)
+    states = np.asarray(x, dtype=float)
+    if states.ndim > 1:
+        raise ValueError(f"states must be a scalar or a 1-D array, got shape {states.shape}")
+    nodes = np.atleast_1d(states)
+    if not np.all(nodes > 0.0):
+        i = int(np.argmin(nodes > 0.0))
+        raise ValueError(f"state must be positive, got {nodes[i]} at index {i}")
+    bounds = (constants.drift_bound, constants.vol_bound, constants.horizon)
+    lower = np.array([tail_weights(s, rho, c0, *bounds)[1] for s in nodes.tolist()])
     total = float(utility.evaluate(c0 / rho)) * lower
     slope = float(utility.derivative(rho))
     if slope > 0.0:
-        tail_sum = 0.0
-        level = max(int(math.floor(rho)), 1)
-        for _ in range(_TAIL_MAX_TERMS):
-            term = _gaussian_tail_weight(
-                math.log(level / x), constants.drift_bound, constants.vol_bound, constants.horizon
-            )
-            if term < _TAIL_CUTOFF:
-                break
-            tail_sum += term
-            level += 1
-        else:
-            raise ResourceLimit(
-                f"tail sum from state {x} still above {_TAIL_CUTOFF} "
-                f"after {_TAIL_MAX_TERMS} terms"
-            )
-        total += slope * tail_sum
-    return total
+        total += slope * np.array([_tail_sum(s, rho, constants) for s in nodes.tolist()])
+    return float(total[0]) if states.ndim == 0 else total
 
 
 def envelope_constants(primal_constants, dual_constants, rule):

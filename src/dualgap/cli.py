@@ -300,11 +300,8 @@ def cmd_gap(cfg, out, args):
     primal_constants = apriori.constant_set(market.coefficient_bounds(problem.model), cfg.T)
     dual_constants = apriori.constant_set(market.dual_coefficient_bounds(problem.model), cfg.T)
     c_primal, c_dual = apriori.envelope_constants(primal_constants, dual_constants, rule)
-    allowance = np.array(
-        [
-            apriori.truncation_allowance(x, problem.base, cfg.rho, cfg.c0, primal_constants)
-            for x in report.x
-        ]
+    allowance = apriori.truncation_allowance(
+        report.x, problem.base, cfg.rho, cfg.c0, primal_constants
     )
     bounds = duality.aposteriori_bounds(
         report,

@@ -65,21 +65,28 @@ class ValueSurface:
         terminal range and rows must be nondecreasing in space, both up
         to interpolation slack.
         """
+        where = f"(N={self.time.steps}, J={self.grid.cells})"
         if not np.all(np.isfinite(self.data)):
-            raise NumericalFailure("value surface contains non-finite entries")
+            n, m = np.argwhere(~np.isfinite(self.data))[0]
+            raise NumericalFailure(
+                f"{self.direction} value surface has a non-finite entry "
+                f"at time index {n}, node {m} {where}"
+            )
         if self.direction != "primal":
             return
         lo = float(self.data[-1].min()) - _SURFACE_SLACK
         hi = float(self.data[-1].max()) + _SURFACE_SLACK
         if self.data.min() < lo or self.data.max() > hi:
+            n, m = np.argwhere((self.data < lo) | (self.data > hi))[0]
             raise NumericalFailure(
-                f"primal surface leaves the terminal range [{lo}, {hi}]"
+                f"primal surface leaves the terminal range [{lo}, {hi}] "
+                f"at time index {n}, node {m} {where}"
             )
         steps = np.diff(self.data, axis=1)
         if steps.min() < -_SURFACE_SLACK:
             n, m = divmod(int(steps.argmin()), steps.shape[1])
             raise NumericalFailure(
-                f"primal surface decreasing in space at time index {n}, node {m}"
+                f"primal surface decreasing in space at time index {n}, node {m} {where}"
             )
 
 

@@ -101,6 +101,52 @@ def convex_conjugate(spec, y, search_grid):
     return max(float(values[best]), refined)
 
 
+def tail_weight(log_ratio, drift_bound, vol_bound, horizon):
+    """One clamped large-deviation tail weight, in ``math`` arithmetic."""
+    margin = max(0.0, log_ratio - drift_bound * horizon)
+    exponent = -(3.0 / (8.0 * vol_bound**2 * horizon)) * margin * margin
+    return min(1.0, 2.0 * math.exp(exponent))
+
+
+def tail_sum_loop(x, rho, constants, cutoff):
+    """Tail weights over integer barriers from floor(rho) up, one term at a time.
+
+    Adds terms in barrier order until the first one under ``cutoff`` and
+    returns (sum, level of that first term).  No cap: callers keep x
+    small enough for the loop to end.
+    """
+    # tail_weight inlined with the same operations in the same order; a
+    # call per term would double the loop's time
+    shift = constants.drift_bound * constants.horizon
+    coeff = -(3.0 / (8.0 * constants.vol_bound**2 * constants.horizon))
+    log, exp = math.log, math.exp
+    total = 0.0
+    level = max(int(math.floor(rho)), 1)
+    while True:
+        margin = log(level / x) - shift
+        if margin < 0.0:
+            margin = 0.0
+        term = 2.0 * exp(coeff * margin * margin)
+        if term > 1.0:
+            term = 1.0
+        if term < cutoff:
+            return total, level
+        total += term
+        level += 1
+
+
+def allowance_loop(x, utility, rho, c0, constants, cutoff):
+    """Truncation allowance at one state with the per-term tail loop."""
+    lower = tail_weight(
+        math.log(rho / (c0 * x)), constants.drift_bound, constants.vol_bound, constants.horizon
+    )
+    total = float(utility.evaluate(c0 / rho)) * lower
+    slope = float(utility.derivative(rho))
+    if slope > 0.0:
+        total += slope * tail_sum_loop(x, rho, constants, cutoff)[0]
+    return total
+
+
 def random_setup(rng):
     """Draw a small random problem: (model, terminal, disc, direction).
 

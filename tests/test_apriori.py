@@ -6,14 +6,21 @@ horizon one half) and were cross-checked against hand arithmetic.
 """
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualgap import (
     CoefficientBounds,
+    ConstantSet,
     ResourceLimit,
+    SpaceGrid,
     coefficient_bounds,
     constant_set,
+    cuoco_liu_model,
     dual_coefficient_bounds,
     em_bound,
     envelope_constants,
@@ -22,11 +29,14 @@ from dualgap import (
     lipschitz_truncate,
     merton_model,
     power_utility,
+    refinement_ladder,
     tail_weights,
     truncation_allowance,
     write_bound_table_csv,
 )
 from dualgap import apriori
+
+from oracles import allowance_loop, tail_sum_loop
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +174,68 @@ def test_allowance_refuses_a_cut_off_tail(primal_constants, monkeypatch):
 def test_allowance_validation(primal_constants):
     with pytest.raises(ValueError):
         truncation_allowance(-1.0, power_utility(0.5), 18.0, 8.0, primal_constants)
+
+
+def test_allowance_validation_covers_every_node(primal_constants):
+    base = power_utility(0.5)
+    with pytest.raises(ValueError, match="at index 2"):
+        truncation_allowance(np.array([1.0, 2.0, 0.0]), base, 18.0, 8.0, primal_constants)
+    with pytest.raises(ValueError, match="at index 1"):
+        truncation_allowance(np.array([1.0, np.nan]), base, 18.0, 8.0, primal_constants)
+    with pytest.raises(ValueError):
+        truncation_allowance(np.ones((2, 2)), base, 18.0, 8.0, primal_constants)
+
+
+def test_allowance_cap_raises_before_it_allocates(primal_constants):
+    """About 2e8 terms against a cap of 1e7: refused from the closed-form count."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimit):
+            truncation_allowance(1.0e5, power_utility(0.5), 18.0, 8.0, primal_constants)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_allowance_array_equals_scalar_calls(primal_constants):
+    base = power_utility(0.5)
+    xs = np.array([0.01, 0.5, 1.0, 2.0, 7.3, 18.0, 19.9])
+    got = truncation_allowance(xs, base, 18.0, 8.0, primal_constants)
+    expected = [truncation_allowance(x, base, 18.0, 8.0, primal_constants) for x in xs]
+    assert isinstance(got, np.ndarray) and got.shape == xs.shape
+    assert all(isinstance(value, float) for value in expected)
+    assert got.tolist() == expected
+
+
+@pytest.mark.parametrize("factory, level", [(merton_model, 3), (cuoco_liu_model, 4)])
+def test_allowance_matches_the_loop_on_every_gap_node(factory, level):
+    """The bundled gap levels' nodes, against the per-term math loop."""
+    constants = constant_set(coefficient_bounds(factory()), 0.5)
+    base = power_utility(0.5)
+    xs = SpaceGrid(20.0, refinement_ladder(level, level)[0].cells).nodes[1:]
+    got = truncation_allowance(xs, base, 18.0, 8.0, constants)
+    expected = [allowance_loop(x, base, 18.0, 8.0, constants, apriori._TAIL_CUTOFF) for x in xs]
+    np.testing.assert_allclose(got, expected, rtol=1.0e-14, atol=0.0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    x=st.floats(min_value=1.0e-3, max_value=20.0),
+    rho=st.floats(min_value=0.5, max_value=18.0),
+    drift=st.floats(min_value=0.0, max_value=1.5),
+    vol=st.floats(min_value=0.25, max_value=1.0),
+    horizon=st.floats(min_value=0.1, max_value=0.5),
+)
+def test_allowance_matches_the_loop(x, rho, drift, vol, horizon):
+    constants = ConstantSet(drift_bound=drift, vol_bound=vol, horizon=horizon)
+    base = power_utility(0.5)
+    got = truncation_allowance(x, base, rho, 8.0, constants)
+    expected = allowance_loop(x, base, rho, 8.0, constants, apriori._TAIL_CUTOFF)
+    np.testing.assert_allclose(got, expected, rtol=1.0e-14, atol=0.0)
+    _, stop = tail_sum_loop(x, rho, constants, apriori._TAIL_CUTOFF)
+    first, last = apriori._barriers(x, rho, constants)
+    assert first <= stop <= last
 
 
 def test_envelope_constants_frozen(primal_constants, dual_constants, rule4):

@@ -205,17 +205,27 @@ def _surface(data, direction):
 
 
 def test_validate_rejects_nonfinite():
-    with pytest.raises(NumericalFailure):
+    message = "primal value surface has a non-finite entry at time index 0, node 1 (N=1, J=2)"
+    with pytest.raises(NumericalFailure, match=re.escape(message)):
         _surface([[0.0, np.nan, 2.0], [0.0, 1.0, 2.0]], "primal").validate()
 
 
+def test_validate_names_the_direction_of_a_nonfinite_dual_entry():
+    message = "dual value surface has a non-finite entry at time index 1, node 2 (N=2, J=2)"
+    with pytest.raises(NumericalFailure, match=re.escape(message)):
+        _surface([[3.0, 2.0, 1.0], [3.0, 2.0, np.inf], [3.0, 2.0, 0.0]], "dual").validate()
+
+
 def test_validate_rejects_decreasing_primal_row():
-    with pytest.raises(NumericalFailure):
+    message = "primal surface decreasing in space at time index 0, node 1 (N=1, J=2)"
+    with pytest.raises(NumericalFailure, match=re.escape(message)):
         _surface([[0.0, 2.0, 1.0], [0.0, 1.0, 2.0]], "primal").validate()
 
 
 def test_validate_rejects_terminal_range_escape():
-    with pytest.raises(NumericalFailure):
+    message = r"primal surface leaves the terminal range \[.*\] "
+    where = re.escape("at time index 0, node 2 (N=1, J=2)")
+    with pytest.raises(NumericalFailure, match=message + where):
         _surface([[0.0, 1.0, 5.0], [0.0, 1.0, 2.0]], "primal").validate()
 
 
