@@ -10,7 +10,6 @@ tracking turns it into computable two-sided bounds.
 
 from .analytics import (
     ConvergenceTable,
-    LadderLevel,
     convergence_orders,
     dual_cell_count,
     refinement_ladder,
@@ -75,7 +74,6 @@ __all__ = [
     "ConvergenceTable",
     "Discretization",
     "GapReport",
-    "LadderLevel",
     "MarketModel",
     "NumericalFailure",
     "QuadratureRule",

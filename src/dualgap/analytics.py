@@ -42,31 +42,6 @@ def dual_cell_count(steps):
 
 
 @dataclass(frozen=True)
-class LadderLevel:
-    """Mesh sizes of one refinement level."""
-
-    index: int
-    steps: int
-    cells: int
-    primal_controls: int
-    dual_controls: int
-    order: int
-
-    def discretization(self, x_max, y_max):
-        # Dual spacing tracks the time step; see Discretization.
-        return Discretization(
-            steps=self.steps,
-            cells=self.cells,
-            dual_cells=dual_cell_count(self.steps),
-            order=self.order,
-            primal_controls=self.primal_controls,
-            dual_controls=self.dual_controls,
-            x_max=float(x_max),
-            y_max=float(y_max),
-        )
-
-
-@dataclass(frozen=True)
 class ConvergenceTable:
     """Norms per ladder level with observed orders between levels.
 
@@ -77,14 +52,14 @@ class ConvergenceTable:
     """
 
     mode: str
-    levels: Tuple[LadderLevel, ...]
+    levels: Tuple[Discretization, ...]
     norms: Tuple[dict, ...]
     orders: dict
     seconds: Tuple[float, ...]
 
 
-def refinement_ladder(k_min=1, k_max=5, order=4):
-    """Levels k_min..k_max of the coupled mesh family."""
+def refinement_ladder(k_min, k_max, order, x_max, y_max):
+    """Levels k_min..k_max of the coupled mesh family, as Discretizations."""
     if k_min < 0:
         raise ValueError(f"level indices start at 0, got k_min = {k_min}")
     if k_max < k_min:
@@ -92,16 +67,15 @@ def refinement_ladder(k_min=1, k_max=5, order=4):
     levels = []
     for k in range(k_min, k_max + 1):
         steps = 4 * 2**k
-        cells = math.ceil(steps**1.375)
-        controls = 2**k + 1
         levels.append(
-            LadderLevel(
-                index=k,
+            Discretization(
                 steps=steps,
-                cells=cells,
-                primal_controls=controls,
-                dual_controls=controls,
+                cells=math.ceil(steps**1.375),
+                dual_cells=dual_cell_count(steps),
                 order=order,
+                controls=2**k + 1,
+                x_max=float(x_max),
+                y_max=float(y_max),
             )
         )
     return tuple(levels)
@@ -152,8 +126,6 @@ def run_ladder(
     ladder,
     mode,
     *,
-    x_max,
-    y_max=None,
     conjugate=None,
     reference: Optional[Union[Callable, np.ndarray]] = None,
 ):
@@ -173,8 +145,7 @@ def run_ladder(
         raise ValueError("gap mode needs the conjugate terminal reward")
     norms = []
     seconds = []
-    for level in ladder:
-        disc = level.discretization(x_max, y_max if y_max is not None else x_max)
+    for disc in ladder:
         begin = _time.perf_counter()
         primal = solve(model, terminal, disc, "primal")
         if mode == "error":
@@ -195,7 +166,7 @@ def run_ladder(
                     report.x,
                     report.gap,
                     lambda x: np.zeros_like(x),
-                    (0.0, float(x_max)),
+                    (0.0, disc.x_max),
                     primal.grid.spacing,
                 )
             )

@@ -11,6 +11,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass, make_dataclass, replace
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -124,6 +125,8 @@ def load_config(spec):
                 values[key] = cast(entries[key])
             except ValueError:
                 raise ConfigError(f"bad value for {key}: {entries[key]!r}") from None
+            if cast is float and not math.isfinite(values[key]):
+                raise ConfigError(f"{key} must be finite, got {entries[key]}")
         else:
             values[key] = default
     if values["problem"] is None:
@@ -199,6 +202,8 @@ def _resolve_y_max(values):
             y_max = float(raw)
         except ValueError:
             raise ConfigError(f"y_max must be a number or 'auto', got {raw!r}") from None
+        if not math.isfinite(y_max):
+            raise ConfigError(f"y_max must be finite, got {raw}")
         if y_max <= 0.0:
             raise ConfigError(f"y_max must be positive, got {y_max}")
         return y_max
@@ -251,10 +256,11 @@ def build_problem(cfg):
 
 
 def _level(cfg, args):
+    """The requested ladder level k (``--level``, else k_min) and its Discretization."""
     k = cfg.k_min if getattr(args, "level", None) is None else args.level
     if not 0 <= k <= _MAX_LEVEL:
         raise ConfigError(f"level must lie in [0, {_MAX_LEVEL}], got {k}")
-    return analytics.refinement_ladder(k, k, cfg.M)[0]
+    return k, analytics.refinement_ladder(k, k, cfg.M, cfg.x_max, cfg.y_max)[0]
 
 
 def _reference(cfg):
@@ -269,30 +275,19 @@ def _header(cfg, extra=None):
     return cfg.echo() if extra is None else f"{cfg.echo()} {extra}"
 
 
-def cmd_solve_primal(cfg, out, args):
+def cmd_solve(direction, cfg, out, args):
     problem = build_problem(cfg)
-    level = _level(cfg, args)
-    disc = level.discretization(cfg.x_max, cfg.y_max)
-    surface = solver.solve(problem.model, problem.reward, disc, "primal")
-    path = out / f"primal_N{level.steps}.csv"
-    solver.write_surface_csv(surface, path, _header(cfg, f"level={level.index}"))
-    print(f"primal level {level.index}: N={level.steps} J={level.cells} -> {path}")
-
-
-def cmd_solve_dual(cfg, out, args):
-    problem = build_problem(cfg)
-    level = _level(cfg, args)
-    disc = level.discretization(cfg.x_max, cfg.y_max)
-    surface = solver.solve(problem.model, problem.conjugate, disc, "dual")
-    path = out / f"dual_N{level.steps}.csv"
-    solver.write_surface_csv(surface, path, _header(cfg, f"level={level.index}"))
-    print(f"dual level {level.index}: N={level.steps} J={level.cells} -> {path}")
+    k, disc = _level(cfg, args)
+    terminal = problem.reward if direction == "primal" else problem.conjugate
+    surface = solver.solve(problem.model, terminal, disc, direction)
+    path = out / f"{direction}_N{disc.steps}.csv"
+    solver.write_surface_csv(surface, path, _header(cfg, f"level={k}"))
+    print(f"{direction} level {k}: N={disc.steps} J={disc.cells} -> {path}")
 
 
 def cmd_gap(cfg, out, args):
     problem = build_problem(cfg)
-    level = _level(cfg, args)
-    disc = level.discretization(cfg.x_max, cfg.y_max)
+    k, disc = _level(cfg, args)
     primal = solver.solve(problem.model, problem.reward, disc, "primal")
     dual = solver.solve(problem.model, problem.conjugate, disc, "dual")
     report = duality.duality_gap(primal, dual, 0)
@@ -314,29 +309,26 @@ def cmd_gap(cfg, out, args):
         c_dual=c_dual,
         allowance=allowance,
     )
-    path = out / f"gap_N{level.steps}.csv"
-    duality.write_gap_csv(report, path, _header(cfg, f"level={level.index}"), bounds)
-    print(
-        f"gap level {level.index}: N={level.steps} max gap {float(np.max(report.gap)):.3e} -> {path}"
-    )
+    path = out / f"gap_N{disc.steps}.csv"
+    duality.write_gap_csv(report, path, _header(cfg, f"level={k}"), bounds)
+    print(f"gap level {k}: N={disc.steps} max gap {float(np.max(report.gap)):.3e} -> {path}")
 
 
 def cmd_convergence(cfg, out, args):
     problem = build_problem(cfg)
     mode = cfg.mode if getattr(args, "mode", None) is None else args.mode
-    ladder = analytics.refinement_ladder(cfg.k_min, cfg.k_max, cfg.M)
-    kwargs = {"x_max": cfg.x_max, "y_max": cfg.y_max}
+    ladder = analytics.refinement_ladder(cfg.k_min, cfg.k_max, cfg.M, cfg.x_max, cfg.y_max)
     if mode == "error":
-        kwargs["reference"] = _reference(cfg)
+        kwargs = {"reference": _reference(cfg)}
     else:
-        kwargs["conjugate"] = problem.conjugate
+        kwargs = {"conjugate": problem.conjugate}
     table = analytics.run_ladder(problem.model, problem.reward, ladder, mode, **kwargs)
     path = out / f"convergence_{mode}.csv"
     analytics.write_convergence_csv(table, path, _header(cfg))
-    for i, level in enumerate(table.levels):
+    for i, disc in enumerate(table.levels):
         norms = table.norms[i]
         print(
-            f"k={level.index} N={level.steps} J={level.cells} "
+            f"k={cfg.k_min + i} N={disc.steps} J={disc.cells} "
             f"l1={norms['l1']:.3e} l2={norms['l2']:.3e} linf={norms['linf']:.3e} "
             f"({table.seconds[i]:.2f} s)"
         )
@@ -346,21 +338,19 @@ def cmd_convergence(cfg, out, args):
 def cmd_bounds(cfg, out, args):
     problem = build_problem(cfg)
     reference = _reference(cfg)
-    ladder = analytics.refinement_ladder(cfg.k_min, cfg.k_max, cfg.M)
+    ladder = analytics.refinement_ladder(cfg.k_min, cfg.k_max, cfg.M, cfg.x_max, cfg.y_max)
     rule = gauss_hermite_rule(cfg.M)
     constants = apriori.constant_set(market.coefficient_bounds(problem.model), cfg.T)
     lipschitz = problem.reward.lipschitz
     errors = analytics.run_ladder(
-        problem.model, problem.reward, ladder, "error",
-        x_max=cfg.x_max, y_max=cfg.y_max, reference=reference,
+        problem.model, problem.reward, ladder, "error", reference=reference
     )
     gaps = analytics.run_ladder(
-        problem.model, problem.reward, ladder, "gap",
-        x_max=cfg.x_max, y_max=cfg.y_max, conjugate=problem.conjugate,
+        problem.model, problem.reward, ladder, "gap", conjugate=problem.conjugate
     )
     rows = []
-    for i, level in enumerate(ladder):
-        step = cfg.T / level.steps
+    for i, disc in enumerate(ladder):
+        step = cfg.T / disc.steps
         rows.append(
             (
                 step,
@@ -412,8 +402,8 @@ def cmd_polar_check(cfg, out, args):
 
 
 _PIPELINES = {
-    "solve-primal": cmd_solve_primal,
-    "solve-dual": cmd_solve_dual,
+    "solve-primal": partial(cmd_solve, "primal"),
+    "solve-dual": partial(cmd_solve, "dual"),
     "gap": cmd_gap,
     "convergence": cmd_convergence,
     "bounds": cmd_bounds,

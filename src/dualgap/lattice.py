@@ -66,19 +66,20 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class Discretization:
-    """Everything one solve needs: mesh sizes and domain extents.
+    """One refinement level: everything a solve needs.
 
     The dual state grid has its own cell count: its spacing must track
     the time step, not the primal spacing, or the conjugate readout of
-    the dual surface drowns the scheme error at coarse levels.
+    the dual surface drowns the scheme error at coarse levels.  Both
+    directions search a mesh of ``controls`` points on their own
+    control interval.
     """
 
     steps: int
     cells: int
     dual_cells: int
     order: int
-    primal_controls: int
-    dual_controls: int
+    controls: int
     x_max: float
     y_max: float
 

@@ -24,7 +24,6 @@ the ground truth the expectation-level tests and the polar check run on.
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -44,9 +43,7 @@ class ValueSurface:
     """A solved value function on the full time-space lattice.
 
     ``data[n, m]`` approximates the value at time node n and space node
-    m; row ``steps`` is the terminal condition.  ``controls[n, m]`` is
-    the control the sweep selected there (first mesh point on ties),
-    kept for diagnostics.
+    m; row ``steps`` is the terminal condition.
     """
 
     grid: SpaceGrid
@@ -54,7 +51,6 @@ class ValueSurface:
     data: np.ndarray
     direction: str
     plateau: float
-    controls: Optional[np.ndarray] = None
 
     def validate(self):
         """Check the discrete structure the sweep is supposed to preserve.
@@ -115,19 +111,16 @@ def _sweep_step(next_row, factors, weights, controls, grid, plateau, select):
 
     Branches are accumulated in ascending node order, and ``select``
     (``np.argmax`` or ``np.argmin``) keeps the earliest mesh point on
-    ties, so the sweep is bit-reproducible.  Returns the new row and the
-    selected control per node; the absorbing origin is copied through.
+    ties, so the sweep is bit-reproducible.  Returns the new row; the
+    absorbing origin is copied through.
     """
     nodes = grid.nodes
     value = np.zeros((controls.size, nodes.size))
     for weight, factor in zip(weights, factors.T):
         value += weight * interpolate(grid, next_row, factor[:, None] * nodes, plateau)
-    pick = select(value, axis=0)
-    best = value[pick, np.arange(nodes.size)]
-    chosen = controls[pick]
+    best = value[select(value, axis=0), np.arange(nodes.size)]
     best[0] = next_row[0]
-    chosen[0] = controls[0]
-    return best, chosen
+    return best
 
 
 def primal_step(next_row, factors, weights, controls, grid, plateau):
@@ -162,11 +155,11 @@ def solve(model, terminal, disc, direction="primal"):
     time = TimeGrid(model.horizon, disc.steps)
     if direction == "primal":
         grid = SpaceGrid(disc.x_max, disc.cells)
-        mesh = control_mesh(model.a_interval, disc.primal_controls)
+        mesh = control_mesh(model.a_interval, disc.controls)
         sweep_step = primal_step
     else:
         grid = SpaceGrid(disc.y_max, disc.dual_cells)
-        mesh = control_mesh(model.gamma_interval, disc.dual_controls)
+        mesh = control_mesh(model.gamma_interval, disc.controls)
         sweep_step = dual_step
     bottom = np.asarray(terminal.evaluate(grid.nodes), dtype=float)
     if bottom.shape != grid.nodes.shape or not np.all(np.isfinite(bottom)):
@@ -175,26 +168,16 @@ def solve(model, terminal, disc, direction="primal"):
     factors = step_factors(model, mesh, rule, time.step, direction)
     data = np.empty((disc.steps + 1, grid.cells + 1))
     data[disc.steps] = bottom
-    controls = np.empty((disc.steps, grid.cells + 1))
     for n in range(disc.steps - 1, -1, -1):
-        row, arg = sweep_step(data[n + 1], factors, rule.weights, mesh, grid, plateau)
+        row = sweep_step(data[n + 1], factors, rule.weights, mesh, grid, plateau)
         if not np.all(np.isfinite(row)):
             raise NumericalFailure(
                 f"non-finite {direction} value row at time index {n} "
                 f"(N={disc.steps}, J={grid.cells})"
             )
         data[n] = row
-        controls[n] = arg
     data.setflags(write=False)
-    controls.setflags(write=False)
-    surface = ValueSurface(
-        grid=grid,
-        time=time,
-        data=data,
-        direction=direction,
-        plateau=plateau,
-        controls=controls,
-    )
+    surface = ValueSurface(grid=grid, time=time, data=data, direction=direction, plateau=plateau)
     surface.validate()
     return surface
 

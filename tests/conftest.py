@@ -66,53 +66,29 @@ def merton_reference(merton):
 
 @pytest.fixture(scope="session")
 def error_table(merton, reward, merton_reference):
-    ladder = refinement_ladder(1, 5)
-    return run_ladder(
-        merton,
-        reward,
-        ladder,
-        "error",
-        x_max=X_MAX,
-        reference=merton_reference,
-    )
+    ladder = refinement_ladder(1, 5, 4, X_MAX, Y_MAX)
+    return run_ladder(merton, reward, ladder, "error", reference=merton_reference)
 
 
 @pytest.fixture(scope="session")
 def merton_gap_table(merton, reward, conjugate):
-    ladder = refinement_ladder(1, 5)
-    return run_ladder(
-        merton,
-        reward,
-        ladder,
-        "gap",
-        x_max=X_MAX,
-        y_max=Y_MAX,
-        conjugate=conjugate,
-    )
+    ladder = refinement_ladder(1, 5, 4, X_MAX, Y_MAX)
+    return run_ladder(merton, reward, ladder, "gap", conjugate=conjugate)
 
 
 @pytest.fixture(scope="session")
 def cuoco_gap_table(cuoco, reward, conjugate):
-    ladder = refinement_ladder(1, 4)
-    return run_ladder(
-        cuoco,
-        reward,
-        ladder,
-        "gap",
-        x_max=X_MAX,
-        y_max=Y_MAX,
-        conjugate=conjugate,
-    )
+    ladder = refinement_ladder(1, 4, 4, X_MAX, Y_MAX)
+    return run_ladder(cuoco, reward, ladder, "gap", conjugate=conjugate)
 
 
 def _solved_levels(model, reward, conjugate, k_max):
     """Primal and dual surfaces plus the initial-time gap, per level."""
     out = []
-    for level in refinement_ladder(1, k_max):
-        disc = level.discretization(X_MAX, Y_MAX)
+    for disc in refinement_ladder(1, k_max, 4, X_MAX, Y_MAX):
         primal = solve(model, reward, disc, "primal")
         dual = solve(model, conjugate, disc, "dual")
-        out.append((level, primal, dual, duality_gap(primal, dual, 0)))
+        out.append((disc, primal, dual, duality_gap(primal, dual, 0)))
     return out
 
 

@@ -42,10 +42,10 @@ def naive_solve(model, terminal, disc, direction, rule):
     """
     if direction == "primal":
         length, cells = disc.x_max, disc.cells
-        controls = control_mesh(model.a_interval, disc.primal_controls)
+        controls = control_mesh(model.a_interval, disc.controls)
     else:
         length, cells = disc.y_max, disc.dual_cells
-        controls = control_mesh(model.gamma_interval, disc.dual_controls)
+        controls = control_mesh(model.gamma_interval, disc.controls)
     nodes = np.linspace(0.0, length, cells + 1)
     step = model.horizon / disc.steps
     root = math.sqrt(step)
@@ -189,8 +189,7 @@ def random_setup(rng):
         cells=int(rng.choice([4, 9, 16])),
         dual_cells=int(rng.choice([4, 9, 16])),
         order=int(rng.integers(2, 4)),
-        primal_controls=3,
-        dual_controls=3,
+        controls=3,
         x_max=x_max,
         y_max=float(rng.choice([2.0, 4.0])),
     )

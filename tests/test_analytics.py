@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dualgap import (
+    Discretization,
     convergence_orders,
     dual_cell_count,
     refinement_ladder,
@@ -16,27 +17,26 @@ from dualgap import (
 
 
 def test_ladder_frozen_sizes():
-    ladder = refinement_ladder(1, 5)
+    ladder = refinement_ladder(1, 5, 4, 20.0, 4.0)
     assert [level.steps for level in ladder] == [8, 16, 32, 64, 128]
     assert [level.cells for level in ladder] == [18, 46, 118, 305, 790]
-    assert [level.primal_controls for level in ladder] == [3, 5, 9, 17, 33]
-    assert [level.dual_controls for level in ladder] == [3, 5, 9, 17, 33]
+    assert [level.dual_cells for level in ladder] == [12, 24, 48, 96, 192]
+    assert [level.controls for level in ladder] == [3, 5, 9, 17, 33]
     assert all(level.order == 4 for level in ladder)
-    assert [level.index for level in ladder] == [1, 2, 3, 4, 5]
 
 
 def test_ladder_coarsest_level():
-    level = refinement_ladder(0, 0)[0]
+    level = refinement_ladder(0, 0, 4, 20.0, 4.0)[0]
     assert level.steps == 4
     assert level.cells == 7
-    assert level.primal_controls == 2
+    assert level.controls == 2
 
 
 def test_ladder_validation():
     with pytest.raises(ValueError):
-        refinement_ladder(-1, 3)
+        refinement_ladder(-1, 3, 4, 20.0, 4.0)
     with pytest.raises(ValueError):
-        refinement_ladder(3, 2)
+        refinement_ladder(3, 2, 4, 20.0, 4.0)
 
 
 @pytest.mark.parametrize(
@@ -47,14 +47,9 @@ def test_dual_cell_count(steps, cells):
 
 
 def test_level_discretization():
-    level = refinement_ladder(1, 1)[0]
-    disc = level.discretization(20.0, 4.0)
-    assert disc.steps == 8
-    assert disc.cells == 18
-    assert disc.dual_cells == 12
-    assert disc.x_max == 20.0
-    assert disc.y_max == 4.0
-    assert disc.order == 4
+    assert refinement_ladder(1, 1, 4, 20.0, 4.0)[0] == Discretization(
+        steps=8, cells=18, dual_cells=12, order=4, controls=3, x_max=20.0, y_max=4.0
+    )
 
 
 def test_window_norms_hand_example():
@@ -105,13 +100,13 @@ def test_convergence_orders_bad_ratios():
 
 
 def test_run_ladder_validation(merton, reward, conjugate, merton_reference):
-    ladder = refinement_ladder(1, 1)
+    ladder = refinement_ladder(1, 1, 4, 20.0, 4.0)
     with pytest.raises(ValueError):
-        run_ladder(merton, reward, ladder, "sideways", x_max=20.0)
+        run_ladder(merton, reward, ladder, "sideways")
     with pytest.raises(ValueError):
-        run_ladder(merton, reward, ladder, "error", x_max=20.0)
+        run_ladder(merton, reward, ladder, "error")
     with pytest.raises(ValueError):
-        run_ladder(merton, reward, ladder, "gap", x_max=20.0)
+        run_ladder(merton, reward, ladder, "gap")
 
 
 def test_error_table_shape(error_table):

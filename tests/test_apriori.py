@@ -213,7 +213,7 @@ def test_allowance_matches_the_loop_on_every_gap_node(factory, level):
     """The bundled gap levels' nodes, against the per-term math loop."""
     constants = constant_set(coefficient_bounds(factory()), 0.5)
     base = power_utility(0.5)
-    xs = SpaceGrid(20.0, refinement_ladder(level, level)[0].cells).nodes[1:]
+    xs = SpaceGrid(20.0, refinement_ladder(level, level, 4, 20.0, 4.0)[0].cells).nodes[1:]
     got = truncation_allowance(xs, base, 18.0, 8.0, constants)
     expected = [allowance_loop(x, base, 18.0, 8.0, constants, apriori._TAIL_CUTOFF) for x in xs]
     np.testing.assert_allclose(got, expected, rtol=1.0e-14, atol=0.0)

@@ -101,6 +101,12 @@ def test_explicit_dual_extent(tmp_path):
         ("problem = merton\na_min = 0.5\n", "must contain 0"),
         ("problem = merton\njust a line\n", "expected 'key = value'"),
         ("problem = cuoco-liu\nR = 0.5\n", "must be at least r"),
+        ("problem = merton\nx_max = inf\n", "x_max must be finite, got inf"),
+        ("problem = merton\ny_max = nan\n", "y_max must be finite, got nan"),
+        ("problem = merton\ny_max = -inf\n", "y_max must be finite"),
+        ("problem = merton\nr = nan\n", "r must be finite, got nan"),
+        ("problem = merton\niota = nan\n", "iota must be finite, got nan"),
+        ("problem = cuoco-liu\nlambda_plus = -inf\n", "lambda_plus must be finite"),
     ],
 )
 def test_config_validation_messages(tmp_path, text, fragment):
@@ -145,6 +151,23 @@ def test_run_config_error_exit_code(capsys, tmp_path):
     code = run(["gap", "--config", str(tmp_path / "missing.cfg")])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_run_rejects_a_non_finite_value_with_exit_code_2(capsys, tmp_path):
+    path = write_cfg(tmp_path, "problem = merton\nx_max = inf\n")
+    code = run(["solve-primal", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == "config error: x_max must be finite, got inf\n"
+
+
+@pytest.mark.parametrize("level", ["9", "-1"])
+def test_run_rejects_a_level_outside_the_ladder(capsys, tmp_path, level):
+    cfg = write_cfg(tmp_path, MERTON_SMALL)
+    out = tmp_path / "out"
+    code = run(["solve-primal", "--config", str(cfg), "--out", str(out), "--level", level])
+    assert code == 2
+    assert f"level must lie in [0, 8], got {level}" in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 def test_run_resource_limit_exit_code(capsys, tmp_path):

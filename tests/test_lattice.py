@@ -41,8 +41,7 @@ def test_discretization_carries_both_state_grids():
         cells=18,
         dual_cells=12,
         order=4,
-        primal_controls=3,
-        dual_controls=3,
+        controls=3,
         x_max=20.0,
         y_max=4.0,
     )

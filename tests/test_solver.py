@@ -85,7 +85,7 @@ def test_step_factors_over_a_mesh_stack_the_scalar_calls(make_model, direction):
 
 @pytest.mark.parametrize("direction", ["primal", "dual"])
 def test_steps_keep_the_first_mesh_point_on_ties(direction):
-    """A constant row ties every control at every node."""
+    """A constant row ties every control at every node; the row comes back unchanged."""
     model = cuoco_liu_model()
     rule = gauss_hermite_rule(3)
     grid = SpaceGrid(2.0, 8)
@@ -94,8 +94,7 @@ def test_steps_keep_the_first_mesh_point_on_ties(direction):
     controls = control_mesh(interval, 5)
     factors = step_factors(model, controls, rule, 0.125, direction)
     sweep_step = primal_step if direction == "primal" else dual_step
-    values, chosen = sweep_step(row, factors, rule.weights, controls, grid, 0.75)
-    assert np.array_equal(chosen, np.full(grid.nodes.shape, controls[0]))
+    values = sweep_step(row, factors, rule.weights, controls, grid, 0.75)
     assert np.allclose(values, 0.75, rtol=0.0, atol=1.0e-14)
 
 
@@ -117,8 +116,7 @@ def test_sweep_is_exact_on_linear_data():
         cells=10,
         dual_cells=10,
         order=4,
-        primal_controls=3,
-        dual_controls=1,
+        controls=3,
         x_max=2.0,
         y_max=2.0,
     )
@@ -134,7 +132,6 @@ def test_sweep_is_exact_on_linear_data():
     # one step before maturity, one factor only
     keep1 = xs * factor <= 2.0
     assert np.max(np.abs(surface.data[3][keep1] - 0.25 * xs[keep1] * factor)) < 1.0e-12
-    assert np.all(surface.controls == 0.0)
 
 
 def test_origin_is_absorbing(merton):
@@ -144,8 +141,7 @@ def test_origin_is_absorbing(merton):
         cells=8,
         dual_cells=8,
         order=3,
-        primal_controls=3,
-        dual_controls=1,
+        controls=3,
         x_max=2.0,
         y_max=2.0,
     )
@@ -160,8 +156,7 @@ def test_solve_validation(merton):
         cells=4,
         dual_cells=4,
         order=2,
-        primal_controls=3,
-        dual_controls=1,
+        controls=3,
         x_max=2.0,
         y_max=2.0,
     )
@@ -181,16 +176,13 @@ def test_solved_surface_is_frozen(merton):
         cells=4,
         dual_cells=4,
         order=2,
-        primal_controls=3,
-        dual_controls=1,
+        controls=3,
         x_max=2.0,
         y_max=2.0,
     )
     surface = solve(merton, reward, disc, "primal")
     with pytest.raises(ValueError):
         surface.data[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        surface.controls[0, 0] = 1.0
 
 
 def _surface(data, direction):
@@ -313,8 +305,7 @@ def test_sweep_matches_enumeration_constrained_market():
         cells=9,
         dual_cells=9,
         order=3,
-        primal_controls=3,
-        dual_controls=3,
+        controls=3,
         x_max=2.0,
         y_max=2.0,
     )
@@ -325,21 +316,19 @@ def test_sweep_matches_enumeration_constrained_market():
         assert float(np.max(np.abs(surface.data - want))) < 1.0e-9
 
 
-def test_dual_solve_ignores_the_primal_control_count():
-    """The dual sweep reads the a interval only through the penalty conjugate."""
-    model = cuoco_liu_model()
+def test_merton_dual_solve_ignores_the_control_count(merton):
+    """Merton's gamma interval is one point, so any control count searches that point alone."""
     terminal = conjugate_spec(lipschitz_truncate(power_utility(0.5), 1.6, 0.768))
     surfaces = [
         solve(
-            model,
+            merton,
             terminal,
             Discretization(
                 steps=3,
                 cells=9,
                 dual_cells=9,
                 order=3,
-                primal_controls=count,
-                dual_controls=5,
+                controls=count,
                 x_max=2.0,
                 y_max=2.0,
             ),
@@ -348,7 +337,6 @@ def test_dual_solve_ignores_the_primal_control_count():
         for count in (2, 9)
     ]
     assert np.array_equal(surfaces[0].data, surfaces[1].data)
-    assert np.array_equal(surfaces[0].controls, surfaces[1].controls)
 
 
 def test_conjugate_is_evaluated_once_per_gamma(monkeypatch):
@@ -363,27 +351,24 @@ def test_conjugate_is_evaluated_once_per_gamma(monkeypatch):
     monkeypatch.setattr(market, "penalty_conjugate", counting)
     model = cuoco_liu_model()
     terminal = conjugate_spec(lipschitz_truncate(power_utility(0.5), 1.6, 0.768))
-    disc = refinement_ladder(2, 2)[0].discretization(2.0, 2.0)
+    disc = refinement_ladder(2, 2, 4, 2.0, 2.0)[0]
     solve(model, terminal, disc, "dual")
-    assert (disc.steps, disc.dual_controls) == (16, 5)
-    assert len(calls) == disc.dual_controls
+    assert (disc.steps, disc.controls) == (16, 5)
+    assert len(calls) == disc.controls
     calls.clear()
     dual_coefficient_bounds(model)
     assert len(calls) == 201
 
 
 def test_non_finite_row_names_direction_level_and_time(monkeypatch):
-    monkeypatch.setattr(
-        solver, "dual_step", lambda row, *args: (np.full_like(row, np.nan), np.zeros_like(row))
-    )
+    monkeypatch.setattr(solver, "dual_step", lambda row, *args: np.full_like(row, np.nan))
     terminal = conjugate_spec(lipschitz_truncate(power_utility(0.5), 1.6, 0.768))
     disc = Discretization(
         steps=4,
         cells=6,
         dual_cells=6,
         order=2,
-        primal_controls=3,
-        dual_controls=3,
+        controls=3,
         x_max=2.0,
         y_max=2.0,
     )
@@ -399,8 +384,7 @@ def test_surface_csv_schema(tmp_path, merton):
         cells=4,
         dual_cells=4,
         order=2,
-        primal_controls=3,
-        dual_controls=1,
+        controls=3,
         x_max=2.0,
         y_max=2.0,
     )
