@@ -25,7 +25,6 @@ from .apriori import (
     gh_bound,
     tail_weights,
     truncation_allowance,
-    write_bound_table_csv,
 )
 from .duality import (
     BoundReport,
@@ -113,7 +112,6 @@ __all__ = [
     "tail_weights",
     "truncation_allowance",
     "window_norms",
-    "write_bound_table_csv",
     "write_convergence_csv",
     "write_gap_csv",
     "write_surface_csv",

@@ -14,11 +14,11 @@ window is where the scheme is supposed to be accurate.
 import math
 import time as _time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
+from .csvout import write_csv
 from .duality import duality_gap
 from .lattice import Discretization
 from .solver import solve
@@ -181,19 +181,17 @@ def run_ladder(
     )
 
 
-def write_convergence_csv(table, path, header=None):
+def write_convergence_csv(table, path, header):
     """Dump ``J,N,l1,order_l1,l2,order_l2,linf,order_linf`` rows.
 
     The first level has no predecessor, its order cells hold nan.
     """
-    lines = []
-    if header:
-        lines.append(f"# {header}")
-    lines.append("J,N,l1,order_l1,l2,order_l2,linf,order_linf")
-    for i, level in enumerate(table.levels):
-        cells = [str(level.cells), str(level.steps)]
-        for key in _NORM_KEYS:
-            cells.append(f"{table.norms[i][key]:.15e}")
-            cells.append(f"{table.orders[key][i]:.15e}")
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    def rows():
+        for i, level in enumerate(table.levels):
+            row = [level.cells, level.steps]
+            for key in _NORM_KEYS:
+                row += [table.norms[i][key], table.orders[key][i]]
+            yield row
+
+    write_csv(path, header, "J,N,l1,order_l1,l2,order_l2,linf,order_linf", rows())

@@ -22,7 +22,6 @@ the inputs, and meant to dominate the observed errors, not to hug them.
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -235,14 +234,3 @@ def envelope_constants(primal_constants, dual_constants, rule):
 
     return per_side(primal_constants), per_side(dual_constants)
 
-
-def write_bound_table_csv(path, rows, header=None):
-    """Dump ``h,em_bound,gh_bound,empirical_error,duality_gap`` rows."""
-    lines = []
-    if header:
-        lines.append(f"# {header}")
-    lines.append("h,em_bound,gh_bound,empirical_error,duality_gap")
-    for row in rows:
-        h, em, gh, err, gap = row
-        lines.append(f"{h:.15e},{em:.15e},{gh:.15e},{err:.15e},{gap:.15e}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

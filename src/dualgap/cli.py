@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analytics, apriori, duality, market, solver, utility
+from . import analytics, apriori, csvout, duality, market, solver, utility
 from .errors import ConfigError, NumericalFailure, ResourceLimit
 from .quadrature import gauss_hermite_rule
 
@@ -361,7 +361,7 @@ def cmd_bounds(cfg, out, args):
             )
         )
     path = out / "bounds.csv"
-    apriori.write_bound_table_csv(path, rows, _header(cfg))
+    csvout.write_csv(path, _header(cfg), "h,em_bound,gh_bound,empirical_error,duality_gap", rows)
     for row in rows:
         print(
             f"h={row[0]:.4e} em={row[1]:.3e} gh={row[2]:.3e} "
@@ -375,7 +375,7 @@ def cmd_polar_check(cfg, out, args):
     model = problem.model
     rule = gauss_hermite_rule(cfg.M)
     rng = np.random.default_rng(cfg.seed)
-    lines_out = []
+    rows = []
     for steps in _POLAR_STEPS:
         step = cfg.T / steps
         ratios = []
@@ -390,13 +390,10 @@ def cmd_polar_check(cfg, out, args):
             )
             ratios.append(abs(defect) / step)
             violation = max(violation, max(defect, 0.0) / step)
-        lines_out.append((steps, step, float(np.mean(ratios)), float(np.max(ratios)), violation))
+        rows.append((steps, step, float(np.mean(ratios)), float(np.max(ratios)), violation))
     path = out / "polar.csv"
-    lines = [f"# {_header(cfg)}", "N,h,c_abs_mean,c_abs_max,violation_max"]
-    for steps, step, c_mean, c_max, vio in lines_out:
-        lines.append(f"{steps},{step:.15e},{c_mean:.15e},{c_max:.15e},{vio:.15e}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    for steps, step, c_mean, c_max, vio in lines_out:
+    csvout.write_csv(path, _header(cfg), "N,h,c_abs_mean,c_abs_max,violation_max", rows)
+    for steps, step, c_mean, c_max, vio in rows:
         print(f"N={steps} h={step:.4e} c_mean={c_mean:.3e} c_max={c_max:.3e} violation={vio:.3e}")
     print(f"polar check -> {path}")
 
@@ -442,7 +439,9 @@ def run(argv=None):
         cfg = load_config(args.config)
         out = Path(args.out if args.out is not None else cfg.out)
         out.mkdir(parents=True, exist_ok=True)
-        _PIPELINES[args.command](cfg, out, args)
+        # FloatingPointError is an ArithmeticError: an overflow exits 3, not 0
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            _PIPELINES[args.command](cfg, out, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -18,11 +18,10 @@ branch noise, must stay an expectation supermartingale up to O(h).
 """
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
+from .csvout import write_csv
 from .solver import enumerate_coupled
 
 
@@ -158,23 +157,9 @@ def polar_defect(model, rule, steps, step, start, primal_policy, dual_policy):
     return expectation, expectation - float(start[0]) * float(start[1])
 
 
-def write_gap_csv(report, path, header=None, bounds: Optional[BoundReport] = None):
-    """Dump a gap report as ``x,gap,argmin_y,lower,upper`` rows.
-
-    Without a bound report the last two columns are written as nan so
-    the schema stays fixed.
-    """
-    lines = []
-    if header:
-        lines.append(f"# {header}")
-    lines.append("x,gap,argmin_y,lower,upper")
-    if bounds is not None and not np.array_equal(bounds.x, report.x):
+def write_gap_csv(report, path, header, bounds):
+    """Dump a gap report and its bounds as ``x,gap,argmin_y,lower,upper`` rows."""
+    if not np.array_equal(bounds.x, report.x):
         raise ValueError("bound report does not match the gap report nodes")
-    for i in range(report.x.size):
-        lower = bounds.lower[i] if bounds is not None else float("nan")
-        upper = bounds.upper[i] if bounds is not None else float("nan")
-        lines.append(
-            f"{report.x[i]:.15e},{report.gap[i]:.15e},{report.argmin_y[i]:.15e},"
-            f"{lower:.15e},{upper:.15e}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = zip(report.x, report.gap, report.argmin_y, bounds.lower, bounds.upper)
+    write_csv(path, header, "x,gap,argmin_y,lower,upper", rows)

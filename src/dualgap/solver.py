@@ -23,10 +23,10 @@ the ground truth the expectation-level tests and the polar check run on.
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .csvout import cell, write_csv
 from .errors import NumericalFailure, ResourceLimit
 from .lattice import SpaceGrid, TimeGrid, control_mesh, interpolate
 from .market import penalty_conjugate
@@ -221,13 +221,17 @@ def enumerate_coupled(model, rule, steps, step, start, primal_policy, dual_polic
     return xs, ys, probs
 
 
-def write_surface_csv(surface, path, header=None):
-    """Dump a surface as ``t,x,value`` rows, time-major, 16 significant digits."""
-    lines = []
-    if header:
-        lines.append(f"# {header}")
-    lines.append("t,x,value")
-    for n, t in enumerate(surface.time.times):
-        for x, v in zip(surface.grid.nodes, surface.data[n]):
-            lines.append(f"{t:.15e},{x:.15e},{v:.15e}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def write_surface_csv(surface, path, header):
+    """Dump a surface as ``t,x,value`` rows, time-major, 16 significant digits.
+
+    Each time and each space node is formatted once; rows are streamed.
+    """
+    xs = [cell(x) for x in surface.grid.nodes.tolist()]
+
+    def rows():
+        for t, values in zip(surface.time.times.tolist(), surface.data):
+            t = cell(t)
+            for x, v in zip(xs, values.tolist()):
+                yield t, x, v
+
+    write_csv(path, header, "t,x,value", rows())

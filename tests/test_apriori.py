@@ -32,7 +32,6 @@ from dualgap import (
     refinement_ladder,
     tail_weights,
     truncation_allowance,
-    write_bound_table_csv,
 )
 from dualgap import apriori
 
@@ -244,17 +243,3 @@ def test_envelope_constants_frozen(primal_constants, dual_constants, rule4):
     assert c_dual == pytest.approx(2.7985811792035236, rel=1.0e-12)
     assert c_primal > 1.0 and c_dual > 1.0
 
-
-def test_bound_table_csv(tmp_path):
-    path = tmp_path / "bounds.csv"
-    rows = [
-        (0.0625, 35.4, 8.9, 0.18, 3.3),
-        (0.03125, 25.1, 6.9, 0.097, 1.4),
-    ]
-    write_bound_table_csv(path, rows, header="per level")
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "# per level"
-    assert lines[1] == "h,em_bound,gh_bound,empirical_error,duality_gap"
-    assert len(lines) == 4
-    assert len(lines[2].split(",")) == 5
-    assert float(lines[2].split(",")[0]) == 0.0625

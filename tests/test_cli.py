@@ -241,8 +241,11 @@ def test_bounds_pipeline(tmp_path):
     out = tmp_path / "out"
     assert run(["bounds", "--config", str(cfg), "--out", str(out)]) == 0
     lines = (out / "bounds.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0].startswith("# config: ")
     assert lines[1] == "h,em_bound,gh_bound,empirical_error,duality_gap"
     assert len(lines) == 4
+    assert lines[2].startswith("6.250000000000000e-02,")
+    assert lines[3].startswith("3.125000000000000e-02,")
     for line in lines[2:]:
         h, em, gh, err, gap = map(float, line.split(","))
         assert em > err and gh > err
@@ -255,9 +258,24 @@ def test_polar_pipeline(tmp_path):
     lines = (out / "polar.csv").read_text(encoding="utf-8").splitlines()
     assert lines[1] == "N,h,c_abs_mean,c_abs_max,violation_max"
     assert len(lines) == 5
+    assert [line.split(",", 2)[:2] for line in lines[2:]] == [
+        ["2", "2.500000000000000e-01"],
+        ["4", "1.250000000000000e-01"],
+        ["8", "6.250000000000000e-02"],
+    ]
     for line in lines[2:]:
         cells = line.split(",")
         assert cells[4] == "0.000000000000000e+00"
+
+
+def test_overflow_exits_3_before_any_csv_is_written(capsys, tmp_path):
+    """A floating-point overflow is a numerical failure, not a result."""
+    cfg = write_cfg(tmp_path, "problem = merton\nx_max = 1e308\n")
+    out = tmp_path / "out"
+    code = run(["solve-primal", "--config", str(cfg), "--out", str(out), "--level", "1"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+    assert not any(out.iterdir())
 
 
 def install_checkout(tmp_path):

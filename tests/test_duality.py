@@ -280,17 +280,6 @@ def test_polar_constrained_violation_vanishes_with_step():
             assert abs(defect) <= 1.0
 
 
-def test_gap_csv_without_bounds(tmp_path):
-    path = tmp_path / "gap.csv"
-    write_gap_csv(_toy_report(), path, header="toy")
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "# toy"
-    assert lines[1] == "x,gap,argmin_y,lower,upper"
-    cells = lines[2].split(",")
-    assert len(cells) == 5
-    assert cells[3] == "nan" and cells[4] == "nan"
-
-
 def test_gap_csv_with_bounds(tmp_path):
     report = _toy_report()
     bounds = aposteriori_bounds(
@@ -304,8 +293,11 @@ def test_gap_csv_with_bounds(tmp_path):
         c_dual=1.0,
     )
     path = tmp_path / "gap.csv"
-    write_gap_csv(report, path, bounds=bounds)
-    cells = path.read_text(encoding="utf-8").splitlines()[1].split(",")
+    write_gap_csv(report, path, "toy", bounds)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[:2] == ["# toy", "x,gap,argmin_y,lower,upper"]
+    assert lines[2].startswith("1.000000000000000e+00,5.000000000000000e-01,1.000000000000000e+00,")
+    cells = lines[2].split(",")
     assert float(cells[3]) == pytest.approx(bounds.lower[0], rel=1.0e-12)
     assert float(cells[4]) == pytest.approx(bounds.upper[0], rel=1.0e-12)
 
@@ -319,5 +311,7 @@ def test_gap_csv_mismatch(tmp_path):
         upper=np.array([1.0, 1.0]),
         constants={},
     )
-    with pytest.raises(ValueError):
-        write_gap_csv(report, tmp_path / "gap.csv", bounds=bad)
+    path = tmp_path / "gap.csv"
+    with pytest.raises(ValueError, match="does not match the gap report nodes"):
+        write_gap_csv(report, path, "toy", bad)
+    assert not path.exists()

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 import types
 
 import numpy as np
@@ -395,6 +396,32 @@ def test_surface_csv_schema(tmp_path, merton):
     assert lines[0] == "# unit test"
     assert lines[1] == "t,x,value"
     assert len(lines) == 2 + 3 * 5
-    first = lines[2].split(",")
-    assert first[0] == "0.000000000000000e+00"
-    assert len(first) == 3
+    # first time block, t = 0: x runs over linspace(0, 2, 5); x = 0 absorbs the reward 0
+    assert lines[2] == "0.000000000000000e+00,0.000000000000000e+00,0.000000000000000e+00"
+    assert [line.rsplit(",", 1)[0] for line in lines[2:7]] == [
+        "0.000000000000000e+00,0.000000000000000e+00",
+        "0.000000000000000e+00,5.000000000000000e-01",
+        "0.000000000000000e+00,1.000000000000000e+00",
+        "0.000000000000000e+00,1.500000000000000e+00",
+        "0.000000000000000e+00,2.000000000000000e+00",
+    ]
+    assert lines[7].startswith("2.500000000000000e-01,0.000000000000000e+00,")
+    assert all(len(line.split(",")) == 3 for line in lines[2:])
+
+
+def test_surface_csv_is_streamed(tmp_path):
+    """Writing a surface holds a row at a time, not the whole file."""
+    time = TimeGrid(0.5, 128)
+    grid = SpaceGrid(2.0, 1024)
+    data = np.tile(np.sqrt(grid.nodes), (time.steps + 1, 1))
+    surface = ValueSurface(grid=grid, time=time, data=data, direction="primal", plateau=data[0, -1])
+    path = tmp_path / "surface.csv"
+    tracemalloc.start()
+    try:
+        write_surface_csv(surface, path, "streamed")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    with path.open(encoding="utf-8") as fh:
+        assert sum(1 for _ in fh) == 2 + 129 * 1025
