@@ -24,6 +24,9 @@ import numpy as np
 from .csvout import write_csv
 from .solver import enumerate_coupled
 
+#: minimand entries per chunk of x rows in the gap readout
+_CHUNK = 8192
+
 
 @dataclass(frozen=True)
 class GapReport:
@@ -65,6 +68,7 @@ def duality_gap(primal, dual, time_index=0):
     Both surfaces must share the time lattice.  The dual node y = 0 is
     excluded from the minimisation: the conjugate reading there would
     claim an infinite-slope certificate that the chain cannot represent.
+    The minimand is formed a chunk of x rows at a time, never whole.
     """
     if primal.direction != "primal" or dual.direction != "dual":
         raise ValueError("duality_gap expects a primal and a dual surface, in that order")
@@ -75,10 +79,15 @@ def duality_gap(primal, dual, time_index=0):
         raise ValueError(f"time index {n} outside [0, {primal.time.steps}]")
     xs = primal.grid.nodes[1:]
     ys = dual.grid.nodes[1:]
-    minimand = dual.data[n, 1:][None, :] + xs[:, None] * ys[None, :]
-    pick = np.argmin(minimand, axis=1)
-    rows = np.arange(xs.size)
-    gap = minimand[rows, pick] - primal.data[n, 1:]
+    pick = np.empty(xs.size, dtype=np.intp)
+    low = np.empty(xs.size)
+    chunk = max(1, _CHUNK // ys.size)
+    for start in range(0, xs.size, chunk):
+        rows = slice(start, start + chunk)
+        minimand = dual.data[n, 1:][None, :] + xs[rows, None] * ys[None, :]
+        pick[rows] = np.argmin(minimand, axis=1)
+        low[rows] = minimand[np.arange(minimand.shape[0]), pick[rows]]
+    gap = low - primal.data[n, 1:]
     return GapReport(
         time_index=n,
         x=xs.copy(),

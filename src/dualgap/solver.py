@@ -11,10 +11,12 @@ built once per solve:
     primal, maximising:  1 + h (r + a (b - r) + g) + sqrt(h) a sigma xi
     dual,   minimising:  1 - h (r + sup_a {g - a gamma}) + sqrt(h) (r - b - gamma) / sigma xi
 
-with xi running over the quadrature nodes.  The state at the origin is
-absorbing in both cases, so row entry 0 is copied through time.  Both
-directions run the same step kernel; they differ only in these factors
-and in max versus min.
+with xi running over the quadrature nodes.  Every displaced state is
+therefore bracketed on the grid once per solve (``lattice.locate``), and
+a step only reads the next row at the stored brackets.  The state at
+the origin is absorbing in both cases, so row entry 0 is copied through
+time.  Both directions run the same step kernel; they differ only in
+these factors and in max versus min.
 
 The same factors drive ``enumerate_coupled``, which expands every branch
 of the primal and dual chains explicitly for small step counts; it is
@@ -28,7 +30,7 @@ import numpy as np
 
 from .csvout import cell, write_csv
 from .errors import NumericalFailure, ResourceLimit
-from .lattice import SpaceGrid, TimeGrid, control_mesh, interpolate
+from .lattice import SpaceGrid, TimeGrid, control_mesh, interpolate, locate
 from .market import penalty_conjugate
 from .quadrature import gauss_hermite_rule
 
@@ -62,7 +64,8 @@ class ValueSurface:
         to interpolation slack.
         """
         where = f"(N={self.time.steps}, J={self.grid.cells})"
-        if not np.all(np.isfinite(self.data)):
+        smallest, largest = self.data.min(), self.data.max()  # nan propagates
+        if not (np.isfinite(smallest) and np.isfinite(largest)):
             n, m = np.argwhere(~np.isfinite(self.data))[0]
             raise NumericalFailure(
                 f"{self.direction} value surface has a non-finite entry "
@@ -72,15 +75,18 @@ class ValueSurface:
             return
         lo = float(self.data[-1].min()) - _SURFACE_SLACK
         hi = float(self.data[-1].max()) + _SURFACE_SLACK
-        if self.data.min() < lo or self.data.max() > hi:
+        if smallest < lo or largest > hi:
             n, m = np.argwhere((self.data < lo) | (self.data > hi))[0]
             raise NumericalFailure(
                 f"primal surface leaves the terminal range [{lo}, {hi}] "
                 f"at time index {n}, node {m} {where}"
             )
-        steps = np.diff(self.data, axis=1)
-        if steps.min() < -_SURFACE_SLACK:
-            n, m = divmod(int(steps.argmin()), steps.shape[1])
+        # row by row, no surface-sized copy; the first row holding the
+        # smallest step, then its first node: the flattened argmin
+        steps = [np.diff(row).min() for row in self.data]
+        if min(steps) < -_SURFACE_SLACK:
+            n = int(np.argmin(steps))
+            m = int(np.diff(self.data[n]).argmin())
             raise NumericalFailure(
                 f"primal surface decreasing in space at time index {n}, node {m} {where}"
             )
@@ -106,31 +112,33 @@ def step_factors(model, control, rule, step, direction):
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def _sweep_step(next_row, factors, weights, controls, grid, plateau, select):
-    """One backward step in either direction, given its (controls, branches) factors.
+def _sweep_step(next_row, located, weights, grid, plateau, select):
+    """One backward step in either direction, given the solve's located states.
 
-    Branches are accumulated in ascending node order, and ``select``
-    (``np.argmax`` or ``np.argmin``) keeps the earliest mesh point on
-    ties, so the sweep is bit-reproducible.  Returns the new row; the
-    absorbing origin is copied through.
+    Block by block, branches are accumulated in ascending node order,
+    and ``select`` (``np.argmax`` or ``np.argmin``) keeps the earliest
+    mesh point on ties, so the sweep is bit-reproducible.  Returns the
+    new row; the absorbing origin is copied through.
     """
-    nodes = grid.nodes
-    value = np.zeros((controls.size, nodes.size))
-    for weight, factor in zip(weights, factors.T):
-        value += weight * interpolate(grid, next_row, factor[:, None] * nodes, plateau)
-    best = value[select(value, axis=0), np.arange(nodes.size)]
+    best = np.empty(grid.cells + 1)
+    blocks = interpolate(grid, next_row, located, plateau)
+    for span, reads in zip(located.spans, blocks):
+        value = np.zeros((located.controls, span.stop - span.start))
+        for weight in weights:  # not zip: its reused tuple would keep the last read alive
+            value += weight * next(reads)
+        best[span] = value[select(value, axis=0), np.arange(value.shape[1])]
     best[0] = next_row[0]
     return best
 
 
-def primal_step(next_row, factors, weights, controls, grid, plateau):
+def primal_step(next_row, located, weights, grid, plateau):
     """One backward step of the maximising sweep."""
-    return _sweep_step(next_row, factors, weights, controls, grid, plateau, np.argmax)
+    return _sweep_step(next_row, located, weights, grid, plateau, np.argmax)
 
 
-def dual_step(next_row, factors, weights, gammas, grid, plateau):
+def dual_step(next_row, located, weights, grid, plateau):
     """One backward step of the minimising sweep."""
-    return _sweep_step(next_row, factors, weights, gammas, grid, plateau, np.argmin)
+    return _sweep_step(next_row, located, weights, grid, plateau, np.argmin)
 
 
 def solve(model, terminal, disc, direction="primal"):
@@ -165,17 +173,18 @@ def solve(model, terminal, disc, direction="primal"):
     if bottom.shape != grid.nodes.shape or not np.all(np.isfinite(bottom)):
         raise ValueError("terminal reward must be finite on the grid")
     plateau = float(bottom[-1])
-    factors = step_factors(model, mesh, rule, time.step, direction)
+    located = locate(grid, step_factors(model, mesh, rule, time.step, direction))
     data = np.empty((disc.steps + 1, grid.cells + 1))
     data[disc.steps] = bottom
     for n in range(disc.steps - 1, -1, -1):
-        row = sweep_step(data[n + 1], factors, rule.weights, mesh, grid, plateau)
+        row = sweep_step(data[n + 1], located, rule.weights, grid, plateau)
         if not np.all(np.isfinite(row)):
             raise NumericalFailure(
                 f"non-finite {direction} value row at time index {n} "
                 f"(N={disc.steps}, J={grid.cells})"
             )
         data[n] = row
+    del located  # 10 B per located point, not needed past the sweep
     data.setflags(write=False)
     surface = ValueSurface(grid=grid, time=time, data=data, direction=direction, plateau=plateau)
     surface.validate()

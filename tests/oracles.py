@@ -4,6 +4,12 @@ Everything here is deliberately naive: plain Python loops, one state at a
 time, no shared code with the production sweep beyond the control meshes,
 the penalty transform leaf and the golden-section polish.  Slow is fine;
 these only run on toy problem sizes.
+
+The one exception is the ``interp_*`` referee: the vectorised sweep as it
+was before displaced states were located once per solve, searching every
+state with ``np.interp`` at every step.  It shares the grids and the step
+factors with production on purpose, so the two can be compared bit for
+bit.
 """
 
 import dataclasses
@@ -12,9 +18,11 @@ import types
 
 import numpy as np
 
-from dualgap.lattice import control_mesh
+from dualgap.lattice import SpaceGrid, TimeGrid, control_mesh
 from dualgap.market import cuoco_liu_model, merton_model, penalty_conjugate
 from dualgap.optim import golden_max
+from dualgap.quadrature import gauss_hermite_rule
+from dualgap.solver import step_factors
 from dualgap.utility import conjugate_spec, lipschitz_truncate, power_utility
 
 
@@ -31,6 +39,46 @@ def interp_scalar(nodes, row, query, plateau):
             weight = (query - nodes[j]) / width
             return (1.0 - weight) * row[j] + weight * row[j + 1]
     return row[-1]
+
+
+def interp_read(grid, row, query, plateau):
+    """``np.interp`` plus the scheme's two closures, on an array of queries."""
+    q = np.asarray(query, dtype=float)
+    out = np.interp(q, grid.nodes, row)
+    left = q < 0.0
+    if np.any(left):
+        slope = (row[1] - row[0]) / (grid.nodes[1] - grid.nodes[0])
+        out = np.where(left, row[0] + slope * q, out)
+    return np.where(q > grid.length, plateau, out)
+
+
+def interp_step(next_row, factors, weights, grid, plateau, select):
+    """One backward step that searches every displaced state afresh."""
+    value = np.zeros((factors.shape[0], grid.cells + 1))
+    for weight, factor in zip(weights, factors.T):
+        value += weight * interp_read(grid, next_row, factor[:, None] * grid.nodes, plateau)
+    best = value[select(value, axis=0), np.arange(grid.cells + 1)]
+    best[0] = next_row[0]
+    return best
+
+
+def interp_solve(model, terminal, disc, direction):
+    """The full backward sweep of ``interp_step``; returns the surface data."""
+    rule = gauss_hermite_rule(disc.order)
+    if direction == "primal":
+        grid = SpaceGrid(disc.x_max, disc.cells)
+        mesh = control_mesh(model.a_interval, disc.controls)
+        select = np.argmax
+    else:
+        grid = SpaceGrid(disc.y_max, disc.dual_cells)
+        mesh = control_mesh(model.gamma_interval, disc.controls)
+        select = np.argmin
+    factors = step_factors(model, mesh, rule, TimeGrid(model.horizon, disc.steps).step, direction)
+    data = np.empty((disc.steps + 1, grid.cells + 1))
+    data[-1] = terminal.evaluate(grid.nodes)
+    for n in range(disc.steps - 1, -1, -1):
+        data[n] = interp_step(data[n + 1], factors, rule.weights, grid, data[-1, -1], select)
+    return data
 
 
 def naive_solve(model, terminal, disc, direction, rule):

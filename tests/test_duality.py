@@ -55,6 +55,19 @@ def test_gap_tie_keeps_smallest_index():
     assert report.gap[at_one] == pytest.approx(1.0, abs=1.0e-14)
 
 
+def test_gap_readout_in_row_chunks_matches_the_whole_minimand(merton_gap_levels):
+    """Chunking the x rows changes nothing: same expression per row, same ties."""
+    _, primal, dual, report = merton_gap_levels[-1]
+    xs, ys = primal.grid.nodes[1:], dual.grid.nodes[1:]
+    assert xs.size * ys.size > 16 * 8192  # many chunks
+    minimand = dual.data[0, 1:][None, :] + xs[:, None] * ys[None, :]
+    pick = np.argmin(minimand, axis=1)
+    gap = minimand[np.arange(xs.size), pick] - primal.data[0, 1:]
+    assert np.array_equal(report.gap.view(np.uint64), gap.view(np.uint64))
+    assert np.array_equal(report.argmin_index, pick + 1)
+    assert np.array_equal(report.boundary_hit, (pick == 0) | (pick == ys.size - 1))
+
+
 def test_gap_validation():
     primal = _flat_surface("primal", 2.0, 4, [0.0] * 5)
     dual = _flat_surface("dual", 1.0, 4, [0.0] * 5)

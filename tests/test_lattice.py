@@ -1,11 +1,15 @@
 """Grids, the boundary-closed interpolation, control meshes."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualgap import Discretization, SpaceGrid, TimeGrid, control_mesh, interpolate
+import oracles
+from dualgap import Discretization, SpaceGrid, TimeGrid, control_mesh, interpolate, lattice
+from dualgap.lattice import locate
 
 
 def test_space_grid_nodes():
@@ -102,6 +106,54 @@ def test_interpolate_reproduces_linear_data(intercept, slope, query):
     row = intercept + slope * np.asarray(grid.nodes)
     got = interpolate(grid, row, query)
     assert got == pytest.approx(intercept + slope * query, abs=1.0e-10)
+
+
+_VALUES = st.floats(-1.0e3, 1.0e3)
+
+
+@st.composite
+def _rows(draw):
+    """A grid, a finite row on it and a right plateau."""
+    grid = SpaceGrid(draw(st.floats(0.125, 64.0)), draw(st.integers(1, 24)))
+    row = draw(st.lists(_VALUES, min_size=grid.cells + 1, max_size=grid.cells + 1))
+    return grid, np.array(row), draw(_VALUES)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_rows(), data=st.data())
+def test_interpolate_is_np_interp_with_the_two_closures(case, data):
+    """Equal to np.interp inside, the first cell continued left, the plateau right."""
+    grid, row, plateau = case
+    query = st.one_of(
+        st.floats(-2.0 * grid.length, 2.0 * grid.length),  # q < 0, inside, q > length
+        st.sampled_from(grid.nodes.tolist()),  # exact nodes, x == length among them
+    )
+    queries = np.array(data.draw(st.lists(query, min_size=1, max_size=32)))
+    got = interpolate(grid, row, queries, plateau)
+    assert np.array_equal(got, oracles.interp_read(grid, row, queries, plateau))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_rows(), data=st.data())
+def test_located_reads_are_np_interp_with_the_two_closures(case, data):
+    """Every block and branch of a stored bracket reads what np.interp would."""
+    grid, row, plateau = case
+    controls, branches = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    factor = st.one_of(st.floats(-0.5, 2.5), st.sampled_from([0.0, 1.0]))
+    factors = np.array(
+        data.draw(st.lists(factor, min_size=controls * branches, max_size=controls * branches))
+    ).reshape(controls, branches)
+    with mock.patch.object(lattice, "_BLOCK", data.draw(st.integers(1, 64))):
+        located = locate(grid, factors)
+    covered = np.concatenate([grid.nodes[span] for span in located.spans])
+    assert np.array_equal(covered, grid.nodes)
+    assert located.size == factors.size * grid.nodes.size
+    assert {index.dtype for index in located.index} == {np.min_scalar_type(grid.cells + 1)}
+    blocks = interpolate(grid, row, located, plateau)
+    for span, reads in zip(located.spans, blocks):
+        for factor, read in zip(factors.T, reads):
+            want = oracles.interp_read(grid, row, factor[:, None] * grid.nodes[span], plateau)
+            assert np.array_equal(read, want)
 
 
 def test_control_mesh_cases():

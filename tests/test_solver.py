@@ -30,6 +30,8 @@ from dualgap import (
     solve,
 )
 from dualgap import market, solver
+from dualgap.cli import build_problem, load_config
+from dualgap.lattice import locate
 from dualgap.market import penalty_conjugate
 from dualgap.solver import (
     MAX_BRANCHES,
@@ -93,10 +95,46 @@ def test_steps_keep_the_first_mesh_point_on_ties(direction):
     row = np.full(grid.cells + 1, 0.75)
     interval = model.a_interval if direction == "primal" else model.gamma_interval
     controls = control_mesh(interval, 5)
-    factors = step_factors(model, controls, rule, 0.125, direction)
+    located = locate(grid, step_factors(model, controls, rule, 0.125, direction))
     sweep_step = primal_step if direction == "primal" else dual_step
-    values = sweep_step(row, factors, rule.weights, controls, grid, 0.75)
+    values = sweep_step(row, located, rule.weights, grid, 0.75)
     assert np.allclose(values, 0.75, rtol=0.0, atol=1.0e-14)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("direction", ["primal", "dual"])
+@pytest.mark.parametrize("config", ["merton", "cuoco_liu"])
+def test_solve_matches_the_np_interp_sweep_bit_for_bit(config, direction, k):
+    """Stored brackets change where the search happens, not one bit of the surface."""
+    cfg = load_config(config)
+    problem = build_problem(cfg)
+    disc = refinement_ladder(k, k, cfg.M, cfg.x_max, cfg.y_max)[0]
+    terminal = problem.reward if direction == "primal" else problem.conjugate
+    got = solve(problem.model, terminal, disc, direction).data
+    want = oracles.interp_solve(problem.model, terminal, disc, direction)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_primal_step_holds_one_block_at_a_time():
+    """A merton k=5 step allocates block temporaries, not (controls x nodes) arrays."""
+    cfg = load_config("merton")
+    problem = build_problem(cfg)
+    disc = refinement_ladder(5, 5, cfg.M, cfg.x_max, cfg.y_max)[0]
+    rule = gauss_hermite_rule(disc.order)
+    grid = SpaceGrid(disc.x_max, disc.cells)
+    mesh = control_mesh(problem.model.a_interval, disc.controls)
+    step = TimeGrid(problem.model.horizon, disc.steps).step
+    located = locate(grid, step_factors(problem.model, mesh, rule, step, "primal"))
+    row = problem.reward.evaluate(grid.nodes)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        primal_step(row, located, rule.weights, grid, float(row[-1]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (mesh.size, grid.cells) == (33, 790)
+    assert peak - before < 0.25 * 2**20
 
 
 def test_sweep_is_exact_on_linear_data():
@@ -213,6 +251,19 @@ def test_validate_rejects_decreasing_primal_row():
     message = "primal surface decreasing in space at time index 0, node 1 (N=1, J=2)"
     with pytest.raises(NumericalFailure, match=re.escape(message)):
         _surface([[0.0, 2.0, 1.0], [0.0, 1.0, 2.0]], "primal").validate()
+
+
+def test_validate_names_the_first_steepest_decrease():
+    """Rows are checked one at a time; the reported node is the flattened argmin's."""
+    rows = [
+        [0.0, 1.0, 0.5, 3.0],
+        [1.0, 2.0, 3.0, 2.0],
+        [2.0, 1.0, 2.0, 3.0],
+        [0.0, 1.0, 2.0, 3.0],
+    ]
+    message = "primal surface decreasing in space at time index 1, node 2 (N=3, J=3)"
+    with pytest.raises(NumericalFailure, match=re.escape(message)):
+        _surface(rows, "primal").validate()
 
 
 def test_validate_rejects_terminal_range_escape():
