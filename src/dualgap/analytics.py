@@ -18,7 +18,7 @@ from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from .csvout import write_csv
+from . import csvout
 from .duality import duality_gap
 from .lattice import Discretization
 from .solver import solve
@@ -187,11 +187,11 @@ def write_convergence_csv(table, path, header):
     The first level has no predecessor, its order cells hold nan.
     """
 
-    def rows():
-        for i, level in enumerate(table.levels):
-            row = [level.cells, level.steps]
-            for key in _NORM_KEYS:
-                row += [table.norms[i][key], table.orders[key][i]]
-            yield row
-
-    write_csv(path, header, "J,N,l1,order_l1,l2,order_l2,linf,order_linf", rows())
+    rows = []
+    for i, level in enumerate(table.levels):
+        row = [level.cells, level.steps]
+        for key in _NORM_KEYS:
+            row += [table.norms[i][key], table.orders[key][i]]
+        rows.append(row)
+    columns = "J,N,l1,order_l1,l2,order_l2,linf,order_linf"
+    csvout.write_csv(path, header, columns, csvout.table((int, int) + (float,) * 6, rows))

@@ -361,7 +361,8 @@ def cmd_bounds(cfg, out, args):
             )
         )
     path = out / "bounds.csv"
-    csvout.write_csv(path, _header(cfg), "h,em_bound,gh_bound,empirical_error,duality_gap", rows)
+    columns = "h,em_bound,gh_bound,empirical_error,duality_gap"
+    csvout.write_csv(path, _header(cfg), columns, csvout.table((float,) * 5, rows))
     for row in rows:
         print(
             f"h={row[0]:.4e} em={row[1]:.3e} gh={row[2]:.3e} "
@@ -392,7 +393,8 @@ def cmd_polar_check(cfg, out, args):
             violation = max(violation, max(defect, 0.0) / step)
         rows.append((steps, step, float(np.mean(ratios)), float(np.max(ratios)), violation))
     path = out / "polar.csv"
-    csvout.write_csv(path, _header(cfg), "N,h,c_abs_mean,c_abs_max,violation_max", rows)
+    columns = "N,h,c_abs_mean,c_abs_max,violation_max"
+    csvout.write_csv(path, _header(cfg), columns, csvout.table((int,) + (float,) * 4, rows))
     for steps, step, c_mean, c_max, vio in rows:
         print(f"N={steps} h={step:.4e} c_mean={c_mean:.3e} c_max={c_max:.3e} violation={vio:.3e}")
     print(f"polar check -> {path}")

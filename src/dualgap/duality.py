@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvout import write_csv
+from . import csvout
 from .solver import enumerate_coupled
 
 #: minimand entries per chunk of x rows in the gap readout
@@ -171,4 +171,4 @@ def write_gap_csv(report, path, header, bounds):
     if not np.array_equal(bounds.x, report.x):
         raise ValueError("bound report does not match the gap report nodes")
     rows = zip(report.x, report.gap, report.argmin_y, bounds.lower, bounds.upper)
-    write_csv(path, header, "x,gap,argmin_y,lower,upper", rows)
+    csvout.write_csv(path, header, "x,gap,argmin_y,lower,upper", csvout.table((float,) * 5, rows))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvout import cell, write_csv
+from . import csvout
 from .errors import NumericalFailure, ResourceLimit
 from .lattice import SpaceGrid, TimeGrid, control_mesh, interpolate, locate
 from .market import penalty_conjugate
@@ -233,14 +233,8 @@ def enumerate_coupled(model, rule, steps, step, start, primal_policy, dual_polic
 def write_surface_csv(surface, path, header):
     """Dump a surface as ``t,x,value`` rows, time-major, 16 significant digits.
 
-    Each time and each space node is formatted once; rows are streamed.
+    One block per time row: its template holds the t and x cells, each
+    formatted once per file, and one ``%`` call fills in the row's values.
     """
-    xs = [cell(x) for x in surface.grid.nodes.tolist()]
-
-    def rows():
-        for t, values in zip(surface.time.times.tolist(), surface.data):
-            t = cell(t)
-            for x, v in zip(xs, values.tolist()):
-                yield t, x, v
-
-    write_csv(path, header, "t,x,value", rows())
+    blocks = csvout.grid(surface.time.times, surface.grid.nodes, surface.data)
+    csvout.write_csv(path, header, "t,x,value", blocks)

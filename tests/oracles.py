@@ -10,11 +10,15 @@ was before displaced states were located once per solve, searching every
 state with ``np.interp`` at every step.  It shares the grids and the step
 factors with production on purpose, so the two can be compared bit for
 bit.
+
+The ``csv_*`` referee is the CSV writer as it was before it formatted
+whole blocks: one ``cell`` call per cell, one joined line per row.
 """
 
 import dataclasses
 import math
 import types
+from numbers import Integral
 
 import numpy as np
 
@@ -242,3 +246,28 @@ def random_setup(rng):
         y_max=float(rng.choice([2.0, 4.0])),
     )
     return model, terminal, disc, direction
+
+
+def csv_cell(value):
+    """One CSV cell: strings as they are, integers via ``str``, floats as ``.15e``."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, Integral):
+        return str(value)
+    return f"{value:.15e}"
+
+
+def csv_text(header, columns, rows):
+    """The whole file the per-cell writer makes of ``rows``."""
+    lines = [f"# {header}", columns] + [",".join(map(csv_cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def surface_csv_text(surface, header):
+    """A surface dump through the per-cell writer: ``t,x,value``, time-major."""
+    rows = (
+        (t, x, v)
+        for t, values in zip(surface.time.times.tolist(), surface.data.tolist())
+        for x, v in zip(surface.grid.nodes.tolist(), values)
+    )
+    return csv_text(header, "t,x,value", rows)

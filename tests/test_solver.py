@@ -476,3 +476,39 @@ def test_surface_csv_is_streamed(tmp_path):
     assert peak < 2 * 2**20
     with path.open(encoding="utf-8") as fh:
         assert sum(1 for _ in fh) == 2 + 129 * 1025
+
+
+@pytest.mark.parametrize("direction", ["primal", "dual"])
+@pytest.mark.parametrize("config", ["merton", "cuoco_liu"])
+def test_surface_csv_matches_the_per_cell_writer(tmp_path, config, direction):
+    cfg = load_config(config)
+    problem = build_problem(cfg)
+    disc = refinement_ladder(3, 3, cfg.M, cfg.x_max, cfg.y_max)[0]
+    terminal = problem.reward if direction == "primal" else problem.conjugate
+    surface = solve(problem.model, terminal, disc, direction)
+    path = tmp_path / "surface.csv"
+    write_surface_csv(surface, path, f"{config} {direction}")
+    assert path.read_bytes() == oracles.surface_csv_text(surface, f"{config} {direction}").encode()
+
+
+def test_surface_csv_special_values_match_the_per_cell_writer(tmp_path):
+    """Values no solve returns (never validated) keep the per-cell writer's bytes."""
+    specials = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e300, -1e300, 0.1]
+    data = np.array([specials, specials[::-1]])
+    surface = ValueSurface(
+        grid=SpaceGrid(7.0, 7), time=TimeGrid(0.5, 1), data=data, direction="dual", plateau=0.0
+    )
+    path = tmp_path / "surface.csv"
+    write_surface_csv(surface, path, "specials")
+    text = path.read_text(encoding="utf-8")
+    assert text == oracles.surface_csv_text(surface, "specials")
+    assert text.splitlines()[2:10] == [
+        "0.000000000000000e+00,0.000000000000000e+00,nan",
+        "0.000000000000000e+00,1.000000000000000e+00,inf",
+        "0.000000000000000e+00,2.000000000000000e+00,-inf",
+        "0.000000000000000e+00,3.000000000000000e+00,-0.000000000000000e+00",
+        "0.000000000000000e+00,4.000000000000000e+00,4.940656458412465e-324",
+        "0.000000000000000e+00,5.000000000000000e+00,1.000000000000000e+300",
+        "0.000000000000000e+00,6.000000000000000e+00,-1.000000000000000e+300",
+        "0.000000000000000e+00,7.000000000000000e+00,1.000000000000000e-01",
+    ]
