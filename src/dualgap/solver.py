@@ -98,7 +98,8 @@ def step_factors(model, control, rule, step, direction):
     For a scalar control this is an array over quadrature branches; for
     a control mesh it is a (controls, branches) array.  The displaced
     state is the current state times the factor.  The dual chain
-    evaluates the conjugate penalty once per gamma.
+    evaluates the conjugate penalty in one vectorised call over the
+    whole mesh.
     """
     r, b, sig = model.rate, model.appreciation, model.vol
     root = math.sqrt(step)
@@ -107,7 +108,7 @@ def step_factors(model, control, rule, step, direction):
         mu = r + c * (b - r) + np.asarray(model.penalty(c), dtype=float)
         return 1.0 + step * mu + root * c * sig * rule.nodes
     if direction == "dual":
-        conj = np.array([penalty_conjugate(model, g) for g in c.ravel()]).reshape(c.shape)
+        conj = np.asarray(penalty_conjugate(model, control), dtype=float)[..., None]
         return 1.0 - step * (r + conj) + root * ((r - b - c) / sig) * rule.nodes
     raise ValueError(f"unknown direction {direction!r}")
 
@@ -211,7 +212,8 @@ def enumerate_coupled(model, rule, steps, step, start, primal_policy, dual_polic
     near-supermartingale.  Branches multiply by the rule order each
     step, so this is only for small step counts; the cap guards against
     runaway requests.  States and probabilities come back in a fixed
-    depth-first order.
+    depth-first order.  Each chain's (steps, branches) factors are built
+    in one ``step_factors`` call over its policy.
     """
     if steps < 0:
         raise ValueError(f"step count must be nonnegative, got {steps}")
@@ -221,9 +223,9 @@ def enumerate_coupled(model, rule, steps, step, start, primal_policy, dual_polic
     xs = np.array([float(start[0])])
     ys = np.array([float(start[1])])
     probs = np.array([1.0])
-    for i in range(steps):
-        fx = step_factors(model, primal_policy[i], rule, step, "primal")
-        fy = step_factors(model, dual_policy[i], rule, step, "dual")
+    fxs = step_factors(model, primal_policy[:steps], rule, step, "primal")
+    fys = step_factors(model, dual_policy[:steps], rule, step, "dual")
+    for fx, fy in zip(fxs, fys):
         xs = (xs[:, None] * fx[None, :]).reshape(-1)
         ys = (ys[:, None] * fy[None, :]).reshape(-1)
         probs = (probs[:, None] * rule.weights[None, :]).reshape(-1)

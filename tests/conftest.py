@@ -65,21 +65,26 @@ def merton_reference(merton):
 
 
 @pytest.fixture(scope="session")
-def error_table(merton, reward, merton_reference):
+def merton_tables(merton, reward, conjugate, merton_reference):
+    """Both merton readouts from one ladder pass."""
     ladder = refinement_ladder(1, 5, 4, X_MAX, Y_MAX)
-    return run_ladder(merton, reward, ladder, "error", reference=merton_reference)
+    return run_ladder(merton, reward, ladder, reference=merton_reference, conjugate=conjugate)
 
 
 @pytest.fixture(scope="session")
-def merton_gap_table(merton, reward, conjugate):
-    ladder = refinement_ladder(1, 5, 4, X_MAX, Y_MAX)
-    return run_ladder(merton, reward, ladder, "gap", conjugate=conjugate)
+def error_table(merton_tables):
+    return merton_tables["error"]
+
+
+@pytest.fixture(scope="session")
+def merton_gap_table(merton_tables):
+    return merton_tables["gap"]
 
 
 @pytest.fixture(scope="session")
 def cuoco_gap_table(cuoco, reward, conjugate):
     ladder = refinement_ladder(1, 4, 4, X_MAX, Y_MAX)
-    return run_ladder(cuoco, reward, ladder, "gap", conjugate=conjugate)
+    return run_ladder(cuoco, reward, ladder, conjugate=conjugate)["gap"]
 
 
 def _solved_levels(model, reward, conjugate, k_max):

@@ -2,8 +2,8 @@
 
 Everything here is deliberately naive: plain Python loops, one state at a
 time, no shared code with the production sweep beyond the control meshes,
-the penalty transform leaf and the golden-section polish.  Slow is fine;
-these only run on toy problem sizes.
+the model's penalty and the golden-section polish.  Slow is fine; these
+only run on toy problem sizes.
 
 The one exception is the ``interp_*`` referee: the vectorised sweep as it
 was before displaced states were located once per solve, searching every
@@ -13,6 +13,11 @@ bit.
 
 The ``csv_*`` referee is the CSV writer as it was before it formatted
 whole blocks: one ``cell`` call per cell, one joined line per row.
+
+``scan_polish_conjugate`` is the penalty conjugate as it was before it
+became a maximum over the penalty's vertices: a fixed 201-point scan of
+the control interval, then a golden-section polish of the best bracket.
+It assumes nothing about kinks, so the naive sweep uses it too.
 """
 
 import dataclasses
@@ -23,7 +28,7 @@ from numbers import Integral
 import numpy as np
 
 from dualgap.lattice import SpaceGrid, TimeGrid, control_mesh
-from dualgap.market import cuoco_liu_model, merton_model, penalty_conjugate
+from dualgap.market import cuoco_liu_model, merton_model
 from dualgap.optim import golden_max
 from dualgap.quadrature import gauss_hermite_rule
 from dualgap.solver import step_factors
@@ -120,7 +125,7 @@ def naive_solve(model, terminal, disc, direction, rule):
                     drift += float(model.penalty(control))
                     noise = control * vol
                 else:
-                    drift = -(rate + penalty_conjugate(model, control))
+                    drift = -(rate + scan_polish_conjugate(model, control))
                     noise = (rate - appreciation - control) / vol
                 total = 0.0
                 for weight, xi in zip(rule.weights, rule.nodes):
@@ -130,6 +135,21 @@ def naive_solve(model, terminal, disc, direction, rule):
             row[m] = max(candidates) if direction == "primal" else min(candidates)
         rows[n] = row
     return nodes, np.stack(rows)
+
+
+def scan_polish_conjugate(model, nu):
+    """sup over admissible a of g(a) - a nu: 201-point scan, then a golden polish.
+
+    The scan picks the best mesh point (first index on ties), the polish
+    refines the bracket around it, and the larger of the two is kept.
+    """
+    mesh = control_mesh(model.a_interval, 201)
+    values = np.asarray(model.penalty(mesh), dtype=float) - mesh * nu
+    best = int(np.argmax(values))
+    lo = mesh[max(best - 1, 0)]
+    hi = mesh[min(best + 1, mesh.size - 1)]
+    refined, _ = golden_max(lambda a: float(model.penalty(a)) - a * nu, lo, hi)
+    return max(float(values[best]), refined)
 
 
 def convex_conjugate(spec, y, search_grid):

@@ -99,14 +99,29 @@ def test_convergence_orders_bad_ratios():
     assert len(convergence_orders([5.0])) == 1
 
 
-def test_run_ladder_validation(merton, reward, conjugate, merton_reference):
+def test_run_ladder_validation(merton, reward):
     ladder = refinement_ladder(1, 1, 4, 20.0, 4.0)
-    with pytest.raises(ValueError):
-        run_ladder(merton, reward, ladder, "sideways")
-    with pytest.raises(ValueError):
-        run_ladder(merton, reward, ladder, "error")
-    with pytest.raises(ValueError):
-        run_ladder(merton, reward, ladder, "gap")
+    with pytest.raises(ValueError, match="needs a reference value function, a conjugate"):
+        run_ladder(merton, reward, ladder)
+
+
+def test_one_ladder_pass_gives_each_readout_of_a_single_pass(
+    merton, reward, conjugate, merton_reference
+):
+    """Both readouts from one pass equal the one-readout passes, in order error, gap."""
+    ladder = refinement_ladder(1, 2, 4, 20.0, 4.0)
+    both = run_ladder(merton, reward, ladder, reference=merton_reference, conjugate=conjugate)
+    assert list(both) == ["error", "gap"]
+    alone = {
+        "error": run_ladder(merton, reward, ladder, reference=merton_reference)["error"],
+        "gap": run_ladder(merton, reward, ladder, conjugate=conjugate)["gap"],
+    }
+    for mode, table in both.items():
+        assert table.mode == mode
+        assert table.levels == ladder
+        assert table.norms == alone[mode].norms
+        assert str(table.orders) == str(alone[mode].orders)  # nan == nan as text
+        assert table.seconds == both["error"].seconds
 
 
 def test_error_table_shape(error_table):

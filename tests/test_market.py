@@ -1,7 +1,11 @@
 """Market coefficient functions, benchmark models, closed-form values."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+
+import oracles
 
 from dualgap import (
     MarketModel,
@@ -116,8 +120,8 @@ def test_conjugate_convex_in_gamma(cuoco):
 def _kink_and_ends(model, nu):
     """max of g(a) - a nu over a in {lo, 0, hi}.
 
-    That is the supremum for a concave penalty that is linear on either
-    side of a kink at 0, as both cuoco-liu pieces are.
+    That is the supremum for a penalty that is linear on either side of
+    a kink at 0, as both cuoco-liu pieces are, concave or not.
     """
     lo, hi = model.a_interval
     g = model.penalty
@@ -125,11 +129,9 @@ def _kink_and_ends(model, nu):
 
 
 def test_conjugate_is_exact_on_the_bundled_model(cuoco):
-    """The fixed scan mesh holds -1, 0 and 1, so the scan alone is exact.
+    """The vertices are -1, 0 and 1, so the conjugate is the kink-and-ends maximum.
 
-    The gammas are those of the finest ladder mesh, which holds every
-    coarser one.  (At gamma = R - r, where g(a) - a gamma is flat for
-    a > 0, the polish can exceed the scan by rounding.)
+    The gammas are those of the finest ladder mesh.
     """
     for gamma in control_mesh(cuoco.gamma_interval, 2**8 + 1):
         nu = float(gamma)
@@ -137,7 +139,11 @@ def test_conjugate_is_exact_on_the_bundled_model(cuoco):
 
 
 def test_conjugate_matches_the_kink_on_random_intervals():
-    """Off-mesh kinks are found by the golden-section polish."""
+    """Off-centre intervals: the kink at 0 is a vertex, whatever the mesh.
+
+    With r < 0.6 the kink is convex (borrowing rate above 2 r); the vertex
+    maximum is exact there too.
+    """
     rng = np.random.default_rng(5)
     for _ in range(40):
         model = cuoco_liu_model(
@@ -148,9 +154,72 @@ def test_conjugate_matches_the_kink_on_random_intervals():
             lambda_minus=float(rng.uniform(0.5, 2.0)),
         )
         nu = float(rng.uniform(-1.0, 1.0))
+        assert penalty_conjugate(model, nu) == _kink_and_ends(model, nu), nu
         assert penalty_conjugate(model, nu) == pytest.approx(
-            _kink_and_ends(model, nu), rel=0.0, abs=1.0e-12
+            oracles.scan_polish_conjugate(model, nu), rel=0.0, abs=1.0e-12
         )
+
+
+def test_conjugate_matches_the_scan_and_polish_referee(cuoco):
+    """Within abs 1e-15 on the dual bounds' mesh, bit for bit on every ladder mesh."""
+    for gamma in control_mesh(cuoco.gamma_interval, 201):
+        nu = float(gamma)
+        assert penalty_conjugate(cuoco, nu) == pytest.approx(
+            oracles.scan_polish_conjugate(cuoco, nu), rel=0.0, abs=1.0e-15
+        ), nu
+    for k in range(9):
+        for gamma in control_mesh(cuoco.gamma_interval, 2**k + 1):
+            nu = float(gamma)
+            assert penalty_conjugate(cuoco, nu) == oracles.scan_polish_conjugate(cuoco, nu), (k, nu)
+
+
+@pytest.mark.parametrize("name", ["merton", "cuoco"])
+def test_conjugate_over_an_array_is_the_scalar_calls(name, request):
+    model = dataclasses.replace(request.getfixturevalue(name), gamma_interval=(-1.0, 1.0))
+    gammas = np.linspace(-1.5, 1.5, 24).reshape(4, 6, 1)
+    got = np.asarray(penalty_conjugate(model, gammas))
+    assert got.shape == gammas.shape
+    want = np.array([penalty_conjugate(model, float(g)) for g in gammas.ravel()])
+    assert np.array_equal(got.ravel(), want)
+    assert type(penalty_conjugate(model, 0.25)) is float
+    assert type(penalty_conjugate(model, np.float64(0.25))) is float
+
+
+def test_merton_conjugate_on_a_widened_interval(merton):
+    """Zero penalty: the supremum of -a nu sits at an end of the interval."""
+    lo, hi = merton.a_interval
+    model = dataclasses.replace(merton, gamma_interval=(-2.0, 2.0))
+    gammas = control_mesh(model.gamma_interval, 33)
+    want = np.maximum(-lo * gammas, -hi * gammas)
+    assert np.array_equal(penalty_conjugate(model, gammas), want)
+    assert "\n" not in repr(penalty_conjugate(model, gammas[:, None]))
+    for nu in gammas:
+        assert penalty_conjugate(model, float(nu)) == max(-lo * nu, -hi * nu)
+
+
+def test_model_refuses_a_penalty_outside_the_vertex_contract(merton):
+    fields = _direct_fields(merton)
+    with pytest.raises(ValueError, match=r"not linear on the segment \[-1.0, 1.0\]"):
+        MarketModel(**{**fields, "penalty": lambda a: -np.square(a)})
+    with pytest.raises(ValueError, match=r"not linear on the segment \[-1.0, 0.0\]"):
+        MarketModel(**{**fields, "penalty": lambda a: -np.square(a), "kinks": (0.0,)})
+    with pytest.raises(ValueError, match=r"kinks \(1.5,\) must ascend inside .*\[-1.0, 1.0\]"):
+        MarketModel(**{**fields, "kinks": (1.5,)})
+    with pytest.raises(ValueError, match=r"kinks \(0.5, -0.5\) must ascend"):
+        MarketModel(**{**fields, "kinks": (0.5, -0.5)})
+    with pytest.raises(ValueError, match="empty control interval"):
+        MarketModel(**{**fields, "a_interval": (1.0, -1.0)})
+    # a kink the penalty does not have, or one at an end, is allowed
+    assert MarketModel(**{**fields, "kinks": (-1.0, 0.25)}).kinks == (-1.0, 0.25)
+    assert MarketModel(**{**fields, "penalty": lambda a: -np.abs(a), "kinks": (0.0,)})
+
+
+def test_conjugate_is_exact_at_a_convex_kink(merton):
+    """A convex kink is inside the contract: the supremum still sits at a vertex."""
+    model = MarketModel(**{**_direct_fields(merton), "penalty": np.abs, "kinks": (0.0,)})
+    for nu in np.linspace(-2.0, 2.0, 17):
+        want = max(abs(v) - v * nu for v in (-1.0, 0.0, 1.0))
+        assert penalty_conjugate(model, float(nu)) == want, nu
 
 
 def test_cuoco_model_validation():
@@ -164,8 +233,9 @@ def test_cuoco_model_validation():
         cuoco_liu_model(sigma=0.0)
 
 
-def test_model_built_directly_checks_its_vol_and_horizon(merton):
-    fields = dict(
+def _direct_fields(merton):
+    """MarketModel fields of a zero-penalty model built without a factory."""
+    return dict(
         name="direct",
         rate=0.8,
         appreciation=1.2,
@@ -175,6 +245,10 @@ def test_model_built_directly_checks_its_vol_and_horizon(merton):
         gamma_interval=(0.0, 0.0),
         horizon=0.5,
     )
+
+
+def test_model_built_directly_checks_its_vol_and_horizon(merton):
+    fields = _direct_fields(merton)
     assert MarketModel(**fields).vol == 1.0
     with pytest.raises(ValueError, match="volatility must be positive, got 0.0"):
         MarketModel(**{**fields, "vol": 0.0})

@@ -391,8 +391,8 @@ def test_merton_dual_solve_ignores_the_control_count(merton):
     assert np.array_equal(surfaces[0].data, surfaces[1].data)
 
 
-def test_conjugate_is_evaluated_once_per_gamma(monkeypatch):
-    """Constant coefficients: a dual solve builds its factors once, before the time loop."""
+def test_conjugate_is_evaluated_once_per_solve(monkeypatch):
+    """One vectorised conjugate call per dual solve, per bounds scan and per enumeration."""
     calls = []
 
     def counting(*args):
@@ -406,10 +406,30 @@ def test_conjugate_is_evaluated_once_per_gamma(monkeypatch):
     disc = refinement_ladder(2, 2, 4, 2.0, 2.0)[0]
     solve(model, terminal, disc, "dual")
     assert (disc.steps, disc.controls) == (16, 5)
-    assert len(calls) == disc.controls
+    assert len(calls) == 1
+    assert calls[0][1].size == disc.controls
     calls.clear()
     dual_coefficient_bounds(model)
-    assert len(calls) == 201
+    assert len(calls) == 1
+    assert calls[0][1].size == 201
+    calls.clear()
+    policy = (0.5, -0.25, 0.0, 1.0)
+    enumerate_coupled(model, gauss_hermite_rule(3), 4, 0.125, (1.0, 1.0), policy, policy)
+    assert len(calls) == 1
+
+
+def test_enumerate_coupled_matches_the_per_step_factors(cuoco):
+    """One factor call per chain gives the states of one call per step, bit for bit."""
+    rule = gauss_hermite_rule(3)
+    primal_policy, dual_policy = (0.5, -0.25, 1.0, 0.0), (-1.0, 0.2, 0.5, 0.0)
+    xs, ys, probs = enumerate_coupled(cuoco, rule, 3, 0.125, (1.5, 2.0), primal_policy, dual_policy)
+    want_x, want_y = np.array([1.5]), np.array([2.0])
+    for a, gamma in zip(primal_policy[:3], dual_policy[:3]):
+        want_x = np.outer(want_x, step_factors(cuoco, a, rule, 0.125, "primal")).ravel()
+        want_y = np.outer(want_y, step_factors(cuoco, gamma, rule, 0.125, "dual")).ravel()
+    assert np.array_equal(xs, want_x)
+    assert np.array_equal(ys, want_y)
+    assert probs.shape == (27,)
 
 
 def test_non_finite_row_names_direction_level_and_time(monkeypatch):
