@@ -23,7 +23,6 @@ from .apriori import (
     em_bound,
     envelope_constants,
     gh_bound,
-    tail_weights,
     truncation_allowance,
 )
 from .duality import (
@@ -109,7 +108,6 @@ __all__ = [
     "refinement_ladder",
     "run_ladder",
     "solve",
-    "tail_weights",
     "truncation_allowance",
     "window_norms",
     "write_convergence_csv",

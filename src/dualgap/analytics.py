@@ -14,7 +14,7 @@ window is where the scheme is supposed to be accurate.
 import math
 import time as _time
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -51,7 +51,6 @@ class ConvergenceTable:
     byte-identical.
     """
 
-    mode: str
     levels: Tuple[Discretization, ...]
     norms: Tuple[dict, ...]
     orders: dict
@@ -84,9 +83,8 @@ def refinement_ladder(k_min, k_max, order, x_max, y_max):
 def window_norms(xs, values, reference, window, spacing):
     """Discrete l1, l2, max norms of values - reference over a node window.
 
-    ``reference`` may be a callable of x or an array aligned with xs.
-    The l1 and l2 norms carry the node spacing, so they approximate the
-    continuous norms over the window.
+    ``reference`` is a callable of x.  The l1 and l2 norms carry the node
+    spacing, so they approximate the continuous norms over the window.
     """
     xs = np.asarray(xs, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -96,11 +94,7 @@ def window_norms(xs, values, reference, window, spacing):
     mask = (xs >= lo - 1.0e-12) & (xs <= hi + 1.0e-12)
     if not np.any(mask):
         raise ValueError(f"window [{lo}, {hi}] contains no grid nodes")
-    if callable(reference):
-        ref = np.asarray(reference(xs[mask]), dtype=float)
-    else:
-        ref = np.asarray(reference, dtype=float)[mask]
-    err = np.abs(values[mask] - ref)
+    err = np.abs(values[mask] - np.asarray(reference(xs[mask]), dtype=float))
     return {
         "l1": float(spacing * err.sum()),
         "l2": float(math.sqrt(spacing * float(np.sum(err * err)))),
@@ -125,7 +119,7 @@ def run_ladder(
     terminal,
     ladder,
     *,
-    reference: Optional[Union[Callable, np.ndarray]] = None,
+    reference: Optional[Callable] = None,
     conjugate=None,
 ):
     """Solve every ladder level once and collect each requested readout's norms.
@@ -173,7 +167,6 @@ def run_ladder(
         seconds.append(_time.perf_counter() - begin)
     return {
         mode: ConvergenceTable(
-            mode=mode,
             levels=tuple(ladder),
             norms=tuple(norms[mode]),
             orders={

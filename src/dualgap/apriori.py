@@ -8,8 +8,8 @@ needed.  Three ingredients:
     displacement (``em_bound``),
   * a Gaussian-replacement envelope, order h^((M-1)/2M), from the first
     quadrature moment the rule misses (``gh_bound``),
-  * tail weights and a truncation allowance bounding what restricting
-    the domain to [0, rho] can cost (``truncation_allowance``).
+  * a truncation allowance from large-deviation tail weights, bounding
+    what restricting the domain to [0, rho] can cost (``truncation_allowance``).
 
 The allowance's tail sum is one numpy pass per state, up to a
 closed-form last barrier.  numpy's log and exp may differ from
@@ -37,9 +37,9 @@ _TAIL_MAX_TERMS = 10_000_000
 class ConstantSet:
     """Coefficient sizes plus the derived constants of the error analysis.
 
-    ``drift_bound`` and ``vol_bound`` are the scanned sups of the drift
-    and volatility coefficients (per unit state); the properties below
-    are the explicit constants built from them.
+    ``drift_bound`` and ``vol_bound`` are the sups of the drift and
+    volatility coefficients (per unit state); the properties below are
+    the explicit constants built from them.
     """
 
     drift_bound: float
@@ -59,7 +59,7 @@ class ConstantSet:
 
 
 def constant_set(bounds, horizon):
-    """ConstantSet from scanned CoefficientBounds."""
+    """ConstantSet from CoefficientBounds."""
     if horizon <= 0.0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     return ConstantSet(drift_bound=bounds.drift, vol_bound=bounds.vol, horizon=float(horizon))
@@ -125,22 +125,6 @@ def _gaussian_tail_weight(log_ratio, drift_bound, vol_bound, horizon):
     return np.minimum(weight, 1.0, out=weight)
 
 
-def tail_weights(x, rho, c0, drift_bound, vol_bound, horizon):
-    """Probability weights of leaving [c0/rho, rho] from start x.
-
-    Returns (upper, lower): the weight of reaching level rho and the
-    weight of falling under the scaled cutoff, each of the clamped form
-    min(1, 2 exp(-(3 / (8 c_psi^2 T)) (log(level ratio) - c_mu T)^2)).
-    """
-    if x <= 0.0 or rho <= 0.0 or c0 <= 0.0:
-        raise ValueError("tail weights need positive x, rho, c0")
-    if vol_bound <= 0.0 or horizon <= 0.0:
-        raise ValueError("tail weights need positive volatility bound and horizon")
-    log_ratios = np.array([math.log(rho / x), math.log(rho / (c0 * x))])
-    upper, lower = _gaussian_tail_weight(log_ratios, drift_bound, vol_bound, horizon)
-    return float(upper), float(lower)
-
-
 def _barriers(x, rho, constants):
     """First and last integer barrier of the tail sum from state x.
 
@@ -187,7 +171,8 @@ def truncation_allowance(x, utility, rho, c0, constants):
 
     ``x`` is one state or a 1-D array of states; the result is a float
     or an array of the same length.  Small-wealth part: the utility at
-    the scaled-down cutoff times the weight of falling under it.
+    the scaled-down cutoff times the weight of falling under it,
+    min(1, 2 exp(-(3 / (8 c_psi^2 T)) (log(rho / (c0 x)) - c_mu T)^2)).
     Large-wealth part: the marginal utility at rho times the summed
     tail over integer barriers from floor(rho) up, truncated before the
     first term under 1e-16.  A truncated utility has zero slope at rho,
@@ -208,8 +193,14 @@ def truncation_allowance(x, utility, rho, c0, constants):
     if not np.all(nodes > 0.0):
         i = int(np.argmin(nodes > 0.0))
         raise ValueError(f"state must be positive, got {nodes[i]} at index {i}")
+    if rho <= 0.0 or c0 <= 0.0:
+        raise ValueError("tail weights need positive x, rho, c0")
+    if constants.vol_bound <= 0.0 or constants.horizon <= 0.0:
+        raise ValueError("tail weights need positive volatility bound and horizon")
+    # math's log, not numpy's, which may differ in the last ulp
+    log_ratios = np.array([math.log(rho / (c0 * s)) for s in nodes.tolist()])
     bounds = (constants.drift_bound, constants.vol_bound, constants.horizon)
-    lower = np.array([tail_weights(s, rho, c0, *bounds)[1] for s in nodes.tolist()])
+    lower = _gaussian_tail_weight(log_ratios, *bounds)
     total = float(utility.evaluate(c0 / rho)) * lower
     slope = float(utility.derivative(rho))
     if slope > 0.0:

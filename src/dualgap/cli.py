@@ -288,11 +288,16 @@ def cmd_solve(direction, cfg, out, args):
 def cmd_gap(cfg, out, args):
     problem = build_problem(cfg)
     k, disc = _level(cfg, args)
+    primal_constants = apriori.constant_set(market.coefficient_bounds(problem.model), cfg.T)
+    if primal_constants.vol_bound == 0.0:
+        raise ConfigError(
+            f"control interval {list(problem.model.a_interval)} holds no risky position, "
+            "and the gap's truncation allowance needs a positive volatility bound"
+        )
     primal = solver.solve(problem.model, problem.reward, disc, "primal")
     dual = solver.solve(problem.model, problem.conjugate, disc, "dual")
     report = duality.duality_gap(primal, dual, 0)
     rule = gauss_hermite_rule(cfg.M)
-    primal_constants = apriori.constant_set(market.coefficient_bounds(problem.model), cfg.T)
     dual_constants = apriori.constant_set(market.dual_coefficient_bounds(problem.model), cfg.T)
     c_primal, c_dual = apriori.envelope_constants(primal_constants, dual_constants, rule)
     allowance = apriori.truncation_allowance(

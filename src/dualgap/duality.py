@@ -33,16 +33,14 @@ class GapReport:
     """Gap values at one time index, per interior space node.
 
     ``argmin_y`` records where the conjugate minimum was attained
-    (smallest index on ties) and ``boundary_hit`` flags nodes whose
+    (smallest dual node on ties) and ``boundary_hit`` flags nodes whose
     minimiser sat at an end of the dual grid, where the reported gap is
     a boundary artefact rather than a conjugacy statement.
     """
 
-    time_index: int
     x: np.ndarray
     gap: np.ndarray
     argmin_y: np.ndarray
-    argmin_index: np.ndarray
     boundary_hit: np.ndarray
 
 
@@ -52,14 +50,13 @@ class BoundReport:
 
     At each node: lower <= true value - primal value <= upper, with
     ``upper`` combining the observed gap, the dual envelope at the
-    attained conjugate argument, and the truncation allowance.
+    attained conjugate argument, and the truncation allowance.  ``x``
+    lets a writer check the nodes against the gap report's.
     """
 
     x: np.ndarray
-    gap: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    constants: dict
 
 
 def duality_gap(primal, dual, time_index=0):
@@ -89,11 +86,9 @@ def duality_gap(primal, dual, time_index=0):
         low[rows] = minimand[np.arange(minimand.shape[0]), pick[rows]]
     gap = low - primal.data[n, 1:]
     return GapReport(
-        time_index=n,
         x=xs.copy(),
         gap=gap,
         argmin_y=ys[pick],
-        argmin_index=pick + 1,
         boundary_hit=(pick == 0) | (pick == ys.size - 1),
     )
 
@@ -108,7 +103,7 @@ def aposteriori_bounds(
     lip_dual,
     c_primal,
     c_dual,
-    allowance=None,
+    allowance,
 ):
     """Wrap a gap report into the computable two-sided error bounds.
 
@@ -124,30 +119,12 @@ def aposteriori_bounds(
         raise ValueError("step and spacing must be positive")
     rate = step ** ((order - 1.0) / (2.0 * order)) + spacing / step
     two_m = 2 * order
-    if allowance is None:
-        slack = np.zeros(report.x.shape)
-    else:
-        slack = np.asarray(allowance, dtype=float)
-        if slack.shape != report.x.shape:
-            raise ValueError("allowance array must match the report nodes")
+    slack = np.asarray(allowance, dtype=float)
+    if slack.shape != report.x.shape:
+        raise ValueError("allowance array must match the report nodes")
     lower = -lip_primal * c_primal * (1.0 + report.x**two_m) * rate
     upper = report.gap + lip_dual * c_dual * (1.0 + report.argmin_y**two_m) * rate + slack
-    return BoundReport(
-        x=report.x,
-        gap=report.gap,
-        lower=lower,
-        upper=upper,
-        constants={
-            "order": order,
-            "step": step,
-            "spacing": spacing,
-            "rate": rate,
-            "lip_primal": lip_primal,
-            "lip_dual": lip_dual,
-            "c_primal": c_primal,
-            "c_dual": c_dual,
-        },
-    )
+    return BoundReport(x=report.x, lower=lower, upper=upper)
 
 
 def polar_defect(model, rule, steps, step, start, primal_policy, dual_policy):

@@ -111,12 +111,12 @@ class Located:
 
     @property
     def size(self):
-        """Number of located points, as ``size`` counts an array query."""
+        """Number of located points, read by the benchmark's points counter."""
         return sum(index.size for index in self.index)
 
 
 def _bracket(grid, q):
-    """Bracket index (intp) and offset of every point of a query array (ndim >= 1)."""
+    """Bracket index (intp) and offset of every point of a state array (ndim >= 1)."""
     index = np.searchsorted(grid.nodes, q, side="right") - 1
     index[q > grid.length] = grid.cells + 1
     np.maximum(index, 0, out=index)
@@ -155,12 +155,12 @@ def _read(slope, level, index, offset):
     return out
 
 
-def interpolate(grid, values, query, plateau=None):
-    """Piecewise-linear read of a grid row with the scheme's boundary closure.
+def interpolate(grid, values, query, plateau):
+    """Piecewise-linear reads of a grid row at located states, with the boundary closure.
 
     Inside [0, length] this is plain linear interpolation.  Left of 0
     the first cell is continued linearly; right of length the value is
-    the constant ``plateau`` (the last entry when not given).
+    the constant ``plateau``.
 
     Every point is read as ``slope[j] * (q - x_j) + y[j]``, the formula
     of ``np.interp``, on a table extended by a zero slope at the last
@@ -174,16 +174,15 @@ def interpolate(grid, values, query, plateau=None):
     grid : SpaceGrid
     values : array of shape (cells + 1,)
         Row to read; must be finite.
-    query : float, array or Located
-        A ``Located`` is read block by block and branch by branch: the
-        result is then an iterator over its blocks, each an iterator
-        over the branches' (controls, width) arrays.
-    plateau : float, optional
+    query : Located
+        The states to read, bracketed on ``grid`` once by ``locate``.
+    plateau : float
         Right-boundary constant.
 
     Returns
     -------
-    float or ndarray matching ``query``, or the iterator above.
+    An iterator over the blocks of ``query``, each an iterator over the
+    branches' (controls, width) arrays.
     """
     row = np.asarray(values, dtype=float)
     if row.shape != (grid.cells + 1,):
@@ -192,33 +191,24 @@ def interpolate(grid, values, query, plateau=None):
         raise ValueError("cannot interpolate a row with non-finite entries")
     slope = np.zeros(row.size + 1)
     np.divide(np.diff(row), np.diff(grid.nodes), out=slope[:-2])
-    level = np.append(row, row[-1] if plateau is None else float(plateau))
-    if isinstance(query, Located):
-        return (
-            (_read(slope, level, j, d) for j, d in zip(index, offset))
-            for index, offset in zip(query.index, query.offset)
-        )
-    q = np.asarray(query, dtype=float)
-    out = _read(slope, level, *_bracket(grid, q.reshape(-1))).reshape(q.shape)
-    if q.ndim == 0:
-        return float(out)
-    return out
+    level = np.append(row, float(plateau))
+    return (
+        (_read(slope, level, j, d) for j, d in zip(index, offset))
+        for index, offset in zip(query.index, query.offset)
+    )
 
 
 def control_mesh(interval, count):
-    """Equidistant control candidates on a closed interval.
+    """``count`` >= 2 equidistant control candidates on a closed interval.
 
     A degenerate interval collapses to its single point regardless of
-    ``count``; a single requested point sits at the midpoint so that the
-    mesh never privileges one endpoint.
+    ``count``.
     """
     lo, hi = float(interval[0]), float(interval[1])
-    if count < 1:
-        raise ValueError(f"need at least one mesh point, got {count}")
+    if count < 2:
+        raise ValueError(f"need at least two mesh points, got {count}")
     if lo > hi:
         raise ValueError(f"empty control interval [{lo}, {hi}]")
     if lo == hi:
         return np.array([lo])
-    if count == 1:
-        return np.array([0.5 * (lo + hi)])
     return np.linspace(lo, hi, count)

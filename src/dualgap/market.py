@@ -1,16 +1,17 @@
 """Market models: controlled wealth dynamics and their convex duals.
 
 A model is plain data: a constant riskless rate r, risky appreciation
-rate b and volatility sigma, and a concave drift penalty g(a) encoding
-trading constraints (zero for the unconstrained case).  The wealth
-fraction a invested in the risky asset lives in a bounded interval
-containing 0, so the primal drift and volatility are
+rate b and volatility sigma, and a piecewise-linear drift penalty g(a)
+encoding trading constraints (zero for the unconstrained case), whose
+kinks may be concave or convex.  The wealth fraction a invested in the
+risky asset lives in a bounded interval containing 0, so the primal
+drift and volatility are
 
     x * (r + a (b - r) + g(a)),    x * a * sigma.
 
 The dual state process runs against an auxiliary control gamma from a
-second interval, with the penalty replaced by its concave conjugate in
-the control argument and the drift reversed in sign:
+second interval, with the penalty replaced by its conjugate
+sup_a {g(a) - a gamma}, convex in gamma, and the drift reversed in sign:
 
     -y * (r + sup_a {g(a) - a gamma}),    y * (r - b - gamma) / sigma.
 
@@ -22,23 +23,18 @@ A model lists the kinks of its penalty, and the penalty must be linear
 between the vertices (the interval ends and the kinks); the model checks
 this when it is built.  g(a) - a gamma is then linear between vertices
 too, so its supremum is attained at a vertex, and the conjugate is one
-maximum over the vertices: exact, and vectorised in gamma.
+maximum over the vertices: exact, and vectorised in gamma.  The
+coefficient sizes are exact too, evaluated only where they can peak.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
 
-from .lattice import control_mesh
 from .optim import golden_max  # noqa: F401  kept: the benchmark tests this traced binding
-
-#: mesh resolution of the primal coefficient-bound scan
-_BOUND_A_STEP = 1.0e-4
-
-#: points of the dual bounds' gamma mesh
-_SCAN_MESH = 201
 
 #: relative tolerance of the penalty's linearity check
 _SEGMENT_RTOL = 1.0e-12
@@ -93,12 +89,17 @@ def _check_penalty(penalty, interval, kinks):
 class CoefficientBounds:
     """Worst-case coefficient sizes feeding the error constants.
 
-    ``drift`` bounds |r + a (b - r) + g| over controls,
-    ``vol`` bounds |a sigma|.
+    ``drift`` is the largest |r + a (b - r) + g| over the controls,
+    ``vol`` the largest |a sigma|, or the dual coefficients' over gamma.
     """
 
     drift: float
     vol: float
+
+
+def _vertices(model):
+    """The ends of the control interval and the kinks between them, ascending."""
+    return np.array((model.a_interval[0], *model.kinks, model.a_interval[1]))
 
 
 def penalty_conjugate(model, nu):
@@ -112,7 +113,7 @@ def penalty_conjugate(model, nu):
     line, and the benchmark's trace file keeps one printed return value
     per line.
     """
-    vertices = np.array((model.a_interval[0], *model.kinks, model.a_interval[1]))
+    vertices = _vertices(model)
     nu = np.asarray(nu, dtype=float)[..., None]
     best = (np.asarray(model.penalty(vertices), dtype=float) - vertices * nu).max(axis=-1)
     return best.tolist()
@@ -189,18 +190,22 @@ def cuoco_liu_model(
     """Margin-constrained market with a borrowing spread.
 
     Long positions are margined at rate lambda_plus, short ones at
-    lambda_minus with a haircut iota on the shorted stock, and cash
-    borrowed beyond wealth costs ``borrowing_rate`` instead of r.  The
+    lambda_minus with a haircut iota on the shorted stock.  The
     admissible fractions are those with total margin at most one, i.e.
     the interval [-1/lambda_minus, 1/lambda_plus], and the drift penalty
 
         g(a) = -r (1 + iota lambda_minus) max(0, -a)
                - (borrowing_rate - r) (1 - max(0, a) - iota lambda_minus max(0, -a))
 
-    is piecewise linear with one kink at a = 0 and g <= 0 on the
-    admissible set.  It is concave exactly when borrowing_rate <= 2 r;
-    a larger spread makes the kink convex, which the vertex conjugate
-    handles all the same.
+    is piecewise linear with one kink at a = 0.  The spread
+    borrowing_rate - r is charged on 1 - a^+ - iota lambda_minus a^-
+    whatever its sign, so g(0) = -(borrowing_rate - r) although the
+    position a = 0 borrows nothing, and g <= 0 on the admissible set
+    wherever that amount is nonnegative, as it is for lambda_plus >= 1
+    and iota <= 1.  The formula is kept as it is because the benchmark's
+    frozen reference outputs (``perfbench/reference.json``) depend on it.
+    It is concave exactly when borrowing_rate <= 2 r; a larger spread
+    makes the kink convex, which the vertex conjugate handles as well.
     """
     if borrowing_rate < r:
         raise ValueError(f"borrowing rate {borrowing_rate} must be at least r = {r}")
@@ -230,31 +235,36 @@ def cuoco_liu_model(
     )
 
 
-def _mesh(lo, hi, step):
-    if hi == lo:
-        return np.array([lo])
-    count = max(int(math.ceil((hi - lo) / step)) + 1, 2)
-    return np.linspace(lo, hi, count)
-
-
 def coefficient_bounds(model):
-    """Scan the primal coefficients for their worst-case sizes."""
-    mesh = _mesh(*model.a_interval, _BOUND_A_STEP)
+    """Worst-case sizes of the primal drift and volatility coefficients.
+
+    Both are linear in a between the penalty's vertices, so their largest
+    absolute values are attained at a vertex: exact, with no scan.
+    """
+    vertices = _vertices(model)
     r, b = model.rate, model.appreciation
-    drift = np.abs(r + mesh * (b - r) + np.asarray(model.penalty(mesh), dtype=float))
-    vol = np.abs(mesh * model.vol)
+    drift = np.abs(r + vertices * (b - r) + np.asarray(model.penalty(vertices), dtype=float))
+    vol = np.abs(vertices * model.vol)
     return CoefficientBounds(drift=float(drift.max()), vol=float(vol.max()))
 
 
 def dual_coefficient_bounds(model):
     """Worst-case sizes of the dual drift and volatility coefficients.
 
-    The conjugate penalty is convex in gamma, so the scan over a modest
-    gamma mesh, which contains both endpoints, is reliable; the conjugate
-    is one call over the whole mesh.  A reversed control interval raises
-    ``ValueError``.
+    The volatility is linear in gamma, so it peaks at an end of the gamma
+    interval.  r + conj(gamma) is convex and piecewise linear, kinked at
+    pairwise slopes of the penalty's vertices: largest at an end, smallest
+    at an end or at such a slope.  One conjugate call over those gammas
+    is exact.  A reversed control interval raises ``ValueError``.
     """
-    gammas = control_mesh(model.gamma_interval, _SCAN_MESH)
+    lo, hi = model.gamma_interval
+    if lo > hi:
+        raise ValueError(f"empty control interval [{lo}, {hi}]")
+    vertices = _vertices(model)
+    points = zip(vertices.tolist(), np.asarray(model.penalty(vertices), dtype=float).tolist())
+    pairs = itertools.combinations(points, 2)
+    slopes = [(g1 - g2) / (v1 - v2) for (v1, g1), (v2, g2) in pairs if v1 != v2]
+    gammas = np.array([lo, hi, *(slope for slope in slopes if lo < slope < hi)])
     conj = np.asarray(penalty_conjugate(model, gammas))
     r, b = model.rate, model.appreciation
     drift = np.abs(r + conj)

@@ -52,7 +52,6 @@ class ValueSurface:
     time: TimeGrid
     data: np.ndarray
     direction: str
-    plateau: float
 
     def validate(self):
         """Check the discrete structure the sweep is supposed to preserve.
@@ -187,7 +186,7 @@ def solve(model, terminal, disc, direction="primal"):
         data[n] = row
     del located  # 10 B per located point, not needed past the sweep
     data.setflags(write=False)
-    surface = ValueSurface(grid=grid, time=time, data=data, direction=direction, plateau=plateau)
+    surface = ValueSurface(grid=grid, time=time, data=data, direction=direction)
     surface.validate()
     return surface
 

@@ -18,6 +18,12 @@ whole blocks: one ``cell`` call per cell, one joined line per row.
 became a maximum over the penalty's vertices: a fixed 201-point scan of
 the control interval, then a golden-section polish of the best bracket.
 It assumes nothing about kinks, so the naive sweep uses it too.
+
+``scan_coefficient_bounds`` and ``scan_dual_coefficient_bounds`` are the
+coefficient sizes as they were before they were evaluated at the
+penalty's vertices: the largest values on a 1e-4-spaced control mesh and
+on a 201-point gamma mesh.  A scan reads low, or one ulp high on a flat
+stretch of a coefficient.
 """
 
 import dataclasses
@@ -28,7 +34,7 @@ from numbers import Integral
 import numpy as np
 
 from dualgap.lattice import SpaceGrid, TimeGrid, control_mesh
-from dualgap.market import cuoco_liu_model, merton_model
+from dualgap.market import CoefficientBounds, cuoco_liu_model, merton_model, penalty_conjugate
 from dualgap.optim import golden_max
 from dualgap.quadrature import gauss_hermite_rule
 from dualgap.solver import step_factors
@@ -150,6 +156,27 @@ def scan_polish_conjugate(model, nu):
     hi = mesh[min(best + 1, mesh.size - 1)]
     refined, _ = golden_max(lambda a: float(model.penalty(a)) - a * nu, lo, hi)
     return max(float(values[best]), refined)
+
+
+def scan_coefficient_bounds(model):
+    """Largest primal drift and volatility sizes on a control mesh of spacing 1e-4."""
+    lo, hi = model.a_interval
+    count = max(int(math.ceil((hi - lo) / 1.0e-4)) + 1, 2)
+    mesh = np.array([lo]) if hi == lo else np.linspace(lo, hi, count)
+    r, b = model.rate, model.appreciation
+    drift = np.abs(r + mesh * (b - r) + np.asarray(model.penalty(mesh), dtype=float))
+    vol = np.abs(mesh * model.vol)
+    return CoefficientBounds(drift=float(drift.max()), vol=float(vol.max()))
+
+
+def scan_dual_coefficient_bounds(model):
+    """Largest dual drift and volatility sizes on a 201-point gamma mesh."""
+    gammas = control_mesh(model.gamma_interval, 201)
+    conj = np.asarray(penalty_conjugate(model, gammas))
+    r, b = model.rate, model.appreciation
+    drift = np.abs(r + conj)
+    vol = np.abs((r - b - gammas) / model.vol)
+    return CoefficientBounds(drift=float(drift.max()), vol=float(vol.max()))
 
 
 def convex_conjugate(spec, y, search_grid):

@@ -30,7 +30,6 @@ from dualgap import (
     merton_model,
     power_utility,
     refinement_ladder,
-    tail_weights,
     truncation_allowance,
 )
 from dualgap import apriori
@@ -116,25 +115,30 @@ def test_bound_step_validation(primal_constants, rule4):
         gh_bound(-0.01, 1.0, rule4, 3.0, primal_constants)
 
 
-def test_tail_weight_clamps_near_the_barrier():
-    upper, lower = tail_weights(1.0, 18.0, 8.0, 1.2, 1.0, 0.5)
-    assert lower == 1.0
-    assert 0.0 < upper < 1.0
+def _lower_weight(x, constants):
+    """The small-wealth tail weight: the truncated reward's allowance over u(c0/rho) = 4/3."""
+    reward = lipschitz_truncate(power_utility(0.5), 18.0, 8.0)
+    return truncation_allowance(x, reward, 18.0, 8.0, constants) / (4.0 / 3.0)
 
 
-def test_tail_weight_large_deviation_value():
+def test_tail_weight_clamps_near_the_barrier(primal_constants):
+    assert _lower_weight(1.0, primal_constants) == 1.0
+    assert 0.0 < _lower_weight(0.05, primal_constants) < 1.0
+
+
+def test_tail_weight_large_deviation_value(primal_constants):
     """Start chosen so the log ratio exceeds the drifted mean by 2."""
-    x = 18.0 * math.exp(-2.6)
-    upper, lower = tail_weights(x, 18.0, 8.0, 1.2, 1.0, 0.5)
-    assert upper == pytest.approx(2.0 * math.exp(-3.0), rel=1.0e-12)
-    assert lower == 1.0
+    x = (18.0 / 8.0) * math.exp(-2.6)
+    assert _lower_weight(x, primal_constants) == pytest.approx(2.0 * math.exp(-3.0), rel=1.0e-12)
 
 
-def test_tail_weight_validation():
-    with pytest.raises(ValueError):
-        tail_weights(0.0, 18.0, 8.0, 1.2, 1.0, 0.5)
-    with pytest.raises(ValueError):
-        tail_weights(1.0, 18.0, 8.0, 1.2, 0.0, 0.5)
+def test_tail_weight_validation(primal_constants):
+    reward = lipschitz_truncate(power_utility(0.5), 18.0, 8.0)
+    with pytest.raises(ValueError, match="positive x, rho, c0"):
+        truncation_allowance(1.0, reward, 18.0, 0.0, primal_constants)
+    flat = ConstantSet(drift_bound=1.2, vol_bound=0.0, horizon=0.5)
+    with pytest.raises(ValueError, match="positive volatility bound and horizon"):
+        truncation_allowance(np.array([1.0, 2.0]), reward, 18.0, 8.0, flat)
 
 
 def test_allowance_truncated_reward(primal_constants):

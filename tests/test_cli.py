@@ -214,6 +214,23 @@ def test_gap_pipeline(capsys, tmp_path):
         assert upper >= gap
 
 
+def test_gap_refuses_a_control_interval_without_a_risky_position(capsys, tmp_path):
+    """With a_min = a_max = 0 the truncation allowance has no volatility to bound.
+
+    ``gap`` exits 2 before it writes anything; the other pipelines still run.
+    """
+    cfg = write_cfg(tmp_path, "problem = merton\na_min = 0\na_max = 0\nk_min = 1\nk_max = 1\n")
+    out = tmp_path / "out"
+    assert run(["gap", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: control interval [0.0, 0.0] holds no risky position, "
+        "and the gap's truncation allowance needs a positive volatility bound\n"
+    )
+    assert not any(out.iterdir())
+    for command in ("solve-primal", "solve-dual", "convergence", "bounds", "polar-check"):
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 0, command
+
+
 def test_convergence_pipeline_reruns_identically(capsys, tmp_path):
     cfg = write_cfg(tmp_path, MERTON_SMALL)
     out_a = tmp_path / "a"

@@ -27,7 +27,6 @@ def _flat_surface(direction, length, cells, rows, steps=2):
         time=TimeGrid(0.5, steps),
         data=data,
         direction=direction,
-        plateau=float(data[-1, -1]),
     )
 
 
@@ -39,7 +38,6 @@ def test_gap_against_zero_dual_surface():
     assert np.array_equal(report.x, [0.5, 1.0, 1.5, 2.0])
     assert np.allclose(report.gap, 0.25 * report.x, atol=1.0e-14)
     assert np.all(report.argmin_y == 0.25)
-    assert np.all(report.argmin_index == 1)
     assert np.all(report.boundary_hit)
 
 
@@ -50,7 +48,6 @@ def test_gap_tie_keeps_smallest_index():
     dual = _flat_surface("dual", 1.0, 4, list(1.0 - ys))
     report = duality_gap(primal, dual, 0)
     at_one = int(np.argwhere(np.isclose(report.x, 1.0))[0][0])
-    assert report.argmin_index[at_one] == 1
     assert report.argmin_y[at_one] == 0.25
     assert report.gap[at_one] == pytest.approx(1.0, abs=1.0e-14)
 
@@ -64,7 +61,7 @@ def test_gap_readout_in_row_chunks_matches_the_whole_minimand(merton_gap_levels)
     pick = np.argmin(minimand, axis=1)
     gap = minimand[np.arange(xs.size), pick] - primal.data[0, 1:]
     assert np.array_equal(report.gap.view(np.uint64), gap.view(np.uint64))
-    assert np.array_equal(report.argmin_index, pick + 1)
+    assert np.array_equal(report.argmin_y, ys[pick])
     assert np.array_equal(report.boundary_hit, (pick == 0) | (pick == ys.size - 1))
 
 
@@ -90,11 +87,9 @@ def test_gap_on_solved_surfaces_is_positive(merton_gap_levels):
 
 def _toy_report():
     return GapReport(
-        time_index=0,
         x=np.array([1.0]),
         gap=np.array([0.5]),
         argmin_y=np.array([1.0]),
-        argmin_index=np.array([3]),
         boundary_hit=np.array([False]),
     )
 
@@ -109,10 +104,10 @@ def test_bounds_collapse_without_constants():
         lip_dual=18.0,
         c_primal=0.0,
         c_dual=0.0,
+        allowance=np.zeros(1),
     )
     assert bounds.lower[0] == 0.0
     assert bounds.upper[0] == 0.5
-    assert bounds.constants["rate"] == pytest.approx(0.015625**0.375 + 1.0, abs=1.0e-14)
 
 
 def test_bounds_rate_arithmetic():
@@ -127,6 +122,7 @@ def test_bounds_rate_arithmetic():
         lip_dual=3.0,
         c_primal=1.0,
         c_dual=1.0,
+        allowance=np.zeros(1),
     )
     rate = step**0.375 + 1.0
     assert bounds.lower[0] == pytest.approx(-3.0 * 2.0 * rate, abs=1.0e-12)
@@ -144,6 +140,7 @@ def test_bounds_allowance_forms():
         lip_dual=1.0,
         c_primal=0.0,
         c_dual=0.0,
+        allowance=np.zeros(1),
     )
     shifted = aposteriori_bounds(
         _toy_report(),
@@ -170,6 +167,7 @@ def test_bounds_validation():
             lip_dual=1.0,
             c_primal=1.0,
             c_dual=1.0,
+            allowance=np.zeros(1),
         )
     with pytest.raises(ValueError):
         aposteriori_bounds(
@@ -181,6 +179,7 @@ def test_bounds_validation():
             lip_dual=1.0,
             c_primal=1.0,
             c_dual=1.0,
+            allowance=np.zeros(1),
         )
     with pytest.raises(ValueError):
         aposteriori_bounds(
@@ -304,6 +303,7 @@ def test_gap_csv_with_bounds(tmp_path):
         lip_dual=1.0,
         c_primal=1.0,
         c_dual=1.0,
+        allowance=np.zeros(1),
     )
     path = tmp_path / "gap.csv"
     write_gap_csv(report, path, "toy", bounds)
@@ -319,10 +319,8 @@ def test_gap_csv_mismatch(tmp_path):
     report = _toy_report()
     bad = BoundReport(
         x=np.array([1.0, 2.0]),
-        gap=np.array([0.5, 0.5]),
         lower=np.array([-1.0, -1.0]),
         upper=np.array([1.0, 1.0]),
-        constants={},
     )
     path = tmp_path / "gap.csv"
     with pytest.raises(ValueError, match="does not match the gap report nodes"):

@@ -53,45 +53,63 @@ def test_discretization_carries_both_state_grids():
     assert disc.y_max == 4.0
 
 
+def _read_at(grid, row, queries, plateau):
+    """``interpolate`` at the states (q / length) * length, located at the last node.
+
+    These states are the queries q themselves when the length is a power of two.
+    One control per query, so the reads come back in query order.
+    """
+    located = locate(grid, np.asarray(queries, dtype=float)[:, None] / grid.length)
+    (block,) = interpolate(grid, row, located, plateau)
+    return next(block)[:, -1]
+
+
 def test_interpolate_interior():
     grid = SpaceGrid(2.0, 4)
     row = np.array([0.0, 1.0, 4.0, 9.0, 16.0])
-    assert interpolate(grid, row, 0.75) == pytest.approx(2.5, abs=1.0e-14)
-    assert interpolate(grid, row, 1.0) == 4.0
+    got = _read_at(grid, row, [0.75, 1.0], 16.0)
+    assert got[0] == pytest.approx(2.5, abs=1.0e-14)
+    assert got[1] == 4.0
 
 
 def test_interpolate_left_extension():
     """Below zero the first cell's slope continues linearly."""
     grid = SpaceGrid(2.0, 4)
     row = np.array([1.0, 3.0, 4.0, 5.0, 6.0])
-    assert interpolate(grid, row, -0.25) == pytest.approx(0.0, abs=1.0e-14)
-    assert interpolate(grid, row, -1.0) == pytest.approx(-3.0, abs=1.0e-14)
+    got = _read_at(grid, row, [-0.25, -1.0], 6.0)
+    assert got == pytest.approx([0.0, -3.0], abs=1.0e-14)
 
 
 def test_interpolate_right_cap():
     grid = SpaceGrid(2.0, 4)
     row = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
-    assert interpolate(grid, row, 2.5) == 4.0
-    assert interpolate(grid, row, 2.5, plateau=7.5) == 7.5
+    assert _read_at(grid, row, [2.5], 4.0)[0] == 4.0
     # the cap applies beyond the grid only
-    assert interpolate(grid, row, 1.9, plateau=7.5) == pytest.approx(3.8, abs=1.0e-14)
+    got = _read_at(grid, row, [2.5, 1.9], 7.5)
+    assert got[0] == 7.5
+    assert got[1] == pytest.approx(3.8, abs=1.0e-14)
 
 
 def test_interpolate_vector_queries():
+    """Blocks and branches come back in order, each a (controls, width) array."""
     grid = SpaceGrid(2.0, 4)
     row = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
-    out = interpolate(grid, row, np.array([-0.5, 0.25, 3.0]), plateau=9.0)
-    assert out.shape == (3,)
-    assert np.allclose(out, [-1.0, 0.5, 9.0], atol=1.0e-14)
-    assert isinstance(interpolate(grid, row, 0.3), float)
+    factors = np.array([[-1.0, 0.5], [6.0, 1.0]])  # (controls, branches)
+    with mock.patch.object(lattice, "_BLOCK", 6):  # three nodes per block
+        located = locate(grid, factors)
+    blocks = [list(reads) for reads in interpolate(grid, row, located, 9.0)]
+    assert [[read.shape for read in reads] for reads in blocks] == [[(2, 3)] * 2, [(2, 2)] * 2]
+    first = np.concatenate([reads[0] for reads in blocks], axis=1)
+    assert np.allclose(first, [[0.0, -1.0, -2.0, -3.0, -4.0], [0.0, 9.0, 9.0, 9.0, 9.0]])
 
 
 def test_interpolate_validation():
     grid = SpaceGrid(2.0, 4)
-    with pytest.raises(ValueError):
-        interpolate(grid, np.zeros(4), 1.0)
-    with pytest.raises(ValueError):
-        interpolate(grid, np.array([0.0, 1.0, np.nan, 3.0, 4.0]), 1.0)
+    located = locate(grid, np.ones((1, 1)))
+    with pytest.raises(ValueError, match="expected 5 values"):
+        interpolate(grid, np.zeros(4), located, 0.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        interpolate(grid, np.array([0.0, 1.0, np.nan, 3.0, 4.0]), located, 0.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -104,7 +122,7 @@ def test_interpolate_reproduces_linear_data(intercept, slope, query):
     """Linear rows are read back exactly, including the left extension."""
     grid = SpaceGrid(2.0, 5)
     row = intercept + slope * np.asarray(grid.nodes)
-    got = interpolate(grid, row, query)
+    got = _read_at(grid, row, [query], 0.0)[0]
     assert got == pytest.approx(intercept + slope * query, abs=1.0e-10)
 
 
@@ -129,8 +147,9 @@ def test_interpolate_is_np_interp_with_the_two_closures(case, data):
         st.sampled_from(grid.nodes.tolist()),  # exact nodes, x == length among them
     )
     queries = np.array(data.draw(st.lists(query, min_size=1, max_size=32)))
-    got = interpolate(grid, row, queries, plateau)
-    assert np.array_equal(got, oracles.interp_read(grid, row, queries, plateau))
+    got = _read_at(grid, row, queries, plateau)
+    states = queries / grid.length * grid.length
+    assert np.array_equal(got, oracles.interp_read(grid, row, states, plateau))
 
 
 @settings(max_examples=100, deadline=None)
@@ -159,12 +178,13 @@ def test_located_reads_are_np_interp_with_the_two_closures(case, data):
 def test_control_mesh_cases():
     mesh = control_mesh((-1.0, 1.0), 5)
     assert np.array_equal(mesh, np.array([-1.0, -0.5, 0.0, 0.5, 1.0]))
+    assert np.array_equal(control_mesh((-1.0, 1.0), 2), np.array([-1.0, 1.0]))
     assert np.array_equal(control_mesh((0.0, 0.0), 7), np.array([0.0]))
-    assert np.array_equal(control_mesh((-1.0, 1.0), 1), np.array([0.0]))
 
 
 def test_control_mesh_validation():
-    with pytest.raises(ValueError):
-        control_mesh((-1.0, 1.0), 0)
+    for count in (0, 1):
+        with pytest.raises(ValueError, match="at least two mesh points"):
+            control_mesh((-1.0, 1.0), count)
     with pytest.raises(ValueError):
         control_mesh((1.0, -1.0), 3)

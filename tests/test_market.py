@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 
@@ -17,9 +19,16 @@ from dualgap import (
     merton_optimal_fraction,
     merton_value,
 )
+from dualgap.cli import build_problem, load_config
 from dualgap.market import penalty_conjugate
 
 A_MESH = np.linspace(-1.0, 1.0, 201)
+
+
+def _normal_floats(lo, hi):
+    # a subnormal rate spread fails the model's linearity check
+    return st.floats(lo, hi, allow_subnormal=False)
+
 
 
 @pytest.fixture(scope="module")
@@ -281,6 +290,63 @@ def test_dual_bounds_cuoco(cuoco):
     assert bounds.drift == pytest.approx(1.8, abs=1.0e-9)
     assert bounds.vol == pytest.approx(2.8, abs=1.0e-9)
 
+
+def test_dual_drift_bound_is_found_inside_the_gamma_interval():
+    """r + conj(gamma) is most negative at gamma = 13/15, where two vertex lines cross.
+
+    The vertices are -1, 0 and 1/2 with g = -2, -1.4 and -0.7; the lines
+    -2 + gamma and -0.7 - gamma/2 cross at 13/15, and 0.6 - 17/15 = -8/15.
+    The 201-point scan reads 0.53 there.
+    """
+    model = cuoco_liu_model(r=0.6, borrowing_rate=2.0, b=0.5, iota=0.0, lambda_plus=2.0)
+    assert dual_coefficient_bounds(model).drift == pytest.approx(8.0 / 15.0, rel=1.0e-15)
+    assert oracles.scan_dual_coefficient_bounds(model).drift < 8.0 / 15.0 - 1.0e-3
+
+
+@pytest.mark.parametrize("config", ["merton", "cuoco_liu"])
+def test_bounds_equal_the_scans_on_the_bundled_configs(config):
+    model = build_problem(load_config(config)).model
+    assert coefficient_bounds(model) == oracles.scan_coefficient_bounds(model)
+    assert dual_coefficient_bounds(model) == oracles.scan_dual_coefficient_bounds(model)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    r=_normal_floats(0.0, 1.0),
+    spread=_normal_floats(0.0, 1.5),  # borrowing rate above 2 r: a convex kink
+    excess=_normal_floats(-0.5, 1.0),
+    sigma=_normal_floats(0.3, 2.0),
+    iota=_normal_floats(0.0, 1.0),
+    lambda_plus=_normal_floats(0.5, 2.0),
+    lambda_minus=_normal_floats(0.5, 2.0),
+    gamma_lo=_normal_floats(-2.0, 1.0),
+    gamma_width=_normal_floats(0.0, 3.0),
+)
+def test_bounds_are_never_below_the_scans(
+    r, spread, excess, sigma, iota, lambda_plus, lambda_minus, gamma_lo, gamma_width
+):
+    """Random cuoco-liu models, convex kinks included, against the scanning referees.
+
+    A flat stretch of a coefficient, read between its vertices, can round
+    one ulp above them (5.6e-17 at most in 20,000 draws), hence abs 1e-14;
+    what a scan misses reaches rel 8.7e-3.
+    """
+    model = cuoco_liu_model(
+        r=r,
+        borrowing_rate=r + spread,
+        b=r + excess,
+        sigma=sigma,
+        iota=iota,
+        lambda_plus=lambda_plus,
+        lambda_minus=lambda_minus,
+        gamma_interval=(gamma_lo, gamma_lo + gamma_width),
+    )
+    for exact, scan in (
+        (coefficient_bounds(model), oracles.scan_coefficient_bounds(model)),
+        (dual_coefficient_bounds(model), oracles.scan_dual_coefficient_bounds(model)),
+    ):
+        assert exact.drift >= scan.drift - 1.0e-14
+        assert exact.vol >= scan.vol - 1.0e-14
 
 
 def test_dual_bounds_reject_a_reversed_gamma_interval():

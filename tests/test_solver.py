@@ -231,7 +231,6 @@ def _surface(data, direction):
         time=TimeGrid(1.0, rows.shape[0] - 1),
         data=rows,
         direction=direction,
-        plateau=float(rows[-1, -1]),
     )
 
 
@@ -392,7 +391,7 @@ def test_merton_dual_solve_ignores_the_control_count(merton):
 
 
 def test_conjugate_is_evaluated_once_per_solve(monkeypatch):
-    """One vectorised conjugate call per dual solve, per bounds scan and per enumeration."""
+    """One vectorised conjugate call per dual solve, per dual bounds and per enumeration."""
     calls = []
 
     def counting(*args):
@@ -411,7 +410,8 @@ def test_conjugate_is_evaluated_once_per_solve(monkeypatch):
     calls.clear()
     dual_coefficient_bounds(model)
     assert len(calls) == 1
-    assert calls[0][1].size == 201
+    # the ends, then the vertex slopes inside
+    assert calls[0][1] == pytest.approx([-1.0, 1.0, 0.65, 0.2], abs=1.0e-15)
     calls.clear()
     policy = (0.5, -0.25, 0.0, 1.0)
     enumerate_coupled(model, gauss_hermite_rule(3), 4, 0.125, (1.0, 1.0), policy, policy)
@@ -485,7 +485,7 @@ def test_surface_csv_is_streamed(tmp_path):
     time = TimeGrid(0.5, 128)
     grid = SpaceGrid(2.0, 1024)
     data = np.tile(np.sqrt(grid.nodes), (time.steps + 1, 1))
-    surface = ValueSurface(grid=grid, time=time, data=data, direction="primal", plateau=data[0, -1])
+    surface = ValueSurface(grid=grid, time=time, data=data, direction="primal")
     path = tmp_path / "surface.csv"
     tracemalloc.start()
     try:
@@ -516,7 +516,7 @@ def test_surface_csv_special_values_match_the_per_cell_writer(tmp_path):
     specials = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e300, -1e300, 0.1]
     data = np.array([specials, specials[::-1]])
     surface = ValueSurface(
-        grid=SpaceGrid(7.0, 7), time=TimeGrid(0.5, 1), data=data, direction="dual", plateau=0.0
+        grid=SpaceGrid(7.0, 7), time=TimeGrid(0.5, 1), data=data, direction="dual"
     )
     path = tmp_path / "surface.csv"
     write_surface_csv(surface, path, "specials")
