@@ -10,10 +10,11 @@ config problem, 3 on a numerical failure.
 import argparse
 import math
 import sys
-from dataclasses import dataclass, make_dataclass, replace
+from dataclasses import dataclass, make_dataclass
 from functools import partial
 from importlib import resources
 from pathlib import Path
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -29,33 +30,84 @@ _MAX_LEVEL = 8
 _POLAR_STEPS = (2, 4, 8)
 _POLAR_DRAWS = 16
 
-# key -> (parser, default); None default means resolved later or required
+
+@dataclass(frozen=True)
+class _Key:
+    """One config key; its messages are templates over ``key``, ``raw`` and ``value``.
+
+    ``default`` is a value, or a mapping from problem to value where the
+    problems differ.  ``check`` is a test of the parsed value and the
+    message it fails with; ``malformed`` is the message of a parse failure.
+    """
+
+    parse: Callable
+    default: object
+    readers: Tuple[str, ...] = _PROBLEMS
+    check: Optional[Tuple[Callable, str]] = None
+    malformed: str = "bad value for {key}: {raw!r}"
+
+
+_MERTON = ("merton",)
+_CUOCO_LIU = ("cuoco-liu",)
+_POSITIVE = (lambda v: v > 0.0, "{key} must be positive, got {value}")
+_NONNEGATIVE = (lambda v: v >= 0, "{key} must be nonnegative, got {value}")
+_MARGIN = (lambda v: v > 0.0, "lambda_plus and lambda_minus must be positive")
+
+#: every config key, in the order ``load_config`` parses and checks them.  A
+#: file may set a key only for its readers: cuoco-liu's control interval is
+#: [-1/lambda_minus, 1/lambda_plus], so only merton reads a_min and a_max.
 _SCHEMA = {
-    "problem": (str, None),
-    "p": (float, 0.5),
-    "r": (float, 0.8),
-    "b": (float, 1.2),
-    "sigma": (float, 1.0),
-    "T": (float, 0.5),
-    "x_max": (float, 20.0),
-    "y_max": (str, "auto"),
-    "R": (float, 1.0),
-    "iota": (float, 0.5),
-    "lambda_plus": (float, 1.0),
-    "lambda_minus": (float, 1.0),
-    "a_min": (float, -1.0),
-    "a_max": (float, 1.0),
-    "gamma_min": (float, None),
-    "gamma_max": (float, None),
-    "M": (int, 4),
-    "k_min": (int, 1),
-    "k_max": (int, 5),
-    "rho": (float, 18.0),
-    "c0": (float, 8.0),
-    "mode": (str, None),
-    "out": (str, "results"),
-    "seed": (int, 0),
+    "problem": _Key(str, None),  # required, and read before every other key
+    "p": _Key(float, 0.5, check=(lambda v: 0.0 < v < 1.0, "p must lie in (0, 1), got {value}")),
+    "r": _Key(float, 0.8),
+    "b": _Key(float, 1.2),
+    "sigma": _Key(float, 1.0, check=_POSITIVE),
+    "T": _Key(float, 0.5, check=_POSITIVE),
+    "x_max": _Key(float, 20.0, check=_POSITIVE),
+    # "auto" is resolved once every check has passed
+    "y_max": _Key(
+        lambda raw: raw if raw == "auto" else float(raw),
+        "auto",
+        check=(lambda v: v == "auto" or v > 0.0, "y_max must be positive, got {value}"),
+        malformed="y_max must be a number or 'auto', got {raw!r}",
+    ),
+    "R": _Key(float, 1.0, readers=_CUOCO_LIU),
+    "iota": _Key(float, 0.5, readers=_CUOCO_LIU, check=_NONNEGATIVE),
+    "lambda_plus": _Key(float, 1.0, readers=_CUOCO_LIU, check=_MARGIN),
+    "lambda_minus": _Key(float, 1.0, readers=_CUOCO_LIU, check=_MARGIN),
+    "a_min": _Key(float, -1.0, readers=_MERTON),
+    "a_max": _Key(float, 1.0, readers=_MERTON),
+    "gamma_min": _Key(float, {"merton": 0.0, "cuoco-liu": -1.0}),
+    "gamma_max": _Key(float, {"merton": 0.0, "cuoco-liu": 1.0}),
+    "M": _Key(int, 4, check=(lambda v: 2 <= v <= 20, "M must lie in [2, 20], got {value}")),
+    "k_min": _Key(int, 1, check=_NONNEGATIVE),
+    "k_max": _Key(int, 5, check=(
+        lambda v: v <= _MAX_LEVEL, f"k_max = {{value}} exceeds the supported maximum {_MAX_LEVEL}"
+    )),
+    "rho": _Key(float, 18.0, check=_POSITIVE),
+    "c0": _Key(float, 8.0, check=_POSITIVE),
+    "mode": _Key(str, {"merton": "error", "cuoco-liu": "gap"}, check=(
+        lambda v: v in _MODES, f"mode must be one of {', '.join(_MODES)}, got {{value}}"
+    )),
+    "out": _Key(str, "results"),
+    "seed": _Key(int, 0, check=_NONNEGATIVE),
 }
+
+#: the checks that span keys, in order: a test of the values and the message it fails with
+_CROSS_CHECKS = (
+    (lambda v: v["c0"] / v["rho"] < v["rho"],
+     lambda v: f"c0/rho = {v['c0'] / v['rho']} must fall below rho = {v['rho']}"),
+    (lambda v: v["rho"] <= v["x_max"],
+     lambda v: f"rho = {v['rho']} must not exceed x_max = {v['x_max']}"),
+    (lambda v: v["a_min"] <= 0.0 <= v["a_max"],
+     lambda v: f"control interval [{v['a_min']}, {v['a_max']}] must contain 0"),
+    (lambda v: v["gamma_min"] <= v["gamma_max"],
+     lambda v: f"empty dual control interval [{v['gamma_min']}, {v['gamma_max']}]"),
+    (lambda v: v["k_min"] <= v["k_max"],
+     lambda v: f"k_min = {v['k_min']} exceeds k_max = {v['k_max']}"),
+    (lambda v: v["problem"] != "cuoco-liu" or v["R"] >= v["r"],
+     lambda v: f"borrowing rate R = {v['R']} must be at least r = {v['r']}"),
+)
 
 
 def _render(value):
@@ -74,7 +126,7 @@ def _echo(self):
 #: the fully resolved config, one field per schema key; ``y_max`` holds a number
 ExperimentConfig = make_dataclass(
     "ExperimentConfig",
-    [(key, cast) for key, (cast, _) in _SCHEMA.items()],
+    list(_SCHEMA),
     namespace={"echo": _echo, "__module__": __name__},
     frozen=True,
 )
@@ -112,105 +164,49 @@ def _parse_entries(text, source):
 
 
 def load_config(spec):
-    """Parse and validate a config file into a fully resolved ExperimentConfig."""
+    """Parse and check a config file into a fully resolved ExperimentConfig.
+
+    A key set in the file must parse, be finite, be read by the problem and
+    pass its own check; a key left out takes its default.  Then the checks
+    that span keys run, in order.
+    """
     path = resolve_config_path(spec)
     entries = _parse_entries(path.read_text(encoding="utf-8"), str(spec))
     unknown = sorted(set(entries) - set(_SCHEMA))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    values = {}
-    for key, (cast, default) in _SCHEMA.items():
-        if key in entries:
-            try:
-                values[key] = cast(entries[key])
-            except ValueError:
-                raise ConfigError(f"bad value for {key}: {entries[key]!r}") from None
-            if cast is float and not math.isfinite(values[key]):
-                raise ConfigError(f"{key} must be finite, got {entries[key]}")
-        else:
-            values[key] = default
-    if values["problem"] is None:
+    problem = entries.get("problem")
+    if problem is None:
         raise ConfigError("missing required key: problem")
-    if values["problem"] not in _PROBLEMS:
-        raise ConfigError(f"problem must be one of {', '.join(_PROBLEMS)}, got {values['problem']}")
-    if values["gamma_min"] is None:
-        values["gamma_min"] = 0.0 if values["problem"] == "merton" else -1.0
-    if values["gamma_max"] is None:
-        values["gamma_max"] = 0.0 if values["problem"] == "merton" else 1.0
-    if values["mode"] is None:
-        values["mode"] = "error" if values["problem"] == "merton" else "gap"
-    _validate(values)
-    values["y_max"] = _resolve_y_max(values)
-    return ExperimentConfig(**values)
-
-
-def _validate(values):
-    def require(condition, message):
-        if not condition:
-            raise ConfigError(message)
-
-    require(0.0 < values["p"] < 1.0, f"p must lie in (0, 1), got {values['p']}")
-    require(values["sigma"] > 0.0, f"sigma must be positive, got {values['sigma']}")
-    require(values["T"] > 0.0, f"T must be positive, got {values['T']}")
-    require(values["x_max"] > 0.0, f"x_max must be positive, got {values['x_max']}")
-    require(values["rho"] > 0.0, f"rho must be positive, got {values['rho']}")
-    require(values["c0"] > 0.0, f"c0 must be positive, got {values['c0']}")
-    require(
-        values["c0"] / values["rho"] < values["rho"],
-        f"c0/rho = {values['c0'] / values['rho']} must fall below rho = {values['rho']}",
-    )
-    require(
-        values["rho"] <= values["x_max"],
-        f"rho = {values['rho']} must not exceed x_max = {values['x_max']}",
-    )
-    require(
-        values["a_min"] <= 0.0 <= values["a_max"],
-        f"control interval [{values['a_min']}, {values['a_max']}] must contain 0",
-    )
-    require(
-        values["gamma_min"] <= values["gamma_max"],
-        f"empty dual control interval [{values['gamma_min']}, {values['gamma_max']}]",
-    )
-    require(2 <= values["M"] <= 20, f"M must lie in [2, 20], got {values['M']}")
-    require(values["k_min"] >= 0, f"k_min must be nonnegative, got {values['k_min']}")
-    require(
-        values["k_min"] <= values["k_max"],
-        f"k_min = {values['k_min']} exceeds k_max = {values['k_max']}",
-    )
-    require(
-        values["k_max"] <= _MAX_LEVEL,
-        f"k_max = {values['k_max']} exceeds the supported maximum {_MAX_LEVEL}",
-    )
-    require(values["mode"] in _MODES, f"mode must be one of {', '.join(_MODES)}, got {values['mode']}")
-    require(values["seed"] >= 0, f"seed must be nonnegative, got {values['seed']}")
-    if values["problem"] == "cuoco-liu":
-        require(
-            values["R"] >= values["r"],
-            f"borrowing rate R = {values['R']} must be at least r = {values['r']}",
-        )
-        require(
-            values["lambda_plus"] > 0.0 and values["lambda_minus"] > 0.0,
-            "lambda_plus and lambda_minus must be positive",
-        )
-        require(values["iota"] >= 0.0, f"iota must be nonnegative, got {values['iota']}")
-
-
-def _resolve_y_max(values):
-    raw = values["y_max"]
-    if raw != "auto":
+    if problem not in _PROBLEMS:
+        raise ConfigError(f"problem must be one of {', '.join(_PROBLEMS)}, got {problem}")
+    values = {}
+    for key, row in _SCHEMA.items():
+        if key not in entries:
+            default = row.default
+            values[key] = default[problem] if isinstance(default, dict) else default
+            continue
+        raw = entries[key]
         try:
-            y_max = float(raw)
+            value = row.parse(raw)
         except ValueError:
-            raise ConfigError(f"y_max must be a number or 'auto', got {raw!r}") from None
-        if not math.isfinite(y_max):
-            raise ConfigError(f"y_max must be finite, got {raw}")
-        if y_max <= 0.0:
-            raise ConfigError(f"y_max must be positive, got {y_max}")
-        return y_max
-    # auto: cover the conjugate's support edge with integer headroom
-    x_rho = values["c0"] / values["rho"]
-    chord_slope = (x_rho ** values["p"] / values["p"]) / x_rho
-    return float(math.ceil(max(chord_slope, 4.0)))
+            raise ConfigError(row.malformed.format(key=key, raw=raw)) from None
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {raw}")
+        if problem not in row.readers:
+            raise ConfigError(f"{key} is not read by problem {problem}")
+        if row.check is not None and not row.check[0](value):
+            raise ConfigError(row.check[1].format(key=key, value=value))
+        values[key] = value
+    for holds, message in _CROSS_CHECKS:
+        if not holds(values):
+            raise ConfigError(message(values))
+    if values["y_max"] == "auto":
+        # cover the conjugate's support edge with integer headroom
+        x_rho = values["c0"] / values["rho"]
+        chord_slope = (x_rho ** values["p"] / values["p"]) / x_rho
+        values["y_max"] = float(math.ceil(max(chord_slope, 4.0)))
+    return ExperimentConfig(**values)
 
 
 @dataclass(frozen=True)
@@ -232,9 +228,8 @@ def build_problem(cfg):
                 sigma=cfg.sigma,
                 horizon=cfg.T,
                 a_interval=(cfg.a_min, cfg.a_max),
+                gamma_interval=(cfg.gamma_min, cfg.gamma_max),
             )
-            if (cfg.gamma_min, cfg.gamma_max) != (0.0, 0.0):
-                model = replace(model, gamma_interval=(cfg.gamma_min, cfg.gamma_max))
         else:
             model = market.cuoco_liu_model(
                 r=cfg.r,

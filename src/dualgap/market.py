@@ -80,7 +80,9 @@ def _check_penalty(penalty, interval, kinks):
         if left == right:
             continue
         g_left, g_mid, g_right = (float(penalty(a)) for a in (left, 0.5 * (left + right), right))
-        scale = _SEGMENT_RTOL * max(abs(g_left), abs(g_mid), abs(g_right))
+        largest = max(abs(g_left), abs(g_mid), abs(g_right))
+        # a few ulps floor: the relative term underflows on subnormal values
+        scale = max(_SEGMENT_RTOL * largest, 4.0 * math.ulp(largest))
         if abs(g_mid - 0.5 * (g_left + g_right)) > scale:
             raise ValueError(f"penalty is not linear on the segment [{left}, {right}]")
 
@@ -119,11 +121,13 @@ def penalty_conjugate(model, nu):
     return best.tolist()
 
 
-def merton_model(r=0.8, b=1.2, sigma=1.0, horizon=0.5, a_interval=(-1.0, 1.0)):
+def merton_model(
+    r=0.8, b=1.2, sigma=1.0, horizon=0.5, a_interval=(-1.0, 1.0), gamma_interval=(0.0, 0.0)
+):
     """Unconstrained benchmark with constant coefficients and zero penalty.
 
-    The dual control interval is degenerate at 0: with no constraint the
-    conjugate penalty is finite only there.
+    The dual control interval defaults to the degenerate one at 0: with
+    no constraint the conjugate penalty is finite only there.
     """
     lo, hi = a_interval
     if not lo <= 0.0 <= hi:
@@ -139,7 +143,7 @@ def merton_model(r=0.8, b=1.2, sigma=1.0, horizon=0.5, a_interval=(-1.0, 1.0)):
         vol=float(sigma),
         penalty=penalty,
         a_interval=(float(lo), float(hi)),
-        gamma_interval=(0.0, 0.0),
+        gamma_interval=(float(gamma_interval[0]), float(gamma_interval[1])),
         horizon=float(horizon),
     )
 

@@ -1,6 +1,7 @@
 """Config handling, subcommand pipelines, exit codes, output files."""
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -19,6 +20,11 @@ problem = merton
 k_min = 1
 k_max = 2
 """
+
+
+def whole(message):
+    """A ``match`` pattern that accepts exactly ``message``."""
+    return f"^{re.escape(message)}$"
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -107,12 +113,60 @@ def test_explicit_dual_extent(tmp_path):
         ("problem = merton\nr = nan\n", "r must be finite, got nan"),
         ("problem = merton\niota = nan\n", "iota must be finite, got nan"),
         ("problem = cuoco-liu\nlambda_plus = -inf\n", "lambda_plus must be finite"),
+        ("problem = merton\nsigma = 0\n", whole("sigma must be positive, got 0.0")),
+        ("problem = merton\nT = -0.5\n", whole("T must be positive, got -0.5")),
+        ("problem = merton\nx_max = 0\n", whole("x_max must be positive, got 0.0")),
+        ("problem = merton\nrho = 0\n", whole("rho must be positive, got 0.0")),
+        ("problem = merton\nc0 = -8\n", whole("c0 must be positive, got -8.0")),
+        (
+            "problem = merton\nc0 = 400\n",
+            whole("c0/rho = 22.22222222222222 must fall below rho = 18.0"),
+        ),
+        ("problem = merton\ngamma_min = 0.5\n", whole("empty dual control interval [0.5, 0.0]")),
+        (
+            "problem = cuoco-liu\ngamma_max = -2\n",
+            whole("empty dual control interval [-1.0, -2.0]"),
+        ),
+        ("problem = merton\nk_min = -1\n", whole("k_min must be nonnegative, got -1")),
+        ("problem = merton\nk_min = 6\n", whole("k_min = 6 exceeds k_max = 5")),
+        ("problem = merton\nseed = -1\n", whole("seed must be nonnegative, got -1")),
+        (
+            "problem = cuoco-liu\nlambda_plus = 0\n",
+            whole("lambda_plus and lambda_minus must be positive"),
+        ),
+        (
+            "problem = cuoco-liu\nlambda_minus = -2\n",
+            whole("lambda_plus and lambda_minus must be positive"),
+        ),
+        ("problem = cuoco-liu\niota = -0.1\n", whole("iota must be nonnegative, got -0.1")),
+        # a key the problem never reads is refused, not echoed as if used
+        ("problem = cuoco-liu\na_min = -0.25\n", whole("a_min is not read by problem cuoco-liu")),
+        ("problem = cuoco-liu\na_max = 0.5\n", whole("a_max is not read by problem cuoco-liu")),
+        ("problem = merton\nR = 7\n", whole("R is not read by problem merton")),
+        ("problem = merton\niota = 3\n", whole("iota is not read by problem merton")),
+        ("problem = merton\nlambda_plus = 9\n", whole("lambda_plus is not read by problem merton")),
+        (
+            "problem = merton\nlambda_minus = 1\n",
+            whole("lambda_minus is not read by problem merton"),
+        ),
     ],
 )
 def test_config_validation_messages(tmp_path, text, fragment):
     path = write_cfg(tmp_path, text)
     with pytest.raises(ConfigError, match=fragment):
         load_config(str(path))
+
+
+@pytest.mark.parametrize(
+    "problem,gamma_interval,mode",
+    [("merton", (0.0, 0.0), "error"), ("cuoco-liu", (-1.0, 1.0), "gap")],
+)
+def test_problem_alone_loads_its_defaults(tmp_path, problem, gamma_interval, mode):
+    cfg = load_config(str(write_cfg(tmp_path, f"problem = {problem}\n")))
+    assert (cfg.gamma_min, cfg.gamma_max) == gamma_interval
+    assert cfg.mode == mode
+    assert (cfg.a_min, cfg.a_max) == (-1.0, 1.0)
+    assert build_problem(cfg).model.gamma_interval == gamma_interval
 
 
 def test_build_problem_merton():
@@ -158,6 +212,14 @@ def test_run_rejects_a_non_finite_value_with_exit_code_2(capsys, tmp_path):
     code = run(["solve-primal", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 2
     assert capsys.readouterr().err == "config error: x_max must be finite, got inf\n"
+
+
+def test_run_refuses_an_unread_key_before_it_writes(capsys, tmp_path):
+    cfg = write_cfg(tmp_path, "problem = cuoco-liu\na_min = -0.25\na_max = 0.5\n")
+    out = tmp_path / "out"
+    assert run(["gap", "--config", str(cfg), "--out", str(out), "--level", "1"]) == 2
+    assert capsys.readouterr().err == "config error: a_min is not read by problem cuoco-liu\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("level", ["9", "-1"])

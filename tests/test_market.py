@@ -25,11 +25,6 @@ from dualgap.market import penalty_conjugate
 A_MESH = np.linspace(-1.0, 1.0, 201)
 
 
-def _normal_floats(lo, hi):
-    # a subnormal rate spread fails the model's linearity check
-    return st.floats(lo, hi, allow_subnormal=False)
-
-
 
 @pytest.fixture(scope="module")
 def merton():
@@ -197,7 +192,7 @@ def test_conjugate_over_an_array_is_the_scalar_calls(name, request):
 def test_merton_conjugate_on_a_widened_interval(merton):
     """Zero penalty: the supremum of -a nu sits at an end of the interval."""
     lo, hi = merton.a_interval
-    model = dataclasses.replace(merton, gamma_interval=(-2.0, 2.0))
+    model = merton_model(gamma_interval=(-2.0, 2.0))
     gammas = control_mesh(model.gamma_interval, 33)
     want = np.maximum(-lo * gammas, -hi * gammas)
     assert np.array_equal(penalty_conjugate(model, gammas), want)
@@ -240,6 +235,12 @@ def test_cuoco_model_validation():
         cuoco_liu_model(iota=-0.1)
     with pytest.raises(ValueError):
         cuoco_liu_model(sigma=0.0)
+
+
+def test_model_accepts_a_linear_penalty_with_subnormal_values():
+    """A borrowing spread of 5e-324 keeps the penalty linear; its values are subnormal."""
+    model = cuoco_liu_model(r=0.0, borrowing_rate=5e-324, lambda_plus=2.0)
+    assert model.penalty(0.0) == -5e-324
 
 
 def _direct_fields(merton):
@@ -312,15 +313,15 @@ def test_bounds_equal_the_scans_on_the_bundled_configs(config):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
-    r=_normal_floats(0.0, 1.0),
-    spread=_normal_floats(0.0, 1.5),  # borrowing rate above 2 r: a convex kink
-    excess=_normal_floats(-0.5, 1.0),
-    sigma=_normal_floats(0.3, 2.0),
-    iota=_normal_floats(0.0, 1.0),
-    lambda_plus=_normal_floats(0.5, 2.0),
-    lambda_minus=_normal_floats(0.5, 2.0),
-    gamma_lo=_normal_floats(-2.0, 1.0),
-    gamma_width=_normal_floats(0.0, 3.0),
+    r=st.floats(0.0, 1.0),
+    spread=st.floats(0.0, 1.5),  # borrowing rate above 2 r: a convex kink
+    excess=st.floats(-0.5, 1.0),
+    sigma=st.floats(0.3, 2.0),
+    iota=st.floats(0.0, 1.0),
+    lambda_plus=st.floats(0.5, 2.0),
+    lambda_minus=st.floats(0.5, 2.0),
+    gamma_lo=st.floats(-2.0, 1.0),
+    gamma_width=st.floats(0.0, 3.0),
 )
 def test_bounds_are_never_below_the_scans(
     r, spread, excess, sigma, iota, lambda_plus, lambda_minus, gamma_lo, gamma_width
