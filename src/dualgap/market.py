@@ -19,25 +19,22 @@ The product of the two chains driven by the same noise is then a
 supermartingale up to O(h^2) per step, which is what makes the computed
 duality gap meaningful.
 
-A model lists the kinks of its penalty, and the penalty must be linear
-between the vertices (the interval ends and the kinks); the model checks
-this when it is built.  g(a) - a gamma is then linear between vertices
-too, so its supremum is attained at a vertex, and the conjugate is one
-maximum over the vertices: exact, and vectorised in gamma.  The
+A model stores its penalty as data: its values at the vertices (the
+interval ends and the kinks between them), linear in between, so no
+non-linear segment can be built.  g(a) - a gamma is then linear between
+vertices too, so its supremum is attained at a vertex, and the conjugate
+is one maximum over the vertices: exact, and vectorised in gamma.  The
 coefficient sizes are exact too, evaluated only where they can peak.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .optim import golden_max  # noqa: F401  kept: the benchmark tests this traced binding
-
-#: relative tolerance of the penalty's linearity check
-_SEGMENT_RTOL = 1.0e-12
 
 
 @dataclass(frozen=True)
@@ -48,43 +45,32 @@ class MarketModel:
     rate: float
     appreciation: float
     vol: float
-    penalty: Callable  # penalty(a), vectorised in a
-    a_interval: Tuple[float, float]
+    vertices: Tuple[float, ...]  # strictly ascending, the control interval's ends outermost
+    values: Tuple[float, ...]  # the penalty at each vertex, linear in between
     gamma_interval: Tuple[float, float]
     horizon: float
-    kinks: Tuple[float, ...] = ()  # where the penalty's slope changes, ascending
 
     def __post_init__(self):
         if self.vol <= 0.0:
             raise ValueError(f"volatility must be positive, got {self.vol}")
         if self.horizon <= 0.0:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
-        _check_penalty(self.penalty, self.a_interval, self.kinks)
+        if not self.vertices or len(self.values) != len(self.vertices):
+            raise ValueError(f"need one value per vertex, got {self.values} at {self.vertices}")
+        if any(left >= right for left, right in zip(self.vertices, self.vertices[1:])):
+            raise ValueError(f"vertices {self.vertices} must ascend strictly")
+        lo, hi = self.gamma_interval
+        if lo > hi:
+            raise ValueError(f"empty control interval [{lo}, {hi}]")
 
+    @property
+    def a_interval(self):
+        """The control interval: the first and last vertex."""
+        return (self.vertices[0], self.vertices[-1])
 
-def _check_penalty(penalty, interval, kinks):
-    """Refuse a penalty outside the model contract, naming the segment.
-
-    The kinks must ascend inside the interval and the penalty must be
-    linear on every segment between vertices (probed at its midpoint).
-    Nothing else is needed: g(a) - a nu is then piecewise linear and
-    peaks at a vertex, whether the kinks are concave or convex.
-    """
-    lo, hi = interval
-    if lo > hi:
-        raise ValueError(f"empty control interval [{lo}, {hi}]")
-    vertices = (lo, *kinks, hi)
-    if any(left > right for left, right in zip(vertices, vertices[1:])):
-        raise ValueError(f"kinks {kinks} must ascend inside the control interval [{lo}, {hi}]")
-    for left, right in zip(vertices, vertices[1:]):
-        if left == right:
-            continue
-        g_left, g_mid, g_right = (float(penalty(a)) for a in (left, 0.5 * (left + right), right))
-        largest = max(abs(g_left), abs(g_mid), abs(g_right))
-        # a few ulps floor: the relative term underflows on subnormal values
-        scale = max(_SEGMENT_RTOL * largest, 4.0 * math.ulp(largest))
-        if abs(g_mid - 0.5 * (g_left + g_right)) > scale:
-            raise ValueError(f"penalty is not linear on the segment [{left}, {right}]")
+    def penalty(self, a):
+        """g(a), vectorised in a: the linear interpolant of the vertex values."""
+        return np.interp(a, self.vertices, self.values)
 
 
 @dataclass(frozen=True)
@@ -99,25 +85,19 @@ class CoefficientBounds:
     vol: float
 
 
-def _vertices(model):
-    """The ends of the control interval and the kinks between them, ascending."""
-    return np.array((model.a_interval[0], *model.kinks, model.a_interval[1]))
-
-
 def penalty_conjugate(model, nu):
     """sup over admissible a of g(a) - a nu, for a scalar or an array ``nu``.
 
-    The model's penalty is linear between its vertices (the ends of
-    ``model.a_interval`` and ``model.kinks``), so g(a) - a nu is too and
-    the supremum is the largest g(v) - v nu over the vertices: exact,
+    The model's penalty is linear between its vertices, so g(a) - a nu is
+    too and the supremum is the largest g(v) - v nu over the vertices: exact,
     with no search.  A scalar ``nu`` gives a float, an array the nested
     list of floats that ``ndarray.tolist`` makes.  A list prints on one
     line, and the benchmark's trace file keeps one printed return value
     per line.
     """
-    vertices = _vertices(model)
+    vertices = np.array(model.vertices)
     nu = np.asarray(nu, dtype=float)[..., None]
-    best = (np.asarray(model.penalty(vertices), dtype=float) - vertices * nu).max(axis=-1)
+    best = (np.array(model.values) - vertices * nu).max(axis=-1)
     return best.tolist()
 
 
@@ -129,20 +109,17 @@ def merton_model(
     The dual control interval defaults to the degenerate one at 0: with
     no constraint the conjugate penalty is finite only there.
     """
-    lo, hi = a_interval
+    lo, hi = float(a_interval[0]), float(a_interval[1])
     if not lo <= 0.0 <= hi:
         raise ValueError(f"control interval must contain 0, got {a_interval}")
-
-    def penalty(a):
-        return np.zeros_like(np.asarray(a, dtype=float))
-
+    vertices = (lo,) if lo == hi else (lo, hi)
     return MarketModel(
         name="merton",
         rate=float(r),
         appreciation=float(b),
         vol=float(sigma),
-        penalty=penalty,
-        a_interval=(float(lo), float(hi)),
+        vertices=vertices,
+        values=(0.0,) * len(vertices),
         gamma_interval=(float(gamma_interval[0]), float(gamma_interval[1])),
         horizon=float(horizon),
     )
@@ -201,7 +178,8 @@ def cuoco_liu_model(
         g(a) = -r (1 + iota lambda_minus) max(0, -a)
                - (borrowing_rate - r) (1 - max(0, a) - iota lambda_minus max(0, -a))
 
-    is piecewise linear with one kink at a = 0.  The spread
+    is piecewise linear with one kink at a = 0; the model stores its values
+    at the vertices -1/lambda_minus, 0 and 1/lambda_plus.  The spread
     borrowing_rate - r is charged on 1 - a^+ - iota lambda_minus a^-
     whatever its sign, so g(0) = -(borrowing_rate - r) although the
     position a = 0 borrows nothing, and g <= 0 on the admissible set
@@ -219,23 +197,18 @@ def cuoco_liu_model(
         raise ValueError(f"short haircut must be nonnegative, got {iota}")
     spread = borrowing_rate - r
     short_rate = r * (1.0 + iota * lambda_minus)
-
-    def penalty(a):
-        arr = np.asarray(a, dtype=float)
-        long_part = np.maximum(0.0, arr)
-        short_part = np.maximum(0.0, -arr)
-        return -short_rate * short_part - spread * (1.0 - long_part - iota * lambda_minus * short_part)
-
+    vertices = np.array((-1.0 / lambda_minus, 0.0, 1.0 / lambda_plus))
+    long_part, short_part = np.maximum(0.0, vertices), np.maximum(0.0, -vertices)
+    values = -short_rate * short_part - spread * (1.0 - long_part - iota * lambda_minus * short_part)
     return MarketModel(
         name="cuoco-liu",
         rate=float(r),
         appreciation=float(b),
         vol=float(sigma),
-        penalty=penalty,
-        a_interval=(-1.0 / lambda_minus, 1.0 / lambda_plus),
+        vertices=tuple(vertices.tolist()),
+        values=tuple(values.tolist()),
         gamma_interval=(float(gamma_interval[0]), float(gamma_interval[1])),
         horizon=float(horizon),
-        kinks=(0.0,),
     )
 
 
@@ -245,9 +218,9 @@ def coefficient_bounds(model):
     Both are linear in a between the penalty's vertices, so their largest
     absolute values are attained at a vertex: exact, with no scan.
     """
-    vertices = _vertices(model)
+    vertices = np.array(model.vertices)
     r, b = model.rate, model.appreciation
-    drift = np.abs(r + vertices * (b - r) + np.asarray(model.penalty(vertices), dtype=float))
+    drift = np.abs(r + vertices * (b - r) + np.array(model.values))
     vol = np.abs(vertices * model.vol)
     return CoefficientBounds(drift=float(drift.max()), vol=float(vol.max()))
 
@@ -259,15 +232,11 @@ def dual_coefficient_bounds(model):
     interval.  r + conj(gamma) is convex and piecewise linear, kinked at
     pairwise slopes of the penalty's vertices: largest at an end, smallest
     at an end or at such a slope.  One conjugate call over those gammas
-    is exact.  A reversed control interval raises ``ValueError``.
+    is exact.
     """
     lo, hi = model.gamma_interval
-    if lo > hi:
-        raise ValueError(f"empty control interval [{lo}, {hi}]")
-    vertices = _vertices(model)
-    points = zip(vertices.tolist(), np.asarray(model.penalty(vertices), dtype=float).tolist())
-    pairs = itertools.combinations(points, 2)
-    slopes = [(g1 - g2) / (v1 - v2) for (v1, g1), (v2, g2) in pairs if v1 != v2]
+    pairs = itertools.combinations(zip(model.vertices, model.values), 2)
+    slopes = [(g1 - g2) / (v1 - v2) for (v1, g1), (v2, g2) in pairs]
     gammas = np.array([lo, hi, *(slope for slope in slopes if lo < slope < hi)])
     conj = np.asarray(penalty_conjugate(model, gammas))
     r, b = model.rate, model.appreciation

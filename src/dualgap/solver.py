@@ -104,7 +104,7 @@ def step_factors(model, control, rule, step, direction):
     root = math.sqrt(step)
     c = np.asarray(control, dtype=float)[..., None]
     if direction == "primal":
-        mu = r + c * (b - r) + np.asarray(model.penalty(c), dtype=float)
+        mu = r + c * (b - r) + model.penalty(c)
         return 1.0 + step * mu + root * c * sig * rule.nodes
     if direction == "dual":
         conj = np.asarray(penalty_conjugate(model, control), dtype=float)[..., None]

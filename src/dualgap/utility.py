@@ -37,7 +37,6 @@ class UtilitySpec:
     derivative: Callable
     p: Optional[float] = None
     rho: Optional[float] = None
-    c0: Optional[float] = None
     x_rho: Optional[float] = None
     lipschitz: Optional[float] = None
 
@@ -119,7 +118,6 @@ def lipschitz_truncate(base, rho, c0):
         derivative=derivative,
         p=base.p,
         rho=float(rho),
-        c0=float(c0),
         x_rho=x_rho,
         lipschitz=slope,
     )

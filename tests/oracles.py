@@ -19,6 +19,10 @@ became a maximum over the penalty's vertices: a fixed 201-point scan of
 the control interval, then a golden-section polish of the best bracket.
 It assumes nothing about kinks, so the naive sweep uses it too.
 
+``cuoco_liu_penalty`` is the cuoco-liu drift penalty as it was before
+the model stored it as vertex values: the closed formula, evaluated
+wherever it is asked.
+
 ``scan_coefficient_bounds`` and ``scan_dual_coefficient_bounds`` are the
 coefficient sizes as they were before they were evaluated at the
 penalty's vertices: the largest values on a 1e-4-spaced control mesh and
@@ -156,6 +160,16 @@ def scan_polish_conjugate(model, nu):
     hi = mesh[min(best + 1, mesh.size - 1)]
     refined, _ = golden_max(lambda a: float(model.penalty(a)) - a * nu, lo, hi)
     return max(float(values[best]), refined)
+
+
+def cuoco_liu_penalty(a, r=0.8, borrowing_rate=1.0, iota=0.5, lambda_minus=1.0):
+    """g(a) of ``cuoco_liu_model`` with the same parameters, by its formula."""
+    arr = np.asarray(a, dtype=float)
+    spread = borrowing_rate - r
+    short_rate = r * (1.0 + iota * lambda_minus)
+    long_part = np.maximum(0.0, arr)
+    short_part = np.maximum(0.0, -arr)
+    return -short_rate * short_part - spread * (1.0 - long_part - iota * lambda_minus * short_part)
 
 
 def scan_coefficient_bounds(model):

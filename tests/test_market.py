@@ -201,29 +201,64 @@ def test_merton_conjugate_on_a_widened_interval(merton):
         assert penalty_conjugate(model, float(nu)) == max(-lo * nu, -hi * nu)
 
 
-def test_model_refuses_a_penalty_outside_the_vertex_contract(merton):
-    fields = _direct_fields(merton)
-    with pytest.raises(ValueError, match=r"not linear on the segment \[-1.0, 1.0\]"):
-        MarketModel(**{**fields, "penalty": lambda a: -np.square(a)})
-    with pytest.raises(ValueError, match=r"not linear on the segment \[-1.0, 0.0\]"):
-        MarketModel(**{**fields, "penalty": lambda a: -np.square(a), "kinks": (0.0,)})
-    with pytest.raises(ValueError, match=r"kinks \(1.5,\) must ascend inside .*\[-1.0, 1.0\]"):
-        MarketModel(**{**fields, "kinks": (1.5,)})
-    with pytest.raises(ValueError, match=r"kinks \(0.5, -0.5\) must ascend"):
-        MarketModel(**{**fields, "kinks": (0.5, -0.5)})
-    with pytest.raises(ValueError, match="empty control interval"):
-        MarketModel(**{**fields, "a_interval": (1.0, -1.0)})
-    # a kink the penalty does not have, or one at an end, is allowed
-    assert MarketModel(**{**fields, "kinks": (-1.0, 0.25)}).kinks == (-1.0, 0.25)
-    assert MarketModel(**{**fields, "penalty": lambda a: -np.abs(a), "kinks": (0.0,)})
+def test_model_refuses_a_penalty_outside_the_vertex_contract():
+    fields = _direct_fields()
+    with pytest.raises(ValueError, match=r"vertices \(-1.0, 1.5, 1.0\) must ascend strictly"):
+        MarketModel(**{**fields, "vertices": (-1.0, 1.5, 1.0), "values": (0.0, 0.0, 0.0)})
+    with pytest.raises(ValueError, match=r"vertices \(-1.0, 0.5, -0.5, 1.0\) must ascend"):
+        MarketModel(**{**fields, "vertices": (-1.0, 0.5, -0.5, 1.0), "values": (0.0,) * 4})
+    with pytest.raises(ValueError, match=r"vertices \(-1.0, -1.0, 1.0\) must ascend strictly"):
+        MarketModel(**{**fields, "vertices": (-1.0, -1.0, 1.0), "values": (0.0, 0.0, 0.0)})
+    with pytest.raises(ValueError, match=r"vertices \(1.0, -1.0\) must ascend strictly"):
+        MarketModel(**{**fields, "vertices": (1.0, -1.0)})
+    with pytest.raises(ValueError, match=r"one value per vertex, got \(0.0, 0.0, 0.0\) at"):
+        MarketModel(**{**fields, "values": (0.0, 0.0, 0.0)})
+    with pytest.raises(ValueError, match=r"one value per vertex, got \(\) at \(\)"):
+        MarketModel(**{**fields, "vertices": (), "values": ()})
+    # a vertex where the slope does not change is allowed, and so is a single one
+    assert MarketModel(**{**fields, "vertices": (-1.0, 0.25, 1.0), "values": (0.0,) * 3})
+    single = MarketModel(**{**fields, "vertices": (0.0,), "values": (-0.5,)})
+    assert single.a_interval == (0.0, 0.0)
+    assert np.array_equal(single.penalty(A_MESH), np.full_like(A_MESH, -0.5))
 
 
-def test_conjugate_is_exact_at_a_convex_kink(merton):
+def test_model_refuses_a_reversed_gamma_interval():
+    """Refused when the model is built, not when a reader first meets it."""
+    with pytest.raises(ValueError, match=r"empty control interval \[1.0, -1.0\]"):
+        merton_model(gamma_interval=(1.0, -1.0))
+    with pytest.raises(ValueError, match=r"empty control interval \[0.5, 0.25\]"):
+        MarketModel(**{**_direct_fields(), "gamma_interval": (0.5, 0.25)})
+
+
+def test_conjugate_is_exact_at_a_convex_kink():
     """A convex kink is inside the contract: the supremum still sits at a vertex."""
-    model = MarketModel(**{**_direct_fields(merton), "penalty": np.abs, "kinks": (0.0,)})
+    fields = {**_direct_fields(), "vertices": (-1.0, 0.0, 1.0), "values": (1.0, 0.0, 1.0)}
+    model = MarketModel(**fields)
     for nu in np.linspace(-2.0, 2.0, 17):
         want = max(abs(v) - v * nu for v in (-1.0, 0.0, 1.0))
         assert penalty_conjugate(model, float(nu)) == want, nu
+
+
+@pytest.mark.parametrize(
+    "params, lambda_plus",
+    [
+        ({}, 1.0),
+        ({"r": 0.3, "borrowing_rate": 0.7}, 1.0),  # a convex kink
+        ({"r": 0.6, "borrowing_rate": 2.0, "iota": 0.0}, 2.0),
+    ],
+)
+def test_vertex_penalty_matches_the_cuoco_liu_referee(params, lambda_plus):
+    """Bit for bit at the vertices; within abs 1e-15 on every ladder mesh and at random points."""
+    model = cuoco_liu_model(lambda_plus=lambda_plus, **params)
+    vertices = np.array(model.vertices)
+    at_vertices = oracles.cuoco_liu_penalty(vertices, **params).tobytes()
+    assert np.array(model.values).tobytes() == at_vertices
+    assert model.penalty(vertices).tobytes() == at_vertices
+    points = [control_mesh(model.a_interval, 2**k + 1) for k in range(9)]
+    points.append(np.random.default_rng(15).uniform(*model.a_interval, size=1000))
+    for a in points:
+        gap = np.abs(model.penalty(a) - oracles.cuoco_liu_penalty(a, **params))
+        assert gap.max() <= 1.0e-15
 
 
 def test_cuoco_model_validation():
@@ -243,22 +278,22 @@ def test_model_accepts_a_linear_penalty_with_subnormal_values():
     assert model.penalty(0.0) == -5e-324
 
 
-def _direct_fields(merton):
+def _direct_fields():
     """MarketModel fields of a zero-penalty model built without a factory."""
     return dict(
         name="direct",
         rate=0.8,
         appreciation=1.2,
         vol=1.0,
-        penalty=merton.penalty,
-        a_interval=(-1.0, 1.0),
+        vertices=(-1.0, 1.0),
+        values=(0.0, 0.0),
         gamma_interval=(0.0, 0.0),
         horizon=0.5,
     )
 
 
-def test_model_built_directly_checks_its_vol_and_horizon(merton):
-    fields = _direct_fields(merton)
+def test_model_built_directly_checks_its_vol_and_horizon():
+    fields = _direct_fields()
     assert MarketModel(**fields).vol == 1.0
     with pytest.raises(ValueError, match="volatility must be positive, got 0.0"):
         MarketModel(**{**fields, "vol": 0.0})
