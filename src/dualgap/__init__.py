@@ -55,7 +55,7 @@ from .solver import (
 )
 from .utility import (
     ConjugateSpec,
-    UtilitySpec,
+    TruncatedUtility,
     conjugate_spec,
     lipschitz_truncate,
     power_utility,
@@ -78,7 +78,7 @@ __all__ = [
     "ResourceLimit",
     "SpaceGrid",
     "TimeGrid",
-    "UtilitySpec",
+    "TruncatedUtility",
     "ValueSurface",
     "aposteriori_bounds",
     "coefficient_bounds",

@@ -175,8 +175,9 @@ def truncation_allowance(x, utility, rho, c0, constants):
     min(1, 2 exp(-(3 / (8 c_psi^2 T)) (log(rho / (c0 x)) - c_mu T)^2)).
     Large-wealth part: the marginal utility at rho times the summed
     tail over integer barriers from floor(rho) up, truncated before the
-    first term under 1e-16.  A truncated utility has zero slope at rho,
-    killing the second part.
+    first term under 1e-16.  ``utility`` is the power base or its
+    truncation by ``lipschitz_truncate``; both are valid, and the
+    truncated reward's zero slope at rho kills the second part.
 
     Each state's tail terms are one numpy evaluation up to the
     closed-form last barrier of ``_barriers``, cut where a per-term

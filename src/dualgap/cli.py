@@ -202,9 +202,9 @@ def load_config(spec):
         if not holds(values):
             raise ConfigError(message(values))
     if values["y_max"] == "auto":
-        # cover the conjugate's support edge with integer headroom
-        x_rho = values["c0"] / values["rho"]
-        chord_slope = (x_rho ** values["p"] / values["p"]) / x_rho
+        # cover the conjugate's support edge, the reward's chord slope, with integer headroom
+        base = utility.power_utility(values["p"])
+        chord_slope = utility.lipschitz_truncate(base, values["rho"], values["c0"]).lipschitz
         values["y_max"] = float(math.ceil(max(chord_slope, 4.0)))
     return ExperimentConfig(**values)
 
@@ -214,8 +214,7 @@ class Problem:
     """Config materialised into model and reward objects."""
 
     model: market.MarketModel
-    base: utility.UtilitySpec
-    reward: utility.UtilitySpec
+    reward: utility.TruncatedUtility
     conjugate: utility.ConjugateSpec
 
 
@@ -242,12 +241,11 @@ def build_problem(cfg):
                 lambda_minus=cfg.lambda_minus,
                 gamma_interval=(cfg.gamma_min, cfg.gamma_max),
             )
-        base = utility.power_utility(cfg.p)
-        reward = utility.lipschitz_truncate(base, cfg.rho, cfg.c0)
+        reward = utility.lipschitz_truncate(utility.power_utility(cfg.p), cfg.rho, cfg.c0)
         conjugate = utility.conjugate_spec(reward)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return Problem(model=model, base=base, reward=reward, conjugate=conjugate)
+    return Problem(model=model, reward=reward, conjugate=conjugate)
 
 
 def _level(cfg, args):
@@ -296,7 +294,7 @@ def cmd_gap(cfg, out, args):
     dual_constants = apriori.constant_set(market.dual_coefficient_bounds(problem.model), cfg.T)
     c_primal, c_dual = apriori.envelope_constants(primal_constants, dual_constants, rule)
     allowance = apriori.truncation_allowance(
-        report.x, problem.base, cfg.rho, cfg.c0, primal_constants
+        report.x, problem.reward.base, cfg.rho, cfg.c0, primal_constants
     )
     bounds = duality.aposteriori_bounds(
         report,

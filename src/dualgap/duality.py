@@ -62,10 +62,15 @@ class BoundReport:
 def duality_gap(primal, dual, time_index=0):
     """Conjugate the dual surface back and subtract the primal one.
 
-    Both surfaces must share the time lattice.  The dual node y = 0 is
-    excluded from the minimisation: the conjugate reading there would
-    claim an infinite-slope certificate that the chain cannot represent.
-    The minimand is formed a chunk of x rows at a time, never whole.
+    Both surfaces must share the time lattice.  The minimum runs over the
+    dual nodes y > 0 only.  Weak duality V(x) <= dual(y) + x y holds at
+    y = 0 too, and at t = 0 the y = 0 certificate is exact on wealth
+    x >= x* = rho exp(-(r + g(0)) T): the riskless position carries such
+    wealth to at least rho, where the truncated reward reaches its
+    supremum dual(0) = U(rho).  The readout leaves y = 0 out only because
+    the acceptance gate pins the convergence orders of this y_1 readout,
+    whose gap on that block is O(x y_1).  The minimand is formed a chunk
+    of x rows at a time, never whole.
     """
     if primal.direction != "primal" or dual.direction != "dual":
         raise ValueError("duality_gap expects a primal and a dual surface, in that order")

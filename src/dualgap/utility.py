@@ -4,163 +4,153 @@ The schemes need a terminal reward that is globally Lipschitz, which a
 power utility is not: its slope blows up at zero.  ``lipschitz_truncate``
 replaces it by the chord from 0 to a small cutoff x_rho = c0/rho, keeps
 the original function up to rho, and freezes it beyond.  The truncated
-function has slope at most L_rho = (U(x_rho) - U(0))/x_rho and its
-conjugate sup_x {U(x) - x y} vanishes for y >= L_rho, is Lipschitz with
-constant rho, and comes out in closed form for power bases.
+function has slope at most L_rho = U(x_rho)/x_rho and its conjugate
+sup_x {U(x) - x y} vanishes for y >= L_rho, is Lipschitz with constant
+rho, and comes out in closed form.
+
+Each object holds only its numbers (a power utility p; a truncation its
+base, rho and c0; a conjugate its reward) and derives the rest.  Every
+``evaluate`` and ``derivative`` returns a float for a scalar input.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
 
 def _match_shape(out, template):
     """Return a float for scalar input, the array otherwise."""
-    if np.ndim(template) == 0:
-        return float(out)
-    return out
+    return float(out) if np.ndim(template) == 0 else out
+
+
+def _nonnegative(values, message):
+    arr = np.asarray(values, dtype=float)
+    if np.any(arr < 0.0):
+        raise ValueError(message)
+    return arr
 
 
 @dataclass(frozen=True)
-class UtilitySpec:
-    """A scalar utility on [0, inf), with optional truncation geometry.
+class PowerUtility:
+    """U(x) = x^p / p on [0, inf), for p in (0, 1); U(0) = 0."""
 
-    ``evaluate`` and ``derivative`` accept floats or arrays.  The fields
-    after ``derivative`` are populated for truncated specs: ``x_rho`` is
-    the chord cutoff c0/rho and ``lipschitz`` the global slope bound.
+    p: float
+
+    def __post_init__(self):
+        if not 0.0 < self.p < 1.0:
+            raise ValueError(f"power exponent must lie in (0, 1), got {self.p}")
+
+    def evaluate(self, x):
+        arr = _nonnegative(x, "power utility is defined for x >= 0")
+        return _match_shape(np.power(arr, self.p) / self.p, x)
+
+    def derivative(self, x):
+        arr = _nonnegative(x, "power utility is defined for x >= 0")
+        with np.errstate(divide="ignore"):
+            # infinite at 0, which is exactly why truncation exists
+            out = np.power(arr, self.p - 1.0)
+        return _match_shape(out, x)
+
+
+@dataclass(frozen=True)
+class TruncatedUtility:
+    """A power utility clamped to a globally Lipschitz one.
+
+    The chord of slope ``lipschitz`` on [0, x_rho], the base on (x_rho, rho],
+    base(rho) beyond.  Needs finite rho > 0, c0 > 0 and x_rho = c0/rho < rho.
     """
 
-    kind: str
-    evaluate: Callable
-    derivative: Callable
-    p: Optional[float] = None
-    rho: Optional[float] = None
-    x_rho: Optional[float] = None
-    lipschitz: Optional[float] = None
+    base: PowerUtility
+    rho: float
+    c0: float
+
+    def __post_init__(self):
+        if not isinstance(self.base, PowerUtility):
+            raise ValueError(f"only a power utility can be truncated, got {self.base!r}")
+        # written so that a NaN fails as well
+        if not (0.0 < self.rho < math.inf and 0.0 < self.c0 < math.inf):
+            raise ValueError(
+                f"truncation needs finite rho > 0 and c0 > 0, got rho={self.rho}, c0={self.c0}"
+            )
+        if not self.x_rho < self.rho:
+            raise ValueError(f"c0/rho = {self.x_rho} must fall below rho = {self.rho}")
+
+    @property
+    def x_rho(self):
+        """The chord cutoff c0/rho."""
+        return self.c0 / self.rho
+
+    @property
+    def lipschitz(self):
+        """The chord slope (U(x_rho) - U(0))/x_rho, the global slope bound."""
+        return self.base.evaluate(self.x_rho) / self.x_rho
+
+    def evaluate(self, x):
+        arr = np.asarray(x, dtype=float)
+        inner = self.base.evaluate(np.clip(arr, self.x_rho, self.rho))
+        out = np.where(
+            arr <= self.x_rho,
+            self.lipschitz * arr,
+            np.where(arr <= self.rho, inner, self.base.evaluate(self.rho)),
+        )
+        return _match_shape(out, x)
+
+    def derivative(self, x):
+        arr = np.asarray(x, dtype=float)
+        inner = self.base.derivative(np.clip(arr, self.x_rho, self.rho))
+        out = np.where(arr < self.x_rho, self.lipschitz, np.where(arr < self.rho, inner, 0.0))
+        return _match_shape(out, x)
 
 
 @dataclass(frozen=True)
 class ConjugateSpec:
-    """The convex conjugate sup_x {U(x) - x y} of a truncated utility.
+    """The convex conjugate sup_x {U(x) - x y} of a truncated power utility.
 
-    ``evaluate`` vanishes from the chord slope on and is Lipschitz in y
-    with constant ``lipschitz`` (the plateau abscissa of the primal side).
+    The four slope bands of ``evaluate``, from the chord slope down, put
+    the supremum at x = 0, at the chord cutoff x_rho, at the stationary
+    point y^{1/(p-1)} and at the plateau edge rho.  Lipschitz in y, constant rho.
     """
 
-    evaluate: Callable
-    lipschitz: float
+    reward: TruncatedUtility
 
+    def __post_init__(self):
+        if not isinstance(self.reward, TruncatedUtility):
+            # without the truncation the conjugate is infinite near 0
+            raise ValueError("conjugate_spec needs a Lipschitz-truncated utility")
 
-def power_utility(p):
-    """U(x) = x^p / p on [0, inf), for p in (0, 1)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"power exponent must lie in (0, 1), got {p}")
+    @property
+    def lipschitz(self):
+        return self.reward.rho
 
-    def evaluate(x):
-        arr = np.asarray(x, dtype=float)
-        if np.any(arr < 0.0):
-            raise ValueError("power utility is defined for x >= 0")
-        return _match_shape(np.power(arr, p) / p, x)
-
-    def derivative(x):
-        arr = np.asarray(x, dtype=float)
-        if np.any(arr < 0.0):
-            raise ValueError("power utility is defined for x >= 0")
-        with np.errstate(divide="ignore"):
-            # infinite at 0, which is exactly why truncation exists
-            out = np.power(arr, p - 1.0)
-        return _match_shape(out, x)
-
-    return UtilitySpec(kind="power", evaluate=evaluate, derivative=derivative, p=p)
-
-
-def lipschitz_truncate(base, rho, c0):
-    """Clamp ``base`` to a globally Lipschitz utility.
-
-    Linear with the chord slope on [0, x_rho], unchanged on (x_rho, rho],
-    constant at base(rho) beyond.  Requires x_rho = c0/rho < rho and a
-    finite value at zero.
-    """
-    if rho <= 0.0 or c0 <= 0.0:
-        raise ValueError(f"truncation needs rho > 0 and c0 > 0, got rho={rho}, c0={c0}")
-    x_rho = c0 / rho
-    if x_rho >= rho:
-        raise ValueError(f"c0/rho = {x_rho} must fall below rho = {rho}")
-    at_zero = float(base.evaluate(0.0))
-    if not math.isfinite(at_zero):
-        raise ValueError("base utility must be finite at 0")
-    at_cut = float(base.evaluate(x_rho))
-    at_plateau = float(base.evaluate(rho))
-    slope = (at_cut - at_zero) / x_rho
-
-    def evaluate(x):
-        arr = np.asarray(x, dtype=float)
-        inner = base.evaluate(np.clip(arr, x_rho, rho))
-        out = np.where(
-            arr <= x_rho,
-            at_zero + slope * arr,
-            np.where(arr <= rho, inner, at_plateau),
-        )
-        return _match_shape(out, x)
-
-    def derivative(x):
-        arr = np.asarray(x, dtype=float)
-        inner = base.derivative(np.clip(arr, x_rho, rho))
-        out = np.where(arr < x_rho, slope, np.where(arr < rho, inner, 0.0))
-        return _match_shape(out, x)
-
-    kind = "truncated-power" if base.kind == "power" else "custom"
-    return UtilitySpec(
-        kind=kind,
-        evaluate=evaluate,
-        derivative=derivative,
-        p=base.p,
-        rho=float(rho),
-        x_rho=x_rho,
-        lipschitz=slope,
-    )
-
-
-def conjugate_spec(spec):
-    """Closed-form conjugate of a Lipschitz-truncated power utility.
-
-    The supremum is attained at the chord kink, at the interior
-    stationary point y^{1/(p-1)}, or at the plateau edge rho, depending
-    on which slope band y falls into; the four bands below are exactly
-    those cases.  Untruncated utilities are rejected, since without the
-    truncation the conjugate is infinite near 0, and so are truncated
-    bases other than a power.
-    """
-    if spec.lipschitz is None or spec.rho is None:
-        raise ValueError("conjugate_spec needs a Lipschitz-truncated utility")
-    if spec.kind != "truncated-power":
-        raise ValueError(f"no closed-form conjugate for a {spec.kind} utility")
-    p = spec.p
-    rho = spec.rho
-    x_rho = spec.x_rho
-    slope = spec.lipschitz
-    y_kink = x_rho ** (p - 1.0)  # marginal utility at the chord cutoff
-    y_plateau = rho ** (p - 1.0)  # marginal utility at the plateau edge
-    at_cut = x_rho**p / p
-    at_plateau = rho**p / p
-
-    def evaluate(y):
-        arr = np.asarray(y, dtype=float)
-        if np.any(arr < 0.0):
-            raise ValueError("conjugate is defined for y >= 0")
+    def evaluate(self, y):
+        arr = _nonnegative(y, "conjugate is defined for y >= 0")
+        p, rho, x_rho = self.reward.base.p, self.reward.rho, self.reward.x_rho
         with np.errstate(divide="ignore", over="ignore"):
             interior = (1.0 / p - 1.0) * np.power(arr, -p / (1.0 - p))
         out = np.where(
-            arr >= slope,
+            arr >= self.reward.lipschitz,
             0.0,
             np.where(
-                arr >= y_kink,
-                at_cut - x_rho * arr,
-                np.where(arr > y_plateau, interior, at_plateau - rho * arr),
+                arr >= x_rho ** (p - 1.0),  # marginal utility at the chord cutoff
+                x_rho**p / p - x_rho * arr,
+                # rho^(p-1) is the marginal utility at the plateau edge
+                np.where(arr > rho ** (p - 1.0), interior, rho**p / p - rho * arr),
             ),
         )
         return _match_shape(out, y)
 
-    return ConjugateSpec(evaluate=evaluate, lipschitz=rho)
+
+def power_utility(p):
+    """U(x) = x^p / p on [0, inf), for p in (0, 1)."""
+    return PowerUtility(p)
+
+
+def lipschitz_truncate(base, rho, c0):
+    """Clamp the power utility ``base`` to a globally Lipschitz one (see TruncatedUtility)."""
+    return TruncatedUtility(base, float(rho), float(c0))
+
+
+def conjugate_spec(reward):
+    """Closed-form conjugate of a Lipschitz-truncated power utility; others are refused."""
+    return ConjugateSpec(reward)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualgap import UtilitySpec, conjugate_spec, lipschitz_truncate, power_utility
+from dualgap import conjugate_spec, lipschitz_truncate, power_utility
 from oracles import convex_conjugate
 
 X_RHO = 4.0 / 9.0
@@ -55,7 +55,6 @@ def test_power_utility_rejects_negative_state(base):
 
 
 def test_truncation_geometry(truncated):
-    assert truncated.kind == "truncated-power"
     assert truncated.x_rho == pytest.approx(X_RHO, abs=1.0e-15)
     assert truncated.lipschitz == pytest.approx(3.0, abs=1.0e-12)
     assert truncated.rho == 18.0
@@ -97,6 +96,11 @@ def test_truncation_rejects_bad_geometry(base):
         lipschitz_truncate(base, 2.0, 8.0)
     with pytest.raises(ValueError):
         lipschitz_truncate(base, 4.0, 16.0)
+
+
+def test_truncation_refuses_a_base_other_than_a_power(truncated):
+    with pytest.raises(ValueError, match="only a power utility"):
+        lipschitz_truncate(truncated, 4.0, 2.0)
 
 
 def test_conjugate_frozen_values(conj):
@@ -167,20 +171,6 @@ def test_scan_grid_validation(truncated):
         convex_conjugate(truncated, 1.0, np.array([1.0]))
 
 
-def test_custom_base_is_rejected():
-    """Only truncated power bases have a conjugate; others are refused."""
-    base = UtilitySpec(
-        kind="log-shift",
-        evaluate=lambda x: np.log1p(np.asarray(x, dtype=float)),
-        derivative=lambda x: 1.0 / (1.0 + np.asarray(x, dtype=float)),
-        p=0.5,
-    )
-    spec = lipschitz_truncate(base, 4.0, 2.0)
-    assert spec.kind == "custom"
-    with pytest.raises(ValueError):
-        conjugate_spec(spec)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     x=st.floats(min_value=0.0, max_value=25.0),
@@ -197,3 +187,78 @@ def test_fenchel_young_is_tight(truncated, conj):
     for y in (0.1, 0.5, 1.0, 2.0):
         best = float(np.max(truncated.evaluate(xs) - xs * y))
         assert conj.evaluate(y) == pytest.approx(best, abs=1.0e-6)
+
+
+@pytest.mark.parametrize(
+    "rho, c0", [(math.nan, 8.0), (18.0, math.nan), (math.inf, 8.0), (18.0, math.inf)]
+)
+def test_truncation_refuses_a_non_finite_geometry(base, rho, c0):
+    """A NaN geometry used to build a reward whose every value was NaN."""
+    with pytest.raises(ValueError, match="finite rho > 0 and c0 > 0"):
+        lipschitz_truncate(base, rho, c0)
+
+
+@st.composite
+def geometries(draw):
+    """A truncated power utility with p in (0.1, 0.9) and x_rho = c0/rho in (0, rho)."""
+    p = draw(st.floats(0.1, 0.9, exclude_min=True, exclude_max=True))
+    rho = draw(st.floats(0.5, 30.0))
+    share = draw(st.floats(0.01, 0.95))  # x_rho as a share of rho
+    return lipschitz_truncate(power_utility(p), rho, share * rho * rho)
+
+
+def _band_edges(reward):
+    """The conjugate's band edges, ascending: the plateau and kink slopes, the chord slope."""
+    p = reward.base.p
+    return reward.rho ** (p - 1.0), reward.x_rho ** (p - 1.0), reward.lipschitz
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(reward=geometries(), s=st.floats(0.0, 2.0), t=st.floats(0.0, 2.0))
+def test_fenchel_young_inequality_on_random_geometries(reward, s, t):
+    conj = conjugate_spec(reward)
+    x, y = s * reward.rho, t * reward.lipschitz
+    value = reward.evaluate(x)
+    assert value - x * y <= conj.evaluate(y) + 1.0e-12 * (1.0 + abs(value) + x * y)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(reward=geometries(), t=st.floats(0.05, 0.95))
+def test_fenchel_young_is_tight_on_random_geometries(reward, t):
+    """A geometric grid holding both joints attains the closed form in every band."""
+    conj = conjugate_spec(reward)
+    plateau, kink, chord = _band_edges(reward)
+    xs = np.union1d(
+        np.geomspace(reward.x_rho / 100.0, 1.2 * reward.rho, 200001),
+        [0.0, reward.x_rho, reward.rho],
+    )
+    values = reward.evaluate(xs)
+    for y in (0.0, t * plateau, plateau + t * (kink - plateau), kink + t * (chord - kink)):
+        best = float(np.max(values - xs * y))
+        assert conj.evaluate(y) == pytest.approx(best, rel=1.0e-7, abs=1.0e-9), y
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(reward=geometries())
+def test_continuity_at_the_joints_on_random_geometries(reward):
+    """Each side of a joint sits within the Lipschitz constant's reach of the other."""
+    conj = conjugate_spec(reward)
+    for fn, lipschitz, joints in (
+        (reward.evaluate, reward.lipschitz, (reward.x_rho, reward.rho)),
+        (conj.evaluate, reward.rho, _band_edges(reward)),
+    ):
+        for joint in joints:
+            step = 1.0e-9 * joint
+            below, above = fn(joint - step), fn(joint + step)
+            assert abs(above - below) <= 2.0 * lipschitz * step * (1.0 + 1.0e-6) + 1.0e-12 * (
+                1.0 + abs(below)
+            ), joint
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(reward=geometries(), t=st.floats(0.0, 1.0e6))
+def test_conjugate_vanishes_from_the_chord_slope_on(reward, t):
+    conj = conjugate_spec(reward)
+    ys = reward.lipschitz * (1.0 + np.array([0.0, t]))
+    assert conj.evaluate(ys).tolist() == [0.0, 0.0]
+    assert conj.evaluate(reward.lipschitz) == 0.0
