@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import ResourceLimit
 from .quadrature import double_factorial, moment_defect
+from .utility import TruncatedUtility
 
 #: summed tail terms below this are dropped
 _TAIL_CUTOFF = 1.0e-16
@@ -177,7 +178,8 @@ def truncation_allowance(x, utility, rho, c0, constants):
     tail over integer barriers from floor(rho) up, truncated before the
     first term under 1e-16.  ``utility`` is the power base or its
     truncation by ``lipschitz_truncate``; both are valid, and the
-    truncated reward's zero slope at rho kills the second part.
+    truncated reward's zero slope at rho kills the second part.  A
+    truncated reward must carry the ``rho`` and ``c0`` passed beside it.
 
     Each state's tail terms are one numpy evaluation up to the
     closed-form last barrier of ``_barriers``, cut where a per-term
@@ -196,6 +198,11 @@ def truncation_allowance(x, utility, rho, c0, constants):
         raise ValueError(f"state must be positive, got {nodes[i]} at index {i}")
     if rho <= 0.0 or c0 <= 0.0:
         raise ValueError("tail weights need positive x, rho, c0")
+    if isinstance(utility, TruncatedUtility) and (utility.rho, utility.c0) != (rho, c0):
+        raise ValueError(
+            f"rho={rho}, c0={c0} differ from the truncated reward's "
+            f"rho={utility.rho}, c0={utility.c0}"
+        )
     if constants.vol_bound <= 0.0 or constants.horizon <= 0.0:
         raise ValueError("tail weights need positive volatility bound and horizon")
     # math's log, not numpy's, which may differ in the last ulp

@@ -26,7 +26,7 @@ _PROBLEMS = ("merton", "cuoco-liu")
 _MODES = ("error", "gap")
 _MAX_LEVEL = 8
 
-#: step counts exercised by the polar check, kept small enough to enumerate
+#: step counts exercised by the polar check
 _POLAR_STEPS = (2, 4, 8)
 _POLAR_DRAWS = 16
 

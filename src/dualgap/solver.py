@@ -18,9 +18,10 @@ the origin is absorbing in both cases, so row entry 0 is copied through
 time.  Both directions run the same step kernel; they differ only in
 these factors and in max versus min.
 
-The same factors drive ``enumerate_coupled``, which expands every branch
-of the primal and dual chains explicitly for small step counts; it is
-the ground truth the expectation-level tests and the polar check run on.
+The same factors drive the polar check's coupled chains
+(``coupled_factors``), whose expectation is a product of per-step branch
+means.  ``enumerate_coupled`` expands every branch of both chains; no
+pipeline calls it, and it is the tests' referee for that product.
 """
 
 import math
@@ -191,13 +192,19 @@ def solve(model, terminal, disc, direction="primal"):
     return surface
 
 
-def _checked_branch_count(order, steps):
-    total = order**steps
-    if total > MAX_BRANCHES:
-        raise ResourceLimit(
-            f"{order}^{steps} = {total} chain branches exceed the cap of {MAX_BRANCHES}"
-        )
-    return total
+def coupled_factors(model, rule, steps, step, primal_policy, dual_policy):
+    """Each chain's (steps, branches) factors, from one ``step_factors`` call.
+
+    Row n holds step n's factors; the coupled chains take the same
+    branch, with that branch's weight, in both.
+    """
+    if steps < 0:
+        raise ValueError(f"step count must be nonnegative, got {steps}")
+    if len(primal_policy) < steps or len(dual_policy) < steps:
+        raise ValueError(f"both policies must cover {steps} steps")
+    fxs = step_factors(model, primal_policy[:steps], rule, step, "primal")
+    fys = step_factors(model, dual_policy[:steps], rule, step, "dual")
+    return fxs, fys
 
 
 def enumerate_coupled(model, rule, steps, step, start, primal_policy, dual_policy):
@@ -205,25 +212,24 @@ def enumerate_coupled(model, rule, steps, step, start, primal_policy, dual_polic
 
     The chains start at time 0 from ``start = (x, y)`` and run on one
     model, one quadrature rule and one step.  They are driven by the
-    same branch noise: per step both states multiply by their own
-    factors at the same quadrature branch, with that branch's weight.
-    This is the coupling under which the product of the chains is a
-    near-supermartingale.  Branches multiply by the rule order each
-    step, so this is only for small step counts; the cap guards against
-    runaway requests.  States and probabilities come back in a fixed
-    depth-first order.  Each chain's (steps, branches) factors are built
-    in one ``step_factors`` call over its policy.
+    same branch noise: per step both states multiply by their
+    ``coupled_factors`` at the same quadrature branch, with that
+    branch's weight.  This is the coupling under which the product of
+    the chains is a near-supermartingale.  Branches multiply by the rule
+    order each step, so this is only for small step counts; the cap
+    guards against runaway requests.  States and probabilities come back
+    in a fixed depth-first order.  No pipeline calls this: it is the
+    referee for ``duality.polar_defect``'s product form.
     """
-    if steps < 0:
-        raise ValueError(f"step count must be nonnegative, got {steps}")
-    if len(primal_policy) < steps or len(dual_policy) < steps:
-        raise ValueError(f"both policies must cover {steps} steps")
-    _checked_branch_count(rule.order, steps)
+    fxs, fys = coupled_factors(model, rule, steps, step, primal_policy, dual_policy)
+    total = rule.order**steps
+    if total > MAX_BRANCHES:
+        raise ResourceLimit(
+            f"{rule.order}^{steps} = {total} chain branches exceed the cap of {MAX_BRANCHES}"
+        )
     xs = np.array([float(start[0])])
     ys = np.array([float(start[1])])
     probs = np.array([1.0])
-    fxs = step_factors(model, primal_policy[:steps], rule, step, "primal")
-    fys = step_factors(model, dual_policy[:steps], rule, step, "dual")
     for fx, fy in zip(fxs, fys):
         xs = (xs[:, None] * fx[None, :]).reshape(-1)
         ys = (ys[:, None] * fy[None, :]).reshape(-1)

@@ -148,6 +148,18 @@ def test_allowance_truncated_reward(primal_constants):
     assert got == pytest.approx(4.0 / 3.0, abs=1.0e-12)
 
 
+def test_allowance_refuses_a_reward_of_another_geometry(primal_constants):
+    """A truncated reward's own rho and c0 must be the ones passed beside it."""
+    reward = lipschitz_truncate(power_utility(0.5), 18.0, 8.0)
+    for rho, c0 in ((12.0, 3.0), (12.0, 8.0), (18.0, 3.0)):
+        with pytest.raises(ValueError, match="differ from the truncated reward's rho=18.0, c0=8.0"):
+            truncation_allowance(1.0, reward, rho, c0, primal_constants)
+    # the same numbers in another type are the same geometry
+    assert truncation_allowance(1.0, reward, 18, 8, primal_constants) == pytest.approx(
+        4.0 / 3.0, abs=1.0e-12
+    )
+
+
 def test_allowance_untruncated_base_frozen(primal_constants):
     base = power_utility(0.5)
     assert truncation_allowance(1.0, base, 18.0, 8.0, primal_constants) == pytest.approx(

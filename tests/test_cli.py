@@ -8,6 +8,7 @@ import sys
 import sysconfig
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dualgap import ConfigError
@@ -233,11 +234,25 @@ def test_run_rejects_a_level_outside_the_ladder(capsys, tmp_path, level):
 
 
 def test_run_resource_limit_exit_code(capsys, tmp_path):
-    # order 20 branches explode at the third chain length
-    path = write_cfg(tmp_path, "problem = merton\nM = 20\n")
-    code = run(["polar-check", "--config", str(path), "--out", str(tmp_path / "out")])
+    """The allowance's tail sum from x = 5000 needs over 1e7 terms: exit 3, no CSV."""
+    path = write_cfg(tmp_path, "problem = merton\nx_max = 10000\n")
+    out = tmp_path / "out"
+    code = run(["gap", "--config", str(path), "--out", str(out)])
     assert code == 3
-    assert "numerical failure" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("numerical failure: tail sum from state ")
+    assert not any(out.iterdir())
+
+
+def test_polar_check_has_no_branch_cap(tmp_path):
+    """A 20-point rule at N = 8 would be 20^8 branches; the product form needs 160 factors."""
+    path = write_cfg(tmp_path, "problem = merton\nM = 20\n")
+    out = tmp_path / "out"
+    assert run(["polar-check", "--config", str(path), "--out", str(out)]) == 0
+    lines = (out / "polar.csv").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 5
+    cells = np.array([line.split(",") for line in lines[2:]], dtype=float)
+    assert cells.shape == (3, 5)
+    assert np.all(np.isfinite(cells))
 
 
 def test_solve_primal_pipeline(capsys, tmp_path):

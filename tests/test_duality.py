@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualgap import (
     BoundReport,
@@ -12,7 +14,9 @@ from dualgap import (
     TimeGrid,
     ValueSurface,
     aposteriori_bounds,
+    cuoco_liu_model,
     duality_gap,
+    enumerate_coupled,
     gauss_hermite_rule,
     merton_model,
     polar_defect,
@@ -199,8 +203,8 @@ def test_polar_closed_form_merton():
     """Constant-policy product chains decay by 1 - h^2 r mu per step.
 
     The quadrature matches the first three normal moments exactly, so
-    the per-step expectation of the coupled product is exact and the
-    enumerated value must agree with the closed form to roundoff.
+    each per-step branch mean of the coupled product is exact, and their
+    product must agree with the closed form to roundoff.
     """
     model = merton_model()
     x0, y0 = 1.5, 0.7
@@ -220,6 +224,52 @@ def test_polar_closed_form_merton():
             want = x0 * y0 * (1.0 - step * step * 0.8 * mu) ** steps
             assert expect == pytest.approx(want, abs=1.0e-12)
             assert defect == pytest.approx(want - x0 * y0, abs=1.0e-12)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    constrained=st.booleans(),
+    order=st.integers(2, 5),
+    steps=st.integers(0, 7),
+    start=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+    data=st.data(),
+)
+def test_polar_product_form_matches_the_enumerated_branches(constrained, order, steps, start, data):
+    """The product of per-step branch means is the enumerator's E[X Y] to roundoff."""
+    model = cuoco_liu_model() if constrained else merton_model()
+    step = 0.5 / max(steps, 1)
+    policy = st.lists(st.floats(*model.a_interval), min_size=steps, max_size=steps)
+    dual = st.lists(st.floats(*model.gamma_interval), min_size=steps, max_size=steps)
+    primal_policy, dual_policy = tuple(data.draw(policy)), tuple(data.draw(dual))
+    rule = gauss_hermite_rule(order)
+    expect, defect = polar_defect(model, rule, steps, step, start, primal_policy, dual_policy)
+    xs, ys, probs = enumerate_coupled(model, rule, steps, step, start, primal_policy, dual_policy)
+    assert expect == pytest.approx(float(np.sum(probs * xs * ys)), abs=1.0e-14)
+    assert defect == expect - start[0] * start[1]
+
+
+def test_polar_product_form_beyond_the_enumerator():
+    """4^40 branches, which no enumeration reaches, against x y (1 - h^2 r mu)^N."""
+    model = merton_model()
+    x0, y0, a, steps = 1.5, 0.7, 0.8, 40
+    step = 0.5 / steps
+    mu = 0.8 + a * 0.4
+    expect, defect = polar_defect(
+        model, gauss_hermite_rule(4), steps, step, (x0, y0), (a,) * steps, (0.0,) * steps
+    )
+    want = x0 * y0 * (1.0 - step * step * 0.8 * mu) ** steps
+    assert expect == pytest.approx(want, rel=1.0e-14)
+    assert defect == pytest.approx(want - x0 * y0, abs=1.0e-14)
+
+
+def test_polar_validation():
+    model, rule = merton_model(), gauss_hermite_rule(2)
+    with pytest.raises(ValueError, match="step count must be nonnegative, got -1"):
+        polar_defect(model, rule, -1, 0.1, (1.0, 1.0), (0.0,), (0.0,))
+    with pytest.raises(ValueError, match="both policies must cover 2 steps"):
+        polar_defect(model, rule, 2, 0.1, (1.0, 1.0), (0.0, 0.0), (0.0,))
+    with pytest.raises(ValueError, match="both policies must cover 2 steps"):
+        polar_defect(model, rule, 2, 0.1, (1.0, 1.0), (0.0,), (0.0, 0.0))
 
 
 def test_polar_zero_policy_single_step():
@@ -270,8 +320,6 @@ def test_polar_constrained_violation_vanishes_with_step():
     What survives upward is the second-order drift cross term, of size
     h^2 per step, so over horizon 0.5 any upward defect is O(h).
     """
-    from dualgap import cuoco_liu_model
-
     model = cuoco_liu_model()
     rng = np.random.default_rng(7)
     for steps in (1, 2, 4):
