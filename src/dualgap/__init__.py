@@ -34,7 +34,7 @@ from .duality import (
     write_gap_csv,
 )
 from .errors import ConfigError, NumericalFailure, ResourceLimit
-from .lattice import Discretization, SpaceGrid, TimeGrid, control_mesh, interpolate
+from .lattice import Discretization, SpaceGrid, TimeGrid, control_mesh
 from .market import (
     CoefficientBounds,
     MarketModel,
@@ -47,12 +47,7 @@ from .market import (
     penalty_conjugate,
 )
 from .quadrature import QuadratureRule, double_factorial, gauss_hermite_rule, moment_defect
-from .solver import (
-    ValueSurface,
-    enumerate_coupled,
-    solve,
-    write_surface_csv,
-)
+from .solver import ValueSurface, solve, write_surface_csv
 from .utility import (
     ConjugateSpec,
     TruncatedUtility,
@@ -92,11 +87,9 @@ __all__ = [
     "dual_coefficient_bounds",
     "duality_gap",
     "em_bound",
-    "enumerate_coupled",
     "envelope_constants",
     "gauss_hermite_rule",
     "gh_bound",
-    "interpolate",
     "lipschitz_truncate",
     "merton_model",
     "merton_optimal_fraction",

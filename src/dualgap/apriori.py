@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ResourceLimit
 from .quadrature import double_factorial, moment_defect
-from .utility import TruncatedUtility
+from .utility import PowerUtility
 
 #: summed tail terms below this are dropped
 _TAIL_CUTOFF = 1.0e-16
@@ -176,10 +176,10 @@ def truncation_allowance(x, utility, rho, c0, constants):
     min(1, 2 exp(-(3 / (8 c_psi^2 T)) (log(rho / (c0 x)) - c_mu T)^2)).
     Large-wealth part: the marginal utility at rho times the summed
     tail over integer barriers from floor(rho) up, truncated before the
-    first term under 1e-16.  ``utility`` is the power base or its
-    truncation by ``lipschitz_truncate``; both are valid, and the
-    truncated reward's zero slope at rho kills the second part.  A
-    truncated reward must carry the ``rho`` and ``c0`` passed beside it.
+    first term under 1e-16.  ``utility`` is the untruncated power base
+    (``power_utility``); anything else, a ``TruncatedUtility`` included,
+    raises ValueError, since the truncated reward's zero slope at rho
+    would drop the large-wealth part and understate the allowance.
 
     Each state's tail terms are one numpy evaluation up to the
     closed-form last barrier of ``_barriers``, cut where a per-term
@@ -198,11 +198,8 @@ def truncation_allowance(x, utility, rho, c0, constants):
         raise ValueError(f"state must be positive, got {nodes[i]} at index {i}")
     if rho <= 0.0 or c0 <= 0.0:
         raise ValueError("tail weights need positive x, rho, c0")
-    if isinstance(utility, TruncatedUtility) and (utility.rho, utility.c0) != (rho, c0):
-        raise ValueError(
-            f"rho={rho}, c0={c0} differ from the truncated reward's "
-            f"rho={utility.rho}, c0={utility.c0}"
-        )
+    if not isinstance(utility, PowerUtility):
+        raise ValueError(f"the allowance needs the power base, got {type(utility).__name__}")
     if constants.vol_bound <= 0.0 or constants.horizon <= 0.0:
         raise ValueError("tail weights need positive volatility bound and horizon")
     # math's log, not numpy's, which may differ in the last ulp
@@ -211,8 +208,7 @@ def truncation_allowance(x, utility, rho, c0, constants):
     lower = _gaussian_tail_weight(log_ratios, *bounds)
     total = float(utility.evaluate(c0 / rho)) * lower
     slope = float(utility.derivative(rho))
-    if slope > 0.0:
-        total += slope * np.array([_tail_sum(s, rho, constants) for s in nodes.tolist()])
+    total += slope * np.array([_tail_sum(s, rho, constants) for s in nodes.tolist()])
     return float(total[0]) if states.ndim == 0 else total
 
 

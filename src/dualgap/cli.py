@@ -171,7 +171,11 @@ def load_config(spec):
     that span keys run, in order.
     """
     path = resolve_config_path(spec)
-    entries = _parse_entries(path.read_text(encoding="utf-8"), str(spec))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {spec}: {exc}") from exc
+    entries = _parse_entries(text, str(spec))
     unknown = sorted(set(entries) - set(_SCHEMA))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
@@ -435,7 +439,10 @@ def run(argv=None):
     try:
         cfg = load_config(args.config)
         out = Path(args.out if args.out is not None else cfg.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
         # FloatingPointError is an ArithmeticError: an overflow exits 3, not 0
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             _PIPELINES[args.command](cfg, out, args)

@@ -41,7 +41,6 @@ from .optim import golden_max  # noqa: F401  kept: the benchmark tests this trac
 class MarketModel:
     """Constant coefficients, drift penalty and control intervals of one market."""
 
-    name: str
     rate: float
     appreciation: float
     vol: float
@@ -114,7 +113,6 @@ def merton_model(
         raise ValueError(f"control interval must contain 0, got {a_interval}")
     vertices = (lo,) if lo == hi else (lo, hi)
     return MarketModel(
-        name="merton",
         rate=float(r),
         appreciation=float(b),
         vol=float(sigma),
@@ -201,7 +199,6 @@ def cuoco_liu_model(
     long_part, short_part = np.maximum(0.0, vertices), np.maximum(0.0, -vertices)
     values = -short_rate * short_part - spread * (1.0 - long_part - iota * lambda_minus * short_part)
     return MarketModel(
-        name="cuoco-liu",
         rate=float(r),
         appreciation=float(b),
         vol=float(sigma),

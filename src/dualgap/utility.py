@@ -10,7 +10,8 @@ rho, and comes out in closed form.
 
 Each object holds only its numbers (a power utility p; a truncation its
 base, rho and c0; a conjugate its reward) and derives the rest.  Every
-``evaluate`` and ``derivative`` returns a float for a scalar input.
+``evaluate``, and the power utility's ``derivative``, returns a float
+for a scalar input.
 """
 
 import math
@@ -94,12 +95,6 @@ class TruncatedUtility:
             self.lipschitz * arr,
             np.where(arr <= self.rho, inner, self.base.evaluate(self.rho)),
         )
-        return _match_shape(out, x)
-
-    def derivative(self, x):
-        arr = np.asarray(x, dtype=float)
-        inner = self.base.derivative(np.clip(arr, self.x_rho, self.rho))
-        out = np.where(arr < self.x_rho, self.lipschitz, np.where(arr < self.rho, inner, 0.0))
         return _match_shape(out, x)
 
 

@@ -254,10 +254,7 @@ def allowance_loop(x, utility, rho, c0, constants, cutoff):
         math.log(rho / (c0 * x)), constants.drift_bound, constants.vol_bound, constants.horizon
     )
     total = float(utility.evaluate(c0 / rho)) * lower
-    slope = float(utility.derivative(rho))
-    if slope > 0.0:
-        total += slope * tail_sum_loop(x, rho, constants, cutoff)[0]
-    return total
+    return total + float(utility.derivative(rho)) * tail_sum_loop(x, rho, constants, cutoff)[0]
 
 
 def random_setup(rng):

@@ -19,6 +19,7 @@ from dualgap import (
     ResourceLimit,
     SpaceGrid,
     coefficient_bounds,
+    conjugate_spec,
     constant_set,
     cuoco_liu_model,
     dual_coefficient_bounds,
@@ -116,9 +117,9 @@ def test_bound_step_validation(primal_constants, rule4):
 
 
 def _lower_weight(x, constants):
-    """The small-wealth tail weight: the truncated reward's allowance over u(c0/rho) = 4/3."""
-    reward = lipschitz_truncate(power_utility(0.5), 18.0, 8.0)
-    return truncation_allowance(x, reward, 18.0, 8.0, constants) / (4.0 / 3.0)
+    """The small-wealth tail weight at rho = 18, c0 = 8: the Gaussian bound at log(rho/(c0 x))."""
+    bounds = (constants.drift_bound, constants.vol_bound, constants.horizon)
+    return float(apriori._gaussian_tail_weight(np.array([math.log(18.0 / (8.0 * x))]), *bounds)[0])
 
 
 def test_tail_weight_clamps_near_the_barrier(primal_constants):
@@ -133,31 +134,23 @@ def test_tail_weight_large_deviation_value(primal_constants):
 
 
 def test_tail_weight_validation(primal_constants):
-    reward = lipschitz_truncate(power_utility(0.5), 18.0, 8.0)
+    base = power_utility(0.5)
     with pytest.raises(ValueError, match="positive x, rho, c0"):
-        truncation_allowance(1.0, reward, 18.0, 0.0, primal_constants)
+        truncation_allowance(1.0, base, 18.0, 0.0, primal_constants)
     flat = ConstantSet(drift_bound=1.2, vol_bound=0.0, horizon=0.5)
     with pytest.raises(ValueError, match="positive volatility bound and horizon"):
-        truncation_allowance(np.array([1.0, 2.0]), reward, 18.0, 8.0, flat)
+        truncation_allowance(np.array([1.0, 2.0]), base, 18.0, 8.0, flat)
 
 
-def test_allowance_truncated_reward(primal_constants):
-    """Zero slope at the cut kills the tail sum, leaving U(4/9) times one."""
+def test_allowance_refuses_anything_but_the_power_base(primal_constants):
+    """The truncated reward's zero slope at rho would drop the large-wealth part."""
     reward = lipschitz_truncate(power_utility(0.5), 18.0, 8.0)
-    got = truncation_allowance(1.0, reward, 18.0, 8.0, primal_constants)
-    assert got == pytest.approx(4.0 / 3.0, abs=1.0e-12)
-
-
-def test_allowance_refuses_a_reward_of_another_geometry(primal_constants):
-    """A truncated reward's own rho and c0 must be the ones passed beside it."""
-    reward = lipschitz_truncate(power_utility(0.5), 18.0, 8.0)
-    for rho, c0 in ((12.0, 3.0), (12.0, 8.0), (18.0, 3.0)):
-        with pytest.raises(ValueError, match="differ from the truncated reward's rho=18.0, c0=8.0"):
-            truncation_allowance(1.0, reward, rho, c0, primal_constants)
-    # the same numbers in another type are the same geometry
-    assert truncation_allowance(1.0, reward, 18, 8, primal_constants) == pytest.approx(
-        4.0 / 3.0, abs=1.0e-12
-    )
+    for utility in (reward, conjugate_spec(reward)):
+        with pytest.raises(ValueError, match=f"needs the power base, got {type(utility).__name__}"):
+            truncation_allowance(1.0, utility, 18.0, 8.0, primal_constants)
+    # the state checks still come first
+    with pytest.raises(ValueError, match="state must be positive"):
+        truncation_allowance(-1.0, reward, 18.0, 8.0, primal_constants)
 
 
 def test_allowance_untruncated_base_frozen(primal_constants):

@@ -172,7 +172,7 @@ def test_problem_alone_loads_its_defaults(tmp_path, problem, gamma_interval, mod
 
 def test_build_problem_merton():
     problem = build_problem(load_config("merton"))
-    assert problem.model.name == "merton"
+    assert problem.model.vertices == (-1.0, 1.0)
     assert problem.model.a_interval == (-1.0, 1.0)
     assert problem.reward.lipschitz == pytest.approx(3.0, abs=1.0e-12)
     assert problem.conjugate.lipschitz == 18.0
@@ -180,7 +180,7 @@ def test_build_problem_merton():
 
 def test_build_problem_cuoco():
     problem = build_problem(load_config("cuoco_liu"))
-    assert problem.model.name == "cuoco-liu"
+    assert problem.model.vertices == (-1.0, 0.0, 1.0)
     assert problem.model.gamma_interval == (-1.0, 1.0)
 
 
@@ -231,6 +231,38 @@ def test_run_rejects_a_level_outside_the_ladder(capsys, tmp_path, level):
     assert code == 2
     assert f"level must lie in [0, 8], got {level}" in capsys.readouterr().err
     assert not any(out.iterdir())
+
+
+def test_a_config_file_that_cannot_be_read_exits_2(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"problem = merton\nrho = 1\xff\n")
+    with pytest.raises(ConfigError, match="^cannot read config file .*can't decode byte 0xff"):
+        load_config(str(path))
+    out = tmp_path / "out"
+    assert run(["gap", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot read config file {path}: ")
+    assert not out.exists()
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    path.write_text(MERTON_SMALL, encoding="utf-8")
+    monkeypatch.setattr(Path, "read_text", refuse)
+    with pytest.raises(ConfigError, match="^cannot read config file .*Permission denied"):
+        load_config(str(path))
+    assert run(["gap", "--config", str(path), "--out", str(out)]) == 2
+    assert "Permission denied" in capsys.readouterr().err
+
+
+def test_an_out_directory_that_cannot_be_created_exits_2(capsys, tmp_path):
+    cfg = write_cfg(tmp_path, MERTON_SMALL)
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n", encoding="utf-8")
+    for out in (taken, taken / "below"):
+        assert run(["gap", "--config", str(cfg), "--out", str(out), "--level", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot create output directory {out}: ")
+    assert taken.read_text(encoding="utf-8") == "a file, not a directory\n"
 
 
 def test_run_resource_limit_exit_code(capsys, tmp_path):

@@ -16,12 +16,12 @@ from dualgap import (
     aposteriori_bounds,
     cuoco_liu_model,
     duality_gap,
-    enumerate_coupled,
     gauss_hermite_rule,
     merton_model,
     polar_defect,
     write_gap_csv,
 )
+from dualgap.solver import enumerate_coupled
 
 
 def _flat_surface(direction, length, cells, rows, steps=2):

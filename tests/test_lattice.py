@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from dualgap import Discretization, SpaceGrid, TimeGrid, control_mesh, interpolate, lattice
-from dualgap.lattice import locate
+from dualgap import Discretization, SpaceGrid, TimeGrid, control_mesh, lattice
+from dualgap.lattice import interpolate, locate
 
 
 def test_space_grid_nodes():

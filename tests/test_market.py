@@ -281,7 +281,6 @@ def test_model_accepts_a_linear_penalty_with_subnormal_values():
 def _direct_fields():
     """MarketModel fields of a zero-penalty model built without a factory."""
     return dict(
-        name="direct",
         rate=0.8,
         appreciation=1.2,
         vol=1.0,

@@ -78,12 +78,6 @@ def test_truncated_continuity(truncated):
         assert abs(above - below) < 1.0e-8
 
 
-def test_truncated_derivative(truncated):
-    assert truncated.derivative(0.1) == pytest.approx(3.0, abs=1.0e-12)
-    assert truncated.derivative(1.0) == pytest.approx(1.0, abs=1.0e-14)
-    assert truncated.derivative(20.0) == 0.0
-
-
 def test_truncated_shapes(truncated):
     assert isinstance(truncated.evaluate(1.0), float)
     out = truncated.evaluate(np.array([0.0, 1.0, 20.0]))
