@@ -260,6 +260,33 @@ def _level(cfg, args):
     return k, analytics.refinement_ladder(k, k, cfg.M, cfg.x_max, cfg.y_max)[0]
 
 
+#: the worst-case coefficient sizes of each direction's chain
+_COEFFICIENT_BOUNDS = {
+    "primal": market.coefficient_bounds,
+    "dual": market.dual_coefficient_bounds,
+}
+
+
+def _check_drift(model, steps, level=None, directions=("primal", "dual")):
+    """Refuse a coarsest step whose drift alone moves the state by its own size.
+
+    A branch factor is 1 + h drift + sqrt(h) vol xi; once h |drift| >= 1
+    the drift alone can carry the state to 0 or far off the grid in one
+    step, and the surface reads the plateau there.  ``steps`` is the
+    coarsest step count the pipeline solves, ``level`` the ladder level
+    that sets it, if one does.
+    """
+    step = model.horizon / steps
+    where = f"N={steps}" if level is None else f"{level} (N={steps})"
+    for direction in directions:
+        drift = _COEFFICIENT_BOUNDS[direction](model).drift
+        if step * drift >= 1.0:
+            raise ConfigError(
+                f"the {direction} drift outruns the state at {where}: "
+                f"h*drift = {step:g}*{drift:g} = {step * drift:.3g} must be below 1"
+            )
+
+
 def _reference(cfg):
     if cfg.problem != "merton":
         raise ConfigError(
@@ -275,6 +302,7 @@ def _header(cfg, extra=None):
 def cmd_solve(direction, cfg, out, args):
     problem = build_problem(cfg)
     k, disc = _level(cfg, args)
+    _check_drift(problem.model, disc.steps, f"level {k}", (direction,))
     terminal = problem.reward if direction == "primal" else problem.conjugate
     surface = solver.solve(problem.model, terminal, disc, direction)
     path = out / f"{direction}_N{disc.steps}.csv"
@@ -291,6 +319,7 @@ def cmd_gap(cfg, out, args):
             f"control interval {list(problem.model.a_interval)} holds no risky position, "
             "and the gap's truncation allowance needs a positive volatility bound"
         )
+    _check_drift(problem.model, disc.steps, f"level {k}")
     primal = solver.solve(problem.model, problem.reward, disc, "primal")
     dual = solver.solve(problem.model, problem.conjugate, disc, "dual")
     report = duality.duality_gap(primal, dual, 0)
@@ -324,6 +353,8 @@ def cmd_convergence(cfg, out, args):
         kwargs = {"reference": _reference(cfg)}
     else:
         kwargs = {"conjugate": problem.conjugate}
+    directions = ("primal",) if mode == "error" else ("primal", "dual")
+    _check_drift(problem.model, ladder[0].steps, f"k_min = {cfg.k_min}", directions)
     table = analytics.run_ladder(problem.model, problem.reward, ladder, **kwargs)[mode]
     path = out / f"convergence_{mode}.csv"
     analytics.write_convergence_csv(table, path, _header(cfg))
@@ -341,6 +372,7 @@ def cmd_bounds(cfg, out, args):
     problem = build_problem(cfg)
     reference = _reference(cfg)
     ladder = analytics.refinement_ladder(cfg.k_min, cfg.k_max, cfg.M, cfg.x_max, cfg.y_max)
+    _check_drift(problem.model, ladder[0].steps, f"k_min = {cfg.k_min}")
     rule = gauss_hermite_rule(cfg.M)
     constants = apriori.constant_set(market.coefficient_bounds(problem.model), cfg.T)
     lipschitz = problem.reward.lipschitz
@@ -373,6 +405,7 @@ def cmd_bounds(cfg, out, args):
 def cmd_polar_check(cfg, out, args):
     problem = build_problem(cfg)
     model = problem.model
+    _check_drift(model, min(_POLAR_STEPS))
     rule = gauss_hermite_rule(cfg.M)
     rng = np.random.default_rng(cfg.seed)
     rows = []

@@ -340,6 +340,41 @@ def test_gap_refuses_a_control_interval_without_a_risky_position(capsys, tmp_pat
         assert run([command, "--config", str(cfg), "--out", str(out)]) == 0, command
 
 
+@pytest.mark.parametrize(
+    "command, where",
+    [
+        ("solve-primal", "primal drift outruns the state at level 1 (N=8)"),
+        ("solve-dual", "dual drift outruns the state at level 1 (N=8)"),
+        ("gap", "primal drift outruns the state at level 1 (N=8)"),
+        ("convergence", "primal drift outruns the state at k_min = 1 (N=8)"),
+        ("bounds", "primal drift outruns the state at k_min = 1 (N=8)"),
+        ("polar-check", "primal drift outruns the state at N=2"),
+    ],
+)
+def test_a_drift_that_outruns_the_state_exits_2(capsys, tmp_path, command, where):
+    """With r = 1e300 one step's drift moves the state 1e299 times its size."""
+    cfg = write_cfg(tmp_path, "problem = merton\nr = 1e300\nk_min = 1\nk_max = 1\n")
+    out = tmp_path / "out"
+    level = ["--level", "1"] if command in ("solve-primal", "solve-dual", "gap") else []
+    assert run([command, "--config", str(cfg), "--out", str(out), *level]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: the {where}: h*drift = ")
+    assert not any(out.iterdir())
+
+
+def test_a_drift_only_the_dual_outruns_refuses_only_the_steps_it_outruns(capsys, tmp_path):
+    """A wide gamma interval: dual drift 9.8 is below 1/h at N=8 and above it at N=2."""
+    text = "problem = cuoco-liu\ngamma_min = -9\ngamma_max = 9\nk_min = 1\nk_max = 1\n"
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert run(["polar-check", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: the dual drift outruns the state at N=2: "
+        "h*drift = 0.25*9.8 = 2.45 must be below 1\n"
+    )
+    for command in ("solve-primal", "solve-dual"):
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 0, command
+
+
 def test_convergence_pipeline_reruns_identically(capsys, tmp_path):
     cfg = write_cfg(tmp_path, MERTON_SMALL)
     out_a = tmp_path / "a"

@@ -1,7 +1,11 @@
 """The one CSV format: header echo, column line, one line per row."""
 
+import types
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from dualgap import csvout
@@ -58,3 +62,91 @@ def test_grid_refuses_integer_values():
     keys = np.array([0.0, 1.0])
     with pytest.raises(TypeError, match="float column"):
         list(csvout.grid(keys, keys, np.zeros((2, 2), dtype=int)))
+
+
+def _surface(data, outer=None, inner=None):
+    """A surface-shaped namespace over ``data``, keyed 0, 1, 2, ... unless given keys."""
+    rows, cols = data.shape
+    outer = np.arange(float(rows)) if outer is None else outer
+    inner = np.arange(float(cols)) if inner is None else inner
+    return types.SimpleNamespace(
+        time=types.SimpleNamespace(times=outer), grid=types.SimpleNamespace(nodes=inner), data=data
+    )
+
+
+def _grid_matches_the_oracle(surface):
+    """``grid``'s blocks are the per-cell writer's lines after its two header lines."""
+    written = b"".join(csvout.grid(surface.time.times, surface.grid.nodes, surface.data))
+    text = oracles.surface_csv_text(surface, "cells").encode()
+    assert written == text.split(b"\n", 2)[2]
+
+
+def _bits(value):
+    return int(np.float64(value).view(np.uint64))
+
+
+_ANY = st.integers(0, 2**64 - 1)
+# the positive values with a two-digit exponent, and those the digits are computed for
+_TWO_DIGIT = st.integers(_bits(1e-99), _bits(9.999999999999999e99))
+_COMPUTED = st.integers(_bits(1e-12) - 4, _bits(1e15) + 4)
+# a few ulps either side of a power of ten, where log10 may round to the power
+_NEAR_POWER = st.builds(
+    lambda k, ulps: _bits(10.0**k) + ulps, st.integers(-13, 16), st.integers(-3, 3)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.one_of(_NEAR_POWER, _COMPUTED, _TWO_DIGIT, _ANY), min_size=8, max_size=8),
+        min_size=1,
+        max_size=3,
+    )
+)
+@example([[_bits(v) for v in (0.0, 9.9999999999999995, 9999999999999.998, 1e15, 0.5, 3.0, 7.0)]])
+def test_grid_rows_are_the_per_cell_format_of_any_bit_pattern(rows):
+    _grid_matches_the_oracle(_surface(np.array(rows, dtype=np.uint64).view(np.float64)))
+
+
+_POWERS_OF_TEN = 10.0 ** np.arange(-12, 16)
+_FIXED = [
+    # just below a power of ten, where log10 may round up to the power's exponent
+    *np.nextafter(_POWERS_OF_TEN, 0.0).tolist(),
+    *_POWERS_OF_TEN.tolist(),
+    9.9999999999999995,  # rounds up, carrying into e+01
+    0.5, 0.25, 0.375, 1.5, 3.0, 2.0**-20, 2.0**40, 2.0**-40 * 3,
+    2.0**48 + 0.25, 2.0**48 + 1.75,  # exact ties: % rounds them half to even
+    np.nextafter(1e-12, 1.0), np.nextafter(1e15, 2e15),
+    0.0, -0.0, 5e-324, float("nan"), float("inf"), -float("inf"), -1.0, -2.5e-7, 1e100, 1e-100,
+]
+
+
+@pytest.mark.parametrize("value", _FIXED)
+def test_grid_cell_is_the_per_cell_format(value):
+    """One value among cells the digit path writes, alone and in a row of its own."""
+    _grid_matches_the_oracle(_surface(np.array([[1.0, value, 2.5], [value] * 3])))
+
+
+def test_grid_without_extended_precision_writes_the_same_bytes(monkeypatch):
+    """With the tie margin at 1/2, as where long double is a plain double, every cell is %'s."""
+    rng = np.random.default_rng(5)
+    data = 10.0 ** rng.uniform(-12, 15, size=(3, 200))
+    data[:, 0] = 0.0
+    surface = _surface(data, inner=np.linspace(0.0, 20.0, 200))
+    fast = b"".join(csvout.grid(surface.time.times, surface.grid.nodes, data))
+    monkeypatch.setattr(csvout, "_TIE", 0.5)
+    exact = b"".join(csvout.grid(surface.time.times, surface.grid.nodes, data))
+    assert exact == fast
+    _grid_matches_the_oracle(surface)
+
+
+@pytest.mark.parametrize(
+    "outer, inner",
+    [
+        (np.array([-0.5, 0.0]), np.array([0.0, 1.0])),
+        (np.array([0.0, 1.0]), np.array([-1.0, 1e200])),
+        (np.array([1e-300, float("nan")]), np.array([0.0, 1.0])),
+    ],
+)
+def test_grid_keys_of_another_width_keep_the_per_cell_format(outer, inner):
+    _grid_matches_the_oracle(_surface(np.array([[1.0, 2.0], [0.5, 0.25]]), outer, inner))

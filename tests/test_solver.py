@@ -498,17 +498,28 @@ def test_surface_csv_is_streamed(tmp_path):
         assert sum(1 for _ in fh) == 2 + 129 * 1025
 
 
-@pytest.mark.parametrize("direction", ["primal", "dual"])
-@pytest.mark.parametrize("config", ["merton", "cuoco_liu"])
-def test_surface_csv_matches_the_per_cell_writer(tmp_path, config, direction):
+def _surface_csv_matches_the_per_cell_writer(tmp_path, config, direction, level):
     cfg = load_config(config)
     problem = build_problem(cfg)
-    disc = refinement_ladder(3, 3, cfg.M, cfg.x_max, cfg.y_max)[0]
+    disc = refinement_ladder(level, level, cfg.M, cfg.x_max, cfg.y_max)[0]
     terminal = problem.reward if direction == "primal" else problem.conjugate
     surface = solve(problem.model, terminal, disc, direction)
     path = tmp_path / "surface.csv"
     write_surface_csv(surface, path, f"{config} {direction}")
     assert path.read_bytes() == oracles.surface_csv_text(surface, f"{config} {direction}").encode()
+
+
+@pytest.mark.parametrize("direction", ["primal", "dual"])
+@pytest.mark.parametrize("config", ["merton", "cuoco_liu"])
+def test_surface_csv_matches_the_per_cell_writer(tmp_path, config, direction):
+    _surface_csv_matches_the_per_cell_writer(tmp_path, config, direction, 3)
+
+
+@pytest.mark.parametrize("direction", ["primal", "dual"])
+@pytest.mark.parametrize("config", ["merton", "cuoco_liu"])
+def test_surface_csv_matches_the_per_cell_writer_at_level_5(tmp_path, config, direction):
+    """The size the benchmark writes, with cells the digit path leaves to %."""
+    _surface_csv_matches_the_per_cell_writer(tmp_path, config, direction, 5)
 
 
 def test_surface_csv_special_values_match_the_per_cell_writer(tmp_path):
