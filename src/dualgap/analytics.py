@@ -159,7 +159,7 @@ def run_ladder(
                 window_norms(
                     report.x,
                     report.gap,
-                    lambda x: np.zeros_like(x),
+                    np.zeros_like,
                     (0.0, disc.x_max),
                     primal.grid.spacing,
                 )

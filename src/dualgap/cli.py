@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analytics, apriori, csvout, duality, market, solver, utility
 from .errors import ConfigError, NumericalFailure, ResourceLimit
-from .quadrature import gauss_hermite_rule
+from .quadrature import MAX_ORDER, MIN_ORDER, gauss_hermite_rule
 
 _PROBLEMS = ("merton", "cuoco-liu")
 _MODES = ("error", "gap")
@@ -79,7 +79,10 @@ _SCHEMA = {
     "a_max": _Key(float, 1.0, readers=_MERTON),
     "gamma_min": _Key(float, {"merton": 0.0, "cuoco-liu": -1.0}),
     "gamma_max": _Key(float, {"merton": 0.0, "cuoco-liu": 1.0}),
-    "M": _Key(int, 4, check=(lambda v: 2 <= v <= 20, "M must lie in [2, 20], got {value}")),
+    "M": _Key(int, 4, check=(
+        lambda v: MIN_ORDER <= v <= MAX_ORDER,
+        f"M must lie in [{MIN_ORDER}, {MAX_ORDER}], got {{value}}",
+    )),
     "k_min": _Key(int, 1, check=_NONNEGATIVE),
     "k_max": _Key(int, 5, check=(
         lambda v: v <= _MAX_LEVEL, f"k_max = {{value}} exceeds the supported maximum {_MAX_LEVEL}"
@@ -150,8 +153,6 @@ def _parse_entries(text, source):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw.strip()!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
@@ -279,8 +280,10 @@ def _check_drift(model, steps, level=None, directions=("primal", "dual")):
     step = model.horizon / steps
     where = f"N={steps}" if level is None else f"{level} (N={steps})"
     for direction in directions:
-        drift = _COEFFICIENT_BOUNDS[direction](model).drift
-        if step * drift >= 1.0:
+        # an overflowing drift reads inf (or nan), and is refused like any other
+        with np.errstate(over="ignore", invalid="ignore"):
+            drift = _COEFFICIENT_BOUNDS[direction](model).drift
+        if not step * drift < 1.0:
             raise ConfigError(
                 f"the {direction} drift outruns the state at {where}: "
                 f"h*drift = {step:g}*{drift:g} = {step * drift:.3g} must be below 1"
@@ -295,31 +298,25 @@ def _reference(cfg):
     return lambda x: market.merton_value(cfg.T, x, cfg.p, cfg.r, cfg.b, cfg.sigma)
 
 
-def _header(cfg, extra=None):
-    return cfg.echo() if extra is None else f"{cfg.echo()} {extra}"
-
-
-def cmd_solve(direction, cfg, out, args):
-    problem = build_problem(cfg)
+def cmd_solve(direction, cfg, problem, out, args):
     k, disc = _level(cfg, args)
     _check_drift(problem.model, disc.steps, f"level {k}", (direction,))
     terminal = problem.reward if direction == "primal" else problem.conjugate
     surface = solver.solve(problem.model, terminal, disc, direction)
     path = out / f"{direction}_N{disc.steps}.csv"
-    solver.write_surface_csv(surface, path, _header(cfg, f"level={k}"))
+    solver.write_surface_csv(surface, path, f"{cfg.echo()} level={k}")
     print(f"{direction} level {k}: N={disc.steps} J={disc.cells} -> {path}")
 
 
-def cmd_gap(cfg, out, args):
-    problem = build_problem(cfg)
+def cmd_gap(cfg, problem, out, args):
     k, disc = _level(cfg, args)
+    _check_drift(problem.model, disc.steps, f"level {k}")
     primal_constants = apriori.constant_set(market.coefficient_bounds(problem.model), cfg.T)
     if primal_constants.vol_bound == 0.0:
         raise ConfigError(
             f"control interval {list(problem.model.a_interval)} holds no risky position, "
             "and the gap's truncation allowance needs a positive volatility bound"
         )
-    _check_drift(problem.model, disc.steps, f"level {k}")
     primal = solver.solve(problem.model, problem.reward, disc, "primal")
     dual = solver.solve(problem.model, problem.conjugate, disc, "dual")
     report = duality.duality_gap(primal, dual, 0)
@@ -341,12 +338,11 @@ def cmd_gap(cfg, out, args):
         allowance=allowance,
     )
     path = out / f"gap_N{disc.steps}.csv"
-    duality.write_gap_csv(report, path, _header(cfg, f"level={k}"), bounds)
+    duality.write_gap_csv(report, path, f"{cfg.echo()} level={k}", bounds)
     print(f"gap level {k}: N={disc.steps} max gap {float(np.max(report.gap)):.3e} -> {path}")
 
 
-def cmd_convergence(cfg, out, args):
-    problem = build_problem(cfg)
+def cmd_convergence(cfg, problem, out, args):
     mode = cfg.mode if getattr(args, "mode", None) is None else args.mode
     ladder = analytics.refinement_ladder(cfg.k_min, cfg.k_max, cfg.M, cfg.x_max, cfg.y_max)
     if mode == "error":
@@ -357,7 +353,7 @@ def cmd_convergence(cfg, out, args):
     _check_drift(problem.model, ladder[0].steps, f"k_min = {cfg.k_min}", directions)
     table = analytics.run_ladder(problem.model, problem.reward, ladder, **kwargs)[mode]
     path = out / f"convergence_{mode}.csv"
-    analytics.write_convergence_csv(table, path, _header(cfg))
+    analytics.write_convergence_csv(table, path, cfg.echo())
     for i, disc in enumerate(table.levels):
         norms = table.norms[i]
         print(
@@ -368,8 +364,7 @@ def cmd_convergence(cfg, out, args):
     print(f"convergence ({mode}) -> {path}")
 
 
-def cmd_bounds(cfg, out, args):
-    problem = build_problem(cfg)
+def cmd_bounds(cfg, problem, out, args):
     reference = _reference(cfg)
     ladder = analytics.refinement_ladder(cfg.k_min, cfg.k_max, cfg.M, cfg.x_max, cfg.y_max)
     _check_drift(problem.model, ladder[0].steps, f"k_min = {cfg.k_min}")
@@ -393,7 +388,7 @@ def cmd_bounds(cfg, out, args):
         )
     path = out / "bounds.csv"
     columns = "h,em_bound,gh_bound,empirical_error,duality_gap"
-    csvout.write_csv(path, _header(cfg), columns, csvout.table((float,) * 5, rows))
+    csvout.write_csv(path, cfg.echo(), columns, csvout.table((float,) * 5, rows))
     for row in rows:
         print(
             f"h={row[0]:.4e} em={row[1]:.3e} gh={row[2]:.3e} "
@@ -402,8 +397,7 @@ def cmd_bounds(cfg, out, args):
     print(f"bounds -> {path}")
 
 
-def cmd_polar_check(cfg, out, args):
-    problem = build_problem(cfg)
+def cmd_polar_check(cfg, problem, out, args):
     model = problem.model
     _check_drift(model, min(_POLAR_STEPS))
     rule = gauss_hermite_rule(cfg.M)
@@ -426,7 +420,7 @@ def cmd_polar_check(cfg, out, args):
         rows.append((steps, step, float(np.mean(ratios)), float(np.max(ratios)), violation))
     path = out / "polar.csv"
     columns = "N,h,c_abs_mean,c_abs_max,violation_max"
-    csvout.write_csv(path, _header(cfg), columns, csvout.table((int,) + (float,) * 4, rows))
+    csvout.write_csv(path, cfg.echo(), columns, csvout.table((int,) + (float,) * 4, rows))
     for steps, step, c_mean, c_max, vio in rows:
         print(f"N={steps} h={step:.4e} c_mean={c_mean:.3e} c_max={c_max:.3e} violation={vio:.3e}")
     print(f"polar check -> {path}")
@@ -478,7 +472,7 @@ def run(argv=None):
             raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
         # FloatingPointError is an ArithmeticError: an overflow exits 3, not 0
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            _PIPELINES[args.command](cfg, out, args)
+            _PIPELINES[args.command](cfg, build_problem(cfg), out, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

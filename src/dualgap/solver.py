@@ -113,13 +113,14 @@ def step_factors(model, control, rule, step, direction):
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def _sweep_step(next_row, located, weights, grid, plateau, select):
+def _sweep_step(next_row, located, weights, grid, plateau, reduce):
     """One backward step in either direction, given the solve's located states.
 
     Block by block, branches are accumulated in ascending node order,
-    and ``select`` (``np.argmax`` or ``np.argmin``) keeps the earliest
-    mesh point on ties, so the sweep is bit-reproducible.  Returns the
-    new row; the absorbing origin is copied through.
+    and ``reduce`` (``np.max`` or ``np.min``) writes each node's best
+    value over the mesh into the row; a tie returns the tied value, so
+    the sweep is bit-reproducible.  Returns the new row; the absorbing
+    origin is copied through.
     """
     best = np.empty(grid.cells + 1)
     blocks = interpolate(grid, next_row, located, plateau)
@@ -127,19 +128,19 @@ def _sweep_step(next_row, located, weights, grid, plateau, select):
         value = np.zeros((located.controls, span.stop - span.start))
         for weight in weights:  # not zip: its reused tuple would keep the last read alive
             value += weight * next(reads)
-        best[span] = value[select(value, axis=0), np.arange(value.shape[1])]
+        reduce(value, axis=0, out=best[span])
     best[0] = next_row[0]
     return best
 
 
 def primal_step(next_row, located, weights, grid, plateau):
     """One backward step of the maximising sweep."""
-    return _sweep_step(next_row, located, weights, grid, plateau, np.argmax)
+    return _sweep_step(next_row, located, weights, grid, plateau, np.max)
 
 
 def dual_step(next_row, located, weights, grid, plateau):
     """One backward step of the minimising sweep."""
-    return _sweep_step(next_row, located, weights, grid, plateau, np.argmin)
+    return _sweep_step(next_row, located, weights, grid, plateau, np.min)
 
 
 def solve(model, terminal, disc, direction="primal"):
@@ -240,8 +241,9 @@ def enumerate_coupled(model, rule, steps, step, start, primal_policy, dual_polic
 def write_surface_csv(surface, path, header):
     """Dump a surface as ``t,x,value`` rows, time-major, 16 significant digits.
 
-    One block per time row: its template holds the t and x cells, each
-    formatted once per file, and one ``%`` call fills in the row's values.
+    One block per time row, a fixed-width byte row per node: the t and x
+    cells are formatted once per file and the value cells written per row.
+    A row that does not fit that width is one ``%`` call (``csvout.grid``).
     """
     blocks = csvout.grid(surface.time.times, surface.grid.nodes, surface.data)
     csvout.write_csv(path, header, "t,x,value", blocks)

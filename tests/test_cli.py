@@ -352,13 +352,18 @@ def test_gap_refuses_a_control_interval_without_a_risky_position(capsys, tmp_pat
     ],
 )
 def test_a_drift_that_outruns_the_state_exits_2(capsys, tmp_path, command, where):
-    """With r = 1e300 one step's drift moves the state 1e299 times its size."""
-    cfg = write_cfg(tmp_path, "problem = merton\nr = 1e300\nk_min = 1\nk_max = 1\n")
-    out = tmp_path / "out"
+    """With r = 1e300 one step's drift moves the state 1e299 times its size.
+
+    With r = 1e308 the drift bound itself overflows to inf; that is refused
+    the same way, not reported as a numerical failure.
+    """
     level = ["--level", "1"] if command in ("solve-primal", "solve-dual", "gap") else []
-    assert run([command, "--config", str(cfg), "--out", str(out), *level]) == 2
-    assert capsys.readouterr().err.startswith(f"config error: the {where}: h*drift = ")
-    assert not any(out.iterdir())
+    for r in ("1e300", "1e308"):
+        cfg = write_cfg(tmp_path, f"problem = merton\nr = {r}\nk_min = 1\nk_max = 1\n")
+        out = tmp_path / f"out_{r}"
+        assert run([command, "--config", str(cfg), "--out", str(out), *level]) == 2, r
+        assert capsys.readouterr().err.startswith(f"config error: the {where}: h*drift = "), r
+        assert not any(out.iterdir()), r
 
 
 def test_a_drift_only_the_dual_outruns_refuses_only_the_steps_it_outruns(capsys, tmp_path):

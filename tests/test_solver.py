@@ -101,14 +101,22 @@ def test_steps_keep_the_first_mesh_point_on_ties(direction):
     assert np.allclose(values, 0.75, rtol=0.0, atol=1.0e-14)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "k, order",
+    [pytest.param(k, None, id=str(k)) for k in (1, 2, 3, 4)]
+    + [pytest.param(k, m, id=f"{k}-M{m}") for m in (2, 8, 20) for k in (1, 3)],
+)
 @pytest.mark.parametrize("direction", ["primal", "dual"])
 @pytest.mark.parametrize("config", ["merton", "cuoco_liu"])
-def test_solve_matches_the_np_interp_sweep_bit_for_bit(config, direction, k):
-    """Stored brackets change where the search happens, not one bit of the surface."""
+def test_solve_matches_the_np_interp_sweep_bit_for_bit(config, direction, k, order):
+    """Stored brackets change where the search happens, not one bit of the surface.
+
+    ``order`` None runs the config's own rule; the other orders change the
+    branch count each block accumulates before the reduction over the mesh.
+    """
     cfg = load_config(config)
     problem = build_problem(cfg)
-    disc = refinement_ladder(k, k, cfg.M, cfg.x_max, cfg.y_max)[0]
+    disc = refinement_ladder(k, k, order or cfg.M, cfg.x_max, cfg.y_max)[0]
     terminal = problem.reward if direction == "primal" else problem.conjugate
     got = solve(problem.model, terminal, disc, direction).data
     want = oracles.interp_solve(problem.model, terminal, disc, direction)
