@@ -46,8 +46,8 @@ class ConvergenceTable:
     """Norms per ladder level with observed orders between levels.
 
     ``orders[key][i]`` is log2 of the norm drop from level i-1 to i and
-    nan at i = 0.  ``seconds`` holds wall-clock solve times; they are
-    reported on stdout but kept out of the CSV so reruns stay
+    nan at i = 0.  ``seconds`` holds wall-clock times per level; they
+    are reported on stdout but kept out of the CSV so reruns stay
     byte-identical.
     """
 
@@ -114,67 +114,60 @@ def convergence_orders(series):
     return orders
 
 
-def run_ladder(
-    model,
-    terminal,
-    ladder,
-    *,
-    reference: Optional[Callable] = None,
-    conjugate=None,
-):
-    """Solve every ladder level once and collect each requested readout's norms.
+def levels(model, reward, ladder, conjugate=None):
+    """Solve each ladder level once, yielding ``(disc, primal, dual, report)``.
+
+    ``report`` is the duality gap at the initial time.  Without
+    ``conjugate`` (the conjugate terminal reward) no dual surface is
+    solved, and ``dual`` and ``report`` are None.
+    """
+    for disc in ladder:
+        primal = solve(model, reward, disc, "primal")
+        if conjugate is None:
+            yield disc, primal, None, None
+            continue
+        dual = solve(model, conjugate, disc, "dual")
+        yield disc, primal, dual, duality_gap(primal, dual, 0)
+
+
+def run_ladder(levels, *, reference: Optional[Callable] = None):
+    """Reduce solved levels, read one at a time, to one table per readout.
 
     With ``reference`` (the closed-form value as a callable of x) the
     "error" readout compares the primal surface at the initial time
-    against it over the window [1, 2].  With ``conjugate`` (the
-    conjugate terminal reward) the "gap" readout also solves the dual
-    surface, takes the duality gap at the initial time, and measures it
-    against zero over the whole positive axis of the grid.  Returns
-    ``{mode: ConvergenceTable}`` for the requested readouts, "error"
-    first; every table's ``seconds`` hold the whole level's solve time.
+    against it over the window [1, 2].  Levels that carry a gap report
+    give the "gap" readout, measured against zero over the whole positive
+    axis of the grid.  Returns ``{mode: ConvergenceTable}``, "error"
+    first.  A level's ``seconds`` run from the end of the one before, so
+    over ``levels(...)`` they hold its solve as well as its norms.
     """
-    wanted = (("error", reference), ("gap", conjugate))
-    modes = tuple(mode for mode, given in wanted if given is not None)
-    if not modes:
-        raise ValueError("a ladder needs a reference value function, a conjugate reward or both")
-    norms = {mode: [] for mode in modes}
-    seconds = []
-    for disc in ladder:
-        begin = _time.perf_counter()
-        primal = solve(model, terminal, disc, "primal")
+    discs = []
+    norms = {"error": [], "gap": []}
+    stamps = [_time.perf_counter()]
+    for disc, primal, _, report in levels:
+        readouts = {}
         if reference is not None:
-            norms["error"].append(
-                window_norms(
-                    primal.grid.nodes,
-                    primal.data[0],
-                    reference,
-                    _ERROR_WINDOW,
-                    primal.grid.spacing,
-                )
+            readouts["error"] = (primal.grid.nodes, primal.data[0], reference, _ERROR_WINDOW)
+        if report is not None:
+            readouts["gap"] = (report.x, report.gap, np.zeros_like, (0.0, disc.x_max))
+        if not readouts:
+            raise ValueError(
+                "a ladder needs a reference value function, a conjugate reward or both"
             )
-        if conjugate is not None:
-            dual = solve(model, conjugate, disc, "dual")
-            report = duality_gap(primal, dual, 0)
-            norms["gap"].append(
-                window_norms(
-                    report.x,
-                    report.gap,
-                    np.zeros_like,
-                    (0.0, disc.x_max),
-                    primal.grid.spacing,
-                )
-            )
-        seconds.append(_time.perf_counter() - begin)
+        for mode, args in readouts.items():
+            norms[mode].append(window_norms(*args, primal.grid.spacing))
+        discs.append(disc)
+        stamps.append(_time.perf_counter())
+    seconds = tuple(end - begin for begin, end in zip(stamps, stamps[1:]))
     return {
         mode: ConvergenceTable(
-            levels=tuple(ladder),
-            norms=tuple(norms[mode]),
-            orders={
-                key: tuple(convergence_orders([n[key] for n in norms[mode]])) for key in _NORM_KEYS
-            },
-            seconds=tuple(seconds),
+            levels=tuple(discs),
+            norms=tuple(rows),
+            orders={key: tuple(convergence_orders([n[key] for n in rows])) for key in _NORM_KEYS},
+            seconds=seconds,
         )
-        for mode in modes
+        for mode, rows in norms.items()
+        if rows
     }
 
 

@@ -290,12 +290,12 @@ def _check_drift(model, steps, level=None, directions=("primal", "dual")):
             )
 
 
-def _reference(cfg):
+def _reference(cfg, model):
     if cfg.problem != "merton":
         raise ConfigError(
             f"no closed-form reference for problem {cfg.problem}; use mode gap"
         )
-    return lambda x: market.merton_value(cfg.T, x, cfg.p, cfg.r, cfg.b, cfg.sigma)
+    return lambda x: market.merton_value(cfg.T, x, cfg.p, model)
 
 
 def cmd_solve(direction, cfg, problem, out, args):
@@ -317,9 +317,9 @@ def cmd_gap(cfg, problem, out, args):
             f"control interval {list(problem.model.a_interval)} holds no risky position, "
             "and the gap's truncation allowance needs a positive volatility bound"
         )
-    primal = solver.solve(problem.model, problem.reward, disc, "primal")
-    dual = solver.solve(problem.model, problem.conjugate, disc, "dual")
-    report = duality.duality_gap(primal, dual, 0)
+    _, primal, _, report = next(
+        analytics.levels(problem.model, problem.reward, (disc,), problem.conjugate)
+    )
     rule = gauss_hermite_rule(cfg.M)
     dual_constants = apriori.constant_set(market.dual_coefficient_bounds(problem.model), cfg.T)
     c_primal, c_dual = apriori.envelope_constants(primal_constants, dual_constants, rule)
@@ -345,13 +345,12 @@ def cmd_gap(cfg, problem, out, args):
 def cmd_convergence(cfg, problem, out, args):
     mode = cfg.mode if getattr(args, "mode", None) is None else args.mode
     ladder = analytics.refinement_ladder(cfg.k_min, cfg.k_max, cfg.M, cfg.x_max, cfg.y_max)
-    if mode == "error":
-        kwargs = {"reference": _reference(cfg)}
-    else:
-        kwargs = {"conjugate": problem.conjugate}
+    reference = _reference(cfg, problem.model) if mode == "error" else None
+    conjugate = problem.conjugate if mode == "gap" else None
     directions = ("primal",) if mode == "error" else ("primal", "dual")
     _check_drift(problem.model, ladder[0].steps, f"k_min = {cfg.k_min}", directions)
-    table = analytics.run_ladder(problem.model, problem.reward, ladder, **kwargs)[mode]
+    levels = analytics.levels(problem.model, problem.reward, ladder, conjugate)
+    table = analytics.run_ladder(levels, reference=reference)[mode]
     path = out / f"convergence_{mode}.csv"
     analytics.write_convergence_csv(table, path, cfg.echo())
     for i, disc in enumerate(table.levels):
@@ -365,15 +364,14 @@ def cmd_convergence(cfg, problem, out, args):
 
 
 def cmd_bounds(cfg, problem, out, args):
-    reference = _reference(cfg)
+    reference = _reference(cfg, problem.model)
     ladder = analytics.refinement_ladder(cfg.k_min, cfg.k_max, cfg.M, cfg.x_max, cfg.y_max)
     _check_drift(problem.model, ladder[0].steps, f"k_min = {cfg.k_min}")
     rule = gauss_hermite_rule(cfg.M)
     constants = apriori.constant_set(market.coefficient_bounds(problem.model), cfg.T)
     lipschitz = problem.reward.lipschitz
-    tables = analytics.run_ladder(
-        problem.model, problem.reward, ladder, reference=reference, conjugate=problem.conjugate
-    )
+    levels = analytics.levels(problem.model, problem.reward, ladder, problem.conjugate)
+    tables = analytics.run_ladder(levels, reference=reference)
     rows = []
     for i, disc in enumerate(ladder):
         step = cfg.T / disc.steps

@@ -132,19 +132,42 @@ def merton_optimal_fraction(p, r, b, sigma):
     return (b - r) / (sigma * sigma * (1.0 - p))
 
 
-def merton_value(tau, x, p, r, b, sigma):
-    """Closed-form value for the unconstrained power problem.
+def merton_value(tau, x, p, *market):
+    """Closed-form value of the power problem with constant coefficients.
 
-    ``tau`` is time to maturity.  With the constant optimal fraction
-    a* = (b - r)/(sigma^2 (1 - p)) the wealth stays lognormal and
+    ``tau`` is time to maturity.  ``market`` is a model without drift
+    penalty, whose control interval bounds the fraction, or the
+    coefficients ``r, b, sigma`` with no bound on it.  The per-step
+    objective a (b - r) - a^2 (1 - p) sigma^2 / 2 is strictly concave, so
+    the optimal fraction is a* = (b - r)/(sigma^2 (1 - p)) projected onto
+    the interval (Cvitanic and Karatzas 1992).  An end is picked by
+    comparison, not by division, so a sigma^2 (1 - p) that underflows
+    still picks one.  With that constant fraction a the wealth stays
+    lognormal and
 
-        v = exp(p (a* (b - r) + r - a*^2 (1 - p) sigma^2 / 2) tau) x^p / p.
+        v = exp(p (a (b - r) + r - a^2 (1 - p) sigma^2 / 2) tau) x^p / p.
 
     At tau = 0 this is the utility itself.
     """
+    if len(market) == 1:
+        (model,) = market
+        if any(model.values):
+            raise ValueError(f"no closed form under a drift penalty, got {model.values}")
+        r, b, sigma = model.rate, model.appreciation, model.vol
+        lo, hi = model.a_interval
+    else:
+        (r, b, sigma), (lo, hi) = market, (-math.inf, math.inf)
     if tau < 0.0:
         raise ValueError(f"time to maturity must be nonnegative, got {tau}")
-    frac = merton_optimal_fraction(p, r, b, sigma)
+    if not p < 1.0:
+        raise ValueError(f"power exponent must satisfy p < 1, got {p}")
+    curvature = sigma * sigma * (1.0 - p)
+    if b - r >= hi * curvature:
+        frac = hi
+    elif b - r <= lo * curvature:
+        frac = lo
+    else:
+        frac = merton_optimal_fraction(p, r, b, sigma)
     growth = frac * (b - r) + r - 0.5 * frac * frac * (1.0 - p) * sigma * sigma
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0.0):

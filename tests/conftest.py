@@ -10,7 +10,6 @@ import pytest
 from dualgap import (
     conjugate_spec,
     cuoco_liu_model,
-    duality_gap,
     gauss_hermite_rule,
     lipschitz_truncate,
     merton_model,
@@ -18,8 +17,8 @@ from dualgap import (
     power_utility,
     refinement_ladder,
     run_ladder,
-    solve,
 )
+from dualgap.analytics import levels
 
 X_MAX = 20.0
 Y_MAX = 4.0
@@ -59,16 +58,26 @@ def merton_reference(merton):
     """Closed-form value at the initial time as a callable of wealth."""
 
     def value(x):
-        return merton_value(merton.horizon, x, P, 0.8, 1.2, 1.0)
+        return merton_value(merton.horizon, x, P, merton)
 
     return value
 
 
 @pytest.fixture(scope="session")
-def merton_tables(merton, reward, conjugate, merton_reference):
+def merton_gap_levels(merton, reward, conjugate):
+    """Primal and dual surfaces plus the initial-time gap, per level."""
+    return tuple(levels(merton, reward, refinement_ladder(1, 5, 4, X_MAX, Y_MAX), conjugate))
+
+
+@pytest.fixture(scope="session")
+def cuoco_gap_levels(cuoco, reward, conjugate):
+    return tuple(levels(cuoco, reward, refinement_ladder(1, 4, 4, X_MAX, Y_MAX), conjugate))
+
+
+@pytest.fixture(scope="session")
+def merton_tables(merton_gap_levels, merton_reference):
     """Both merton readouts from one ladder pass."""
-    ladder = refinement_ladder(1, 5, 4, X_MAX, Y_MAX)
-    return run_ladder(merton, reward, ladder, reference=merton_reference, conjugate=conjugate)
+    return run_ladder(merton_gap_levels, reference=merton_reference)
 
 
 @pytest.fixture(scope="session")
@@ -82,29 +91,8 @@ def merton_gap_table(merton_tables):
 
 
 @pytest.fixture(scope="session")
-def cuoco_gap_table(cuoco, reward, conjugate):
-    ladder = refinement_ladder(1, 4, 4, X_MAX, Y_MAX)
-    return run_ladder(cuoco, reward, ladder, conjugate=conjugate)["gap"]
-
-
-def _solved_levels(model, reward, conjugate, k_max):
-    """Primal and dual surfaces plus the initial-time gap, per level."""
-    out = []
-    for disc in refinement_ladder(1, k_max, 4, X_MAX, Y_MAX):
-        primal = solve(model, reward, disc, "primal")
-        dual = solve(model, conjugate, disc, "dual")
-        out.append((disc, primal, dual, duality_gap(primal, dual, 0)))
-    return out
-
-
-@pytest.fixture(scope="session")
-def merton_gap_levels(merton, reward, conjugate):
-    return _solved_levels(merton, reward, conjugate, 5)
-
-
-@pytest.fixture(scope="session")
-def cuoco_gap_levels(cuoco, reward, conjugate):
-    return _solved_levels(cuoco, reward, conjugate, 4)
+def cuoco_gap_table(cuoco_gap_levels):
+    return run_ladder(cuoco_gap_levels)["gap"]
 
 
 @pytest.fixture(scope="session")

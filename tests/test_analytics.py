@@ -14,6 +14,7 @@ from dualgap import (
     window_norms,
     write_convergence_csv,
 )
+from dualgap.analytics import levels
 
 
 def test_ladder_frozen_sizes():
@@ -94,24 +95,40 @@ def test_convergence_orders_bad_ratios():
 def test_run_ladder_validation(merton, reward):
     ladder = refinement_ladder(1, 1, 4, 20.0, 4.0)
     with pytest.raises(ValueError, match="needs a reference value function, a conjugate"):
-        run_ladder(merton, reward, ladder)
+        run_ladder(levels(merton, reward, ladder))
+
+
+def test_levels_without_a_conjugate_solve_no_dual(merton, reward):
+    ladder = refinement_ladder(1, 2, 4, 20.0, 4.0)
+    solved = list(levels(merton, reward, ladder))
+    assert [disc for disc, _, _, _ in solved] == list(ladder)
+    for disc, primal, dual, report in solved:
+        assert primal.time.steps == disc.steps
+        assert dual is None and report is None
 
 
 def test_one_ladder_pass_gives_each_readout_of_a_single_pass(
     merton, reward, conjugate, merton_reference
 ):
-    """Both readouts from one pass equal the one-readout passes, in order error, gap."""
+    """Both readouts from one pass equal the one-readout passes, in order error, gap.
+
+    Reduced over the generator or over the same levels held in a tuple,
+    the norms and orders are the same.
+    """
     ladder = refinement_ladder(1, 2, 4, 20.0, 4.0)
-    both = run_ladder(merton, reward, ladder, reference=merton_reference, conjugate=conjugate)
+    solved = tuple(levels(merton, reward, ladder, conjugate))
+    both = run_ladder(levels(merton, reward, ladder, conjugate), reference=merton_reference)
     assert list(both) == ["error", "gap"]
     alone = {
-        "error": run_ladder(merton, reward, ladder, reference=merton_reference)["error"],
-        "gap": run_ladder(merton, reward, ladder, conjugate=conjugate)["gap"],
+        "error": run_ladder(levels(merton, reward, ladder), reference=merton_reference)["error"],
+        "gap": run_ladder(solved)["gap"],
     }
+    held = run_ladder(solved, reference=merton_reference)
     for mode, table in both.items():
         assert table.levels == ladder
-        assert table.norms == alone[mode].norms
-        assert str(table.orders) == str(alone[mode].orders)  # nan == nan as text
+        for other in (alone[mode], held[mode]):
+            assert table.norms == other.norms
+            assert str(table.orders) == str(other.orders)  # nan == nan as text
         assert table.seconds == both["error"].seconds
 
 

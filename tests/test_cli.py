@@ -395,6 +395,20 @@ def test_convergence_pipeline_reruns_identically(capsys, tmp_path):
     assert len(first.splitlines()) == 4
 
 
+@pytest.mark.parametrize("keys", ["sigma = 0.5\n", "a_min = -0.5\na_max = 0.5\n"])
+def test_error_ladder_reference_solves_the_constrained_problem(tmp_path, keys):
+    """a* = 3.2 at sigma = 0.5 and a* = 0.8 against [-0.5, 0.5]: both lie off the interval.
+
+    The reference takes the fraction the sweep can reach, so the error
+    decays instead of stalling at the distance to the unconstrained value.
+    """
+    cfg = write_cfg(tmp_path, "problem = merton\n" + keys)
+    out = tmp_path / "out"
+    assert run(["convergence", "--config", str(cfg), "--out", str(out)]) == 0
+    last = (out / "convergence_error.csv").read_text(encoding="utf-8").splitlines()[-1]
+    assert float(last.split(",")[6]) < 1.0e-2
+
+
 def test_convergence_mode_override(tmp_path):
     cfg = write_cfg(tmp_path, "problem = merton\nk_min = 1\nk_max = 1\n")
     out = tmp_path / "out"

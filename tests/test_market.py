@@ -80,6 +80,32 @@ def test_merton_value_validation():
         merton_value(0.5, -1.0, 0.5, 0.8, 1.2, 1.0)
 
 
+def test_merton_value_on_a_model_without_risky_position_is_riskless():
+    model = merton_model(a_interval=(0.0, 0.0))
+    xs = np.linspace(0.0, 5.0, 11)
+    want = np.exp(0.5 * 0.8 * 0.5) * np.power(xs, 0.5) / 0.5
+    assert np.max(np.abs(merton_value(0.5, xs, 0.5, model) - want)) < 1.0e-14
+
+
+def test_merton_value_projects_the_fraction_onto_the_interval():
+    """a* = 3.2 at sigma = 0.5; a* = 0.8 against [-0.5, 0.5]; a* = +inf at sigma = 1e-300."""
+    for sigma, interval, frac in ((0.5, (-1.0, 1.0), 1.0), (1.0, (-0.5, 0.5), 0.5)):
+        model = merton_model(sigma=sigma, a_interval=interval)
+        growth = frac * 0.4 + 0.8 - 0.5 * frac * frac * 0.5 * sigma * sigma
+        assert merton_value(0.5, 4.0, 0.5, model) == pytest.approx(
+            np.exp(0.5 * growth * 0.5) * 2.0 / 0.5, rel=1.0e-15
+        )
+    tiny = merton_model(sigma=1.0e-300)
+    assert merton_value(0.5, 1.0, 0.5, tiny) == pytest.approx(np.exp(0.5 * 1.2 * 0.5) / 0.5)
+    # inside the interval the model form is the unconstrained one, bit for bit
+    assert merton_value(0.5, 1.0, 0.5, merton_model()) == merton_value(0.5, 1.0, 0.5, 0.8, 1.2, 1.0)
+
+
+def test_merton_value_refuses_a_drift_penalty(cuoco):
+    with pytest.raises(ValueError, match="no closed form under a drift penalty"):
+        merton_value(0.5, 1.0, 0.5, cuoco)
+
+
 def test_cuoco_penalty_frozen(cuoco):
     """Hand-derived penalty values for the default constrained market."""
     assert float(cuoco.penalty(1.0)) == pytest.approx(0.0, abs=1.0e-14)
