@@ -130,7 +130,7 @@ def levels(model, reward, ladder, conjugate=None):
         yield disc, primal, dual, duality_gap(primal, dual, 0)
 
 
-def run_ladder(levels, *, reference: Optional[Callable] = None):
+def run_ladder(solved, *, reference: Optional[Callable] = None):
     """Reduce solved levels, read one at a time, to one table per readout.
 
     With ``reference`` (the closed-form value as a callable of x) the
@@ -144,7 +144,7 @@ def run_ladder(levels, *, reference: Optional[Callable] = None):
     discs = []
     norms = {"error": [], "gap": []}
     stamps = [_time.perf_counter()]
-    for disc, primal, _, report in levels:
+    for disc, primal, dual, report in solved:
         readouts = {}
         if reference is not None:
             readouts["error"] = (primal.grid.nodes, primal.data[0], reference, _ERROR_WINDOW)
@@ -158,6 +158,8 @@ def run_ladder(levels, *, reference: Optional[Callable] = None):
             norms[mode].append(window_norms(*args, primal.grid.spacing))
         discs.append(disc)
         stamps.append(_time.perf_counter())
+        # Hold nothing of this level while the next one is solved.
+        del primal, dual, report, readouts, args
     seconds = tuple(end - begin for begin, end in zip(stamps, stamps[1:]))
     return {
         mode: ConvergenceTable(

@@ -349,8 +349,8 @@ def cmd_convergence(cfg, problem, out, args):
     conjugate = problem.conjugate if mode == "gap" else None
     directions = ("primal",) if mode == "error" else ("primal", "dual")
     _check_drift(problem.model, ladder[0].steps, f"k_min = {cfg.k_min}", directions)
-    levels = analytics.levels(problem.model, problem.reward, ladder, conjugate)
-    table = analytics.run_ladder(levels, reference=reference)[mode]
+    solved = analytics.levels(problem.model, problem.reward, ladder, conjugate)
+    table = analytics.run_ladder(solved, reference=reference)[mode]
     path = out / f"convergence_{mode}.csv"
     analytics.write_convergence_csv(table, path, cfg.echo())
     for i, disc in enumerate(table.levels):
@@ -370,8 +370,8 @@ def cmd_bounds(cfg, problem, out, args):
     rule = gauss_hermite_rule(cfg.M)
     constants = apriori.constant_set(market.coefficient_bounds(problem.model), cfg.T)
     lipschitz = problem.reward.lipschitz
-    levels = analytics.levels(problem.model, problem.reward, ladder, problem.conjugate)
-    tables = analytics.run_ladder(levels, reference=reference)
+    solved = analytics.levels(problem.model, problem.reward, ladder, problem.conjugate)
+    tables = analytics.run_ladder(solved, reference=reference)
     rows = []
     for i, disc in enumerate(ladder):
         step = cfg.T / disc.steps

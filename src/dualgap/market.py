@@ -132,12 +132,11 @@ def merton_optimal_fraction(p, r, b, sigma):
     return (b - r) / (sigma * sigma * (1.0 - p))
 
 
-def merton_value(tau, x, p, *market):
+def merton_value(tau, x, p, model):
     """Closed-form value of the power problem with constant coefficients.
 
-    ``tau`` is time to maturity.  ``market`` is a model without drift
-    penalty, whose control interval bounds the fraction, or the
-    coefficients ``r, b, sigma`` with no bound on it.  The per-step
+    ``tau`` is time to maturity and ``model`` a market without drift
+    penalty, whose control interval bounds the fraction.  The per-step
     objective a (b - r) - a^2 (1 - p) sigma^2 / 2 is strictly concave, so
     the optimal fraction is a* = (b - r)/(sigma^2 (1 - p)) projected onto
     the interval (Cvitanic and Karatzas 1992).  An end is picked by
@@ -149,14 +148,10 @@ def merton_value(tau, x, p, *market):
 
     At tau = 0 this is the utility itself.
     """
-    if len(market) == 1:
-        (model,) = market
-        if any(model.values):
-            raise ValueError(f"no closed form under a drift penalty, got {model.values}")
-        r, b, sigma = model.rate, model.appreciation, model.vol
-        lo, hi = model.a_interval
-    else:
-        (r, b, sigma), (lo, hi) = market, (-math.inf, math.inf)
+    if any(model.values):
+        raise ValueError(f"no closed form under a drift penalty, got {model.values}")
+    r, b, sigma = model.rate, model.appreciation, model.vol
+    lo, hi = model.a_interval
     if tau < 0.0:
         raise ValueError(f"time to maturity must be nonnegative, got {tau}")
     if not p < 1.0:
@@ -167,7 +162,7 @@ def merton_value(tau, x, p, *market):
     elif b - r <= lo * curvature:
         frac = lo
     else:
-        frac = merton_optimal_fraction(p, r, b, sigma)
+        frac = (b - r) / curvature
     growth = frac * (b - r) + r - 0.5 * frac * frac * (1.0 - p) * sigma * sigma
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0.0):

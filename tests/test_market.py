@@ -58,26 +58,26 @@ def test_optimal_fraction():
 
 
 def test_merton_value_frozen():
-    assert merton_value(0.5, 1.0, 0.5, 0.8, 1.2, 1.0) == pytest.approx(
+    assert merton_value(0.5, 1.0, 0.5, merton_model()) == pytest.approx(
         2.5424983006428095, abs=1.0e-13
     )
     # scaling in wealth is exactly x^p
-    assert merton_value(0.5, 4.0, 0.5, 0.8, 1.2, 1.0) == pytest.approx(
+    assert merton_value(0.5, 4.0, 0.5, merton_model()) == pytest.approx(
         2.0 * 2.5424983006428095, abs=1.0e-12
     )
 
 
 def test_merton_value_terminal_identity():
     xs = np.linspace(0.0, 5.0, 11)
-    assert np.max(np.abs(merton_value(0.0, xs, 0.5, 0.8, 1.2, 1.0) - 2.0 * np.sqrt(xs))) < 1.0e-12
-    assert isinstance(merton_value(0.25, 1.0, 0.5, 0.8, 1.2, 1.0), float)
+    assert np.max(np.abs(merton_value(0.0, xs, 0.5, merton_model()) - 2.0 * np.sqrt(xs))) < 1.0e-12
+    assert isinstance(merton_value(0.25, 1.0, 0.5, merton_model()), float)
 
 
 def test_merton_value_validation():
     with pytest.raises(ValueError):
-        merton_value(-0.1, 1.0, 0.5, 0.8, 1.2, 1.0)
+        merton_value(-0.1, 1.0, 0.5, merton_model())
     with pytest.raises(ValueError):
-        merton_value(0.5, -1.0, 0.5, 0.8, 1.2, 1.0)
+        merton_value(0.5, -1.0, 0.5, merton_model())
 
 
 def test_merton_value_on_a_model_without_risky_position_is_riskless():
@@ -97,8 +97,6 @@ def test_merton_value_projects_the_fraction_onto_the_interval():
         )
     tiny = merton_model(sigma=1.0e-300)
     assert merton_value(0.5, 1.0, 0.5, tiny) == pytest.approx(np.exp(0.5 * 1.2 * 0.5) / 0.5)
-    # inside the interval the model form is the unconstrained one, bit for bit
-    assert merton_value(0.5, 1.0, 0.5, merton_model()) == merton_value(0.5, 1.0, 0.5, 0.8, 1.2, 1.0)
 
 
 def test_merton_value_refuses_a_drift_penalty(cuoco):
