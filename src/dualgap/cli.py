@@ -100,8 +100,6 @@ _SCHEMA = {
 _CROSS_CHECKS = (
     (lambda v: v["c0"] / v["rho"] < v["rho"],
      lambda v: f"c0/rho = {v['c0'] / v['rho']} must fall below rho = {v['rho']}"),
-    (lambda v: v["rho"] <= v["x_max"],
-     lambda v: f"rho = {v['rho']} must not exceed x_max = {v['x_max']}"),
     (lambda v: v["a_min"] <= 0.0 <= v["a_max"],
      lambda v: f"control interval [{v['a_min']}, {v['a_max']}] must contain 0"),
     (lambda v: v["gamma_min"] <= v["gamma_max"],
@@ -110,7 +108,46 @@ _CROSS_CHECKS = (
      lambda v: f"k_min = {v['k_min']} exceeds k_max = {v['k_max']}"),
     (lambda v: v["problem"] != "cuoco-liu" or v["R"] >= v["r"],
      lambda v: f"borrowing rate R = {v['R']} must be at least r = {v['r']}"),
+    # last: it builds the model, whose own checks the ones above cover
+    (lambda v: _plateau_reach(v) <= v["x_max"],
+     lambda v: f"rho exp(max(0, -(r + g(0))) T) = {_plateau_reach(v)} must not exceed "
+               f"x_max = {v['x_max']}"),
 )
+
+
+def _market(v):
+    """The market model of a config's values, a mapping from key to value."""
+    if v["problem"] == "merton":
+        return market.merton_model(
+            r=v["r"],
+            b=v["b"],
+            sigma=v["sigma"],
+            horizon=v["T"],
+            a_interval=(v["a_min"], v["a_max"]),
+            gamma_interval=(v["gamma_min"], v["gamma_max"]),
+        )
+    return market.cuoco_liu_model(
+        r=v["r"],
+        borrowing_rate=v["R"],
+        b=v["b"],
+        sigma=v["sigma"],
+        horizon=v["T"],
+        iota=v["iota"],
+        lambda_plus=v["lambda_plus"],
+        lambda_minus=v["lambda_minus"],
+        gamma_interval=(v["gamma_min"], v["gamma_max"]),
+    )
+
+
+def _plateau_reach(v):
+    """The least x_max at which the primal grid's plateau closure is exact.
+
+    The riskless position is admissible and grows wealth at rate
+    r + g(0), so from rho e^{max(0, -(r + g(0))) T} on it ends at or
+    above rho, where the truncated reward is flat, for sure.
+    """
+    exponent = max(0.0, -(v["r"] + float(_market(v).penalty(0.0)))) * v["T"]
+    return v["rho"] * math.exp(exponent) if exponent < 700.0 else math.inf
 
 
 def _render(value):
@@ -225,27 +262,7 @@ class Problem:
 
 def build_problem(cfg):
     try:
-        if cfg.problem == "merton":
-            model = market.merton_model(
-                r=cfg.r,
-                b=cfg.b,
-                sigma=cfg.sigma,
-                horizon=cfg.T,
-                a_interval=(cfg.a_min, cfg.a_max),
-                gamma_interval=(cfg.gamma_min, cfg.gamma_max),
-            )
-        else:
-            model = market.cuoco_liu_model(
-                r=cfg.r,
-                borrowing_rate=cfg.R,
-                b=cfg.b,
-                sigma=cfg.sigma,
-                horizon=cfg.T,
-                iota=cfg.iota,
-                lambda_plus=cfg.lambda_plus,
-                lambda_minus=cfg.lambda_minus,
-                gamma_interval=(cfg.gamma_min, cfg.gamma_max),
-            )
+        model = _market(vars(cfg))
         reward = utility.lipschitz_truncate(utility.power_utility(cfg.p), cfg.rho, cfg.c0)
         conjugate = utility.conjugate_spec(reward)
     except ValueError as exc:

@@ -114,6 +114,25 @@ class Located:
         """Number of located points, read by the benchmark's points counter."""
         return sum(index.size for index in self.index)
 
+    @property
+    def stop(self):
+        """One past the last located node."""
+        return self.spans[-1].stop if self.spans else 0
+
+    def below(self, stop):
+        """The located nodes ``< stop`` only: the block that straddles ``stop`` is cut (a view)."""
+        if stop >= self.stop:
+            return self
+        spans, index, offset = [], [], []
+        for span, j, d in zip(self.spans, self.index, self.offset):
+            if span.start >= stop:
+                break
+            width = min(span.stop, stop) - span.start
+            spans.append(slice(span.start, span.start + width))
+            index.append(j[..., :width])
+            offset.append(d[..., :width])
+        return Located(self.controls, tuple(spans), tuple(index), tuple(offset))
+
 
 def _bracket(grid, q):
     """Bracket index (intp) and offset of every point of a state array (ndim >= 1)."""

@@ -18,6 +18,21 @@ the origin is absorbing in both cases, so row entry 0 is copied through
 time.  Both directions run the same step kernel; they differ only in
 these factors and in max versus min.
 
+The primal sweep skips its certified plateau.  The truncated reward is
+flat at U(rho) from some node m*_N of the terminal row on, and no control
+can do better than U(rho).  A node whose displaced states under one mesh
+control all land in brackets j >= m*_{n+1} reads ``0 * offset + U(rho)``
+on every branch, so its value at step n is U(rho) exactly.  Per node,
+the largest over controls of the smallest bracket over branches, taken
+as a suffix minimum, is therefore a nondecreasing certificate, and
+m*_n is the first node where it reaches m*_{n+1} (``plateau_cuts``).  A
+step computes only the nodes below m*_n, cutting inside the block that
+straddles it, and writes U(rho) itself from m*_n on; the solve drops
+the brackets of the nodes at or past the largest cut.  The cut comes
+from the stored brackets, not from a formula in the branch factors, so
+it is exact whatever the mesh, with or without the riskless position on
+it.  The dual sweep computes every node.
+
 The same factors drive the polar check's coupled chains
 (``coupled_factors``), whose expectation is a product of per-step branch
 means.  ``enumerate_coupled`` expands every branch of both chains; no
@@ -119,8 +134,9 @@ def _sweep_step(next_row, located, weights, grid, plateau, reduce):
     Block by block, branches are accumulated in ascending node order,
     and ``reduce`` (``np.max`` or ``np.min``) writes each node's best
     value over the mesh into the row; a tie returns the tied value, so
-    the sweep is bit-reproducible.  Returns the new row; the absorbing
-    origin is copied through.
+    the sweep is bit-reproducible.  Nodes past the located ones are the
+    certified plateau and read ``plateau``.  Returns the new row; the
+    absorbing origin is copied through.
     """
     best = np.empty(grid.cells + 1)
     blocks = interpolate(grid, next_row, located, plateau)
@@ -129,6 +145,7 @@ def _sweep_step(next_row, located, weights, grid, plateau, reduce):
         for weight in weights:  # not zip: its reused tuple would keep the last read alive
             value += weight * next(reads)
         reduce(value, axis=0, out=best[span])
+    best[located.stop:] = plateau
     best[0] = next_row[0]
     return best
 
@@ -141,6 +158,26 @@ def primal_step(next_row, located, weights, grid, plateau):
 def dual_step(next_row, located, weights, grid, plateau):
     """One backward step of the minimising sweep."""
     return _sweep_step(next_row, located, weights, grid, plateau, np.min)
+
+
+def plateau_cuts(located, terminal_row, steps):
+    """The certified plateau's first node m*_n at time index n = 0..steps.
+
+    m*_N is the first node from which ``terminal_row`` equals its last
+    entry, the plateau, bit for bit.  A node's reach is the largest over
+    controls of the smallest bracket over branches in ``located``, which
+    must hold every node; the suffix minimum of the reaches is
+    nondecreasing, so each earlier cut is one search of the later one.
+    ``cells + 1`` certifies no node.
+    """
+    different = np.flatnonzero(terminal_row != terminal_row[-1])
+    reach = np.concatenate([index.min(axis=0).max(axis=0) for index in located.index])
+    floor = np.minimum.accumulate(reach[::-1])[::-1]
+    cuts = np.empty(steps + 1, dtype=np.intp)
+    cuts[steps] = different[-1] + 1 if different.size else 0
+    for n in range(steps - 1, -1, -1):
+        cuts[n] = np.searchsorted(floor, cuts[n + 1])
+    return cuts
 
 
 def solve(model, terminal, disc, direction="primal"):
@@ -176,10 +213,14 @@ def solve(model, terminal, disc, direction="primal"):
         raise ValueError("terminal reward must be finite on the grid")
     plateau = float(bottom[-1])
     located = locate(grid, step_factors(model, mesh, rule, time.step, direction))
+    cuts = np.full(disc.steps + 1, grid.cells + 1)
+    if direction == "primal":
+        cuts = plateau_cuts(located, bottom, disc.steps)
+        located = located.below(cuts[:-1].max())  # no step reads past its cut
     data = np.empty((disc.steps + 1, grid.cells + 1))
     data[disc.steps] = bottom
     for n in range(disc.steps - 1, -1, -1):
-        row = sweep_step(data[n + 1], located, rule.weights, grid, plateau)
+        row = sweep_step(data[n + 1], located.below(cuts[n]), rule.weights, grid, plateau)
         if not np.all(np.isfinite(row)):
             raise NumericalFailure(
                 f"non-finite {direction} value row at time index {n} "

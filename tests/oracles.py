@@ -9,7 +9,10 @@ The one exception is the ``interp_*`` referee: the vectorised sweep as it
 was before displaced states were located once per solve, searching every
 state with ``np.interp`` at every step.  It shares the grids and the step
 factors with production on purpose, so the two can be compared bit for
-bit.
+bit.  Its primal sweep writes the plateau U(rho) from the certified cut
+on, as production does, but derives the cut on its own
+(``interp_plateau_cuts``): from the branch factors by a formula, not
+from brackets.
 
 The ``csv_*`` referee is the CSV writer as it was before it formatted
 whole blocks: one ``cell`` call per cell, one joined line per row.
@@ -71,14 +74,49 @@ def interp_read(grid, row, query, plateau):
     return np.where(q > grid.length, plateau, out)
 
 
-def interp_step(next_row, factors, weights, grid, plateau, select):
-    """One backward step that searches every displaced state afresh."""
+def interp_step(next_row, factors, weights, grid, plateau, select, cut):
+    """One backward step that searches every displaced state afresh; plateau from ``cut`` on."""
     value = np.zeros((factors.shape[0], grid.cells + 1))
     for weight, factor in zip(weights, factors.T):
         value += weight * interp_read(grid, next_row, factor[:, None] * grid.nodes, plateau)
     best = value[select(value, axis=0), np.arange(grid.cells + 1)]
+    best[cut:] = plateau
     best[0] = next_row[0]
     return best
+
+
+def interp_plateau_cuts(grid, factors, terminal_row, steps):
+    """The certified cut m*_n for n = 0..steps, from the branch factors.
+
+    f* is the largest over controls of the smallest branch factor: under
+    that control every branch of node m lands at or past the state
+    f* x_m.  From the first node where the terminal row is flat, each
+    earlier cut is ceil(x_{m*_{n+1}} / (f* dx)), capped at cells + 1 (no
+    node).  Where f* x_m falls within rounding of a node the formula can
+    be one node off, so the states f* x_m on either side settle it; past
+    the grid means beyond its length.
+    """
+    none = grid.cells + 1
+    fstar = float(factors.min(axis=1).max())
+
+    def certified(m, cut):
+        state = fstar * grid.nodes[m]
+        return state > grid.length if cut == none else state >= grid.nodes[cut]
+
+    cut = max((m for m in range(none) if terminal_row[m] != terminal_row[-1]), default=-1) + 1
+    cuts = [cut]
+    for _ in range(steps):
+        if cut > 0:
+            m = none
+            if fstar > 0.0 and cut < none:
+                m = min(math.ceil(grid.nodes[cut] / (fstar * grid.spacing)), none)
+            while m > 0 and certified(m - 1, cut):
+                m -= 1
+            while m < none and not certified(m, cut):
+                m += 1
+            cut = m
+        cuts.insert(0, cut)
+    return cuts
 
 
 def interp_solve(model, terminal, disc, direction):
@@ -95,8 +133,12 @@ def interp_solve(model, terminal, disc, direction):
     factors = step_factors(model, mesh, rule, TimeGrid(model.horizon, disc.steps).step, direction)
     data = np.empty((disc.steps + 1, grid.cells + 1))
     data[-1] = terminal.evaluate(grid.nodes)
+    cuts = [grid.cells + 1] * (disc.steps + 1)
+    if direction == "primal":
+        cuts = interp_plateau_cuts(grid, factors, data[-1], disc.steps)
+    plateau = data[-1, -1]
     for n in range(disc.steps - 1, -1, -1):
-        data[n] = interp_step(data[n + 1], factors, rule.weights, grid, data[-1, -1], select)
+        data[n] = interp_step(data[n + 1], factors, rule.weights, grid, plateau, select, cuts[n])
     return data
 
 

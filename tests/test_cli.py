@@ -100,6 +100,8 @@ def test_explicit_dual_extent(tmp_path):
         ("problem = heston\n", "problem must be one of"),
         ("problem = merton\np = 1.5\n", "p must lie in"),
         ("problem = merton\nrho = 30\n", "must not exceed x_max"),
+        # the CI convex-kink config: r + g(0) = 0.3 - 0.4, so it needs 18 e^0.05 = 18.92
+        ("problem = cuoco-liu\nr = 0.3\nR = 0.7\nx_max = 18.9\n", "18.92.* must not exceed x_max"),
         ("problem = merton\nk_max = 9\n", "supported maximum"),
         ("problem = merton\nM = 25\n", "M must lie in"),
         ("problem = merton\nmode = fast\n", "mode must be one of"),
@@ -213,6 +215,19 @@ def test_run_rejects_a_non_finite_value_with_exit_code_2(capsys, tmp_path):
     code = run(["solve-primal", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 2
     assert capsys.readouterr().err == "config error: x_max must be finite, got inf\n"
+
+
+@pytest.mark.parametrize("x_max, code", [("18.5", 2), ("19", 0)])
+def test_run_needs_x_max_where_riskless_wealth_reaches_rho(capsys, tmp_path, x_max, code):
+    """r = -0.1 shrinks riskless wealth, so the plateau closure needs x_max >= 18 e^0.05 = 18.92."""
+    path = write_cfg(tmp_path, f"problem = merton\nr = -0.1\nx_max = {x_max}\n")
+    assert run(["solve-primal", "--config", str(path), "--out", str(tmp_path / "out"),
+                "--level", "1"]) == code
+    if code == 2:
+        assert capsys.readouterr().err == (
+            "config error: rho exp(max(0, -(r + g(0))) T) = 18.922879734768433 "
+            "must not exceed x_max = 18.5\n"
+        )
 
 
 def test_run_refuses_an_unread_key_before_it_writes(capsys, tmp_path):

@@ -123,6 +123,47 @@ def test_solve_matches_the_np_interp_sweep_bit_for_bit(config, direction, k, ord
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def _plateau_case(model, reward, disc):
+    """The referee's certified cuts and the production surface of one primal level."""
+    rule = gauss_hermite_rule(disc.order)
+    grid = SpaceGrid(disc.x_max, disc.cells)
+    mesh = control_mesh(model.a_interval, disc.controls)
+    factors = step_factors(model, mesh, rule, TimeGrid(model.horizon, disc.steps).step, "primal")
+    bottom = reward.evaluate(grid.nodes)
+    want = oracles.interp_plateau_cuts(grid, factors, bottom, disc.steps)
+    got = solver.plateau_cuts(locate(grid, factors), bottom, disc.steps)
+    assert got.tolist() == want
+    return want, solve(model, reward, disc, "primal").data
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("config", ["merton", "cuoco_liu"])
+def test_primal_rows_are_the_plateau_exactly_from_the_certified_cut(config, order, k):
+    """From m*_n on, every primal row is U(rho) bit for bit, not U(rho)(1 + O(eps))."""
+    cfg = load_config(config)
+    problem = build_problem(cfg)
+    disc = refinement_ladder(k, k, order, cfg.x_max, cfg.y_max)[0]
+    cuts, data = _plateau_case(problem.model, problem.reward, disc)
+    plateau = np.full(disc.cells + 1, data[-1, -1])
+    assert cuts[0] <= disc.cells  # even at t = 0 the certificate holds a node
+    for row, cut in zip(data, cuts):
+        assert np.array_equal(row[cut:].view(np.uint64), plateau[cut:].view(np.uint64))
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("order", [2, 4])
+def test_a_convex_kink_shrinks_the_certificate_and_keeps_the_referee_bits(order, k):
+    """r + g(0) = -0.1 < 0, so f* < 1: each step certifies fewer nodes, none at t = 0."""
+    model = cuoco_liu_model(r=0.3, borrowing_rate=0.7)
+    reward = lipschitz_truncate(power_utility(0.5), 18.0, 8.0)
+    disc = refinement_ladder(k, k, order, 20.0, 4.0)[0]
+    cuts, data = _plateau_case(model, reward, disc)
+    assert cuts == sorted(cuts, reverse=True) and cuts[-1] < cuts[0] == disc.cells + 1
+    want = oracles.interp_solve(model, reward, disc, "primal")
+    assert np.array_equal(data.view(np.uint64), want.view(np.uint64))
+
+
 def test_primal_step_holds_one_block_at_a_time():
     """A merton k=5 step allocates block temporaries, not (controls x nodes) arrays."""
     cfg = load_config("merton")
