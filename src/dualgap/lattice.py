@@ -7,8 +7,13 @@ cell on the left and a configured constant on the right, where the
 truncated terminal reward really is flat.  The left continuation is an
 extrapolation: at coarse levels whole branches can land at negative
 states, and nothing here checks how far.  A sweep reads every row at the
-same displaced states, so it brackets them once (``locate``) and each
-read is two gathers and np.interp's own arithmetic.
+same displaced states, so it brackets them once (``locate``).  Each
+step's expectation is a quadrature sum of weighted reads, and linear
+interpolation commutes with the weight, so the weight goes into the
+step's read table (J + 2 entries) rather than onto every located point:
+a read is two gathers and np.interp's own arithmetic on the weighted
+row.  The quadrature weights are symmetric, so branches b and M - 1 - b
+share one table.
 """
 
 import math
@@ -40,6 +45,20 @@ class SpaceGrid:
         nodes = np.linspace(0.0, self.length, self.cells + 1)
         nodes.setflags(write=False)
         return nodes
+
+    @cached_property
+    def _widths(self):
+        """``np.diff(nodes)``: the cell widths np.interp divides by."""
+        widths = np.diff(self.nodes)
+        widths.setflags(write=False)
+        return widths
+
+    @cached_property
+    def _bases(self):
+        """The left node of each bracket 0..cells + 1; past the grid that is ``length``."""
+        bases = np.concatenate((self.nodes, [self.length]))
+        bases.setflags(write=False)
+        return bases
 
 
 @dataclass(frozen=True)
@@ -87,7 +106,9 @@ class Discretization:
 
 
 #: located points per branch in one block of nodes; reading a block holds four
-#: arrays of 8 B per point, 0.19 MiB, so a step's temporaries stay in cache
+#: arrays of 8 B per point, 0.19 MiB, beside the step's read tables (two arrays of
+#: cells + 2 entries per weight of the rule's first half, 25 KiB at merton k = 5),
+#: so a step's temporaries stay in cache and under 0.25 MiB
 _BLOCK = 6144
 
 
@@ -139,7 +160,7 @@ def _bracket(grid, q):
     index = np.searchsorted(grid.nodes, q, side="right") - 1
     index[q > grid.length] = grid.cells + 1
     np.maximum(index, 0, out=index)
-    return index, q - np.append(grid.nodes, grid.length)[index]
+    return index, q - grid._bases[index]
 
 
 def locate(grid, factors):
@@ -174,19 +195,25 @@ def _read(slope, level, index, offset):
     return out
 
 
-def interpolate(grid, values, query, plateau):
-    """Piecewise-linear reads of a grid row at located states, with the boundary closure.
+def interpolate(grid, values, query, plateau, weights):
+    """Weighted piecewise-linear reads of a grid row at located states, with the boundary closure.
 
-    Inside [0, length] this is plain linear interpolation.  Left of 0
-    the first cell is continued linearly; right of length the value is
-    the constant ``plateau``.
+    Branch b of ``query`` reads ``weights[b] * values``: inside
+    [0, length] by plain linear interpolation, left of 0 by the first
+    cell continued linearly, and right of length as the constant
+    ``weights[b] * plateau``.
 
-    Every point is read as ``slope[j] * (q - x_j) + y[j]``, the formula
-    of ``np.interp``, on a table extended by a zero slope at the last
-    node and a plateau slot.  Left of the origin (x_0 = 0) that is the
-    linear continuation of the first cell; the result equals
-    ``np.interp`` with the two closures value for value (a -0.0 entry
-    read exactly at its node can come back as +0.0).
+    Each weight w of the first half of ``weights`` gets one table pair:
+    ``level = w * [values, plateau]`` and ``slope`` its cell slopes,
+    extended by a zero slope at the last node and the plateau slot.  A
+    point is read as ``slope[j] * (q - x_j) + level[j]``, the formula of
+    ``np.interp`` on the weighted row.  Left of the origin (x_0 = 0)
+    that is the linear continuation of the first cell; the result equals
+    ``np.interp(q, nodes, w * values)`` with the two closures value for
+    value (a -0.0 entry read exactly at its node can come back as +0.0).
+    The weights must be symmetric bit for bit, as every Gauss-Hermite
+    rule's are, so the ceil(M / 2) tables of the first half serve all M
+    branches: branch b reads table ``min(b, M - 1 - b)``.
 
     Parameters
     ----------
@@ -197,22 +224,36 @@ def interpolate(grid, values, query, plateau):
         The states to read, bracketed on ``grid`` once by ``locate``.
     plateau : float
         Right-boundary constant.
+    weights : array of shape (branches,)
+        One weight per branch of ``query``, with ``weights[b] == weights[-1 - b]``.
 
     Returns
     -------
     An iterator over the blocks of ``query``, each an iterator over the
-    branches' (controls, width) arrays.
+    branches' weighted (controls, width) arrays.
     """
     row = np.asarray(values, dtype=float)
     if row.shape != (grid.cells + 1,):
         raise ValueError(f"expected {grid.cells + 1} values, got shape {row.shape}")
     if not np.all(np.isfinite(row)):
         raise ValueError("cannot interpolate a row with non-finite entries")
-    slope = np.zeros(row.size + 1)
-    np.divide(np.diff(row), np.diff(grid.nodes), out=slope[:-2])
-    level = np.append(row, float(plateau))
+    weights = np.asarray(weights, dtype=float).tolist()
+    if query.index and len(weights) != len(query.index[0]):
+        raise ValueError(f"expected {len(query.index[0])} weights, got {len(weights)}")
+    if weights != weights[::-1]:
+        raise ValueError("weights must equal their reverse")
+    tables = []
+    for weight in weights[: (len(weights) + 1) // 2]:
+        level = np.empty(row.size + 1)
+        np.multiply(row, weight, out=level[:-1])
+        level[-1] = weight * float(plateau)
+        slope = np.zeros(row.size + 1)
+        np.subtract(level[1:-1], level[:-2], out=slope[:-2])
+        slope[:-2] /= grid._widths
+        tables.append((slope, level))
+    tables += tables[: len(weights) // 2][::-1]
     return (
-        (_read(slope, level, j, d) for j, d in zip(index, offset))
+        (_read(slope, level, j, d) for (slope, level), j, d in zip(tables, index, offset))
         for index, offset in zip(query.index, query.offset)
     )
 

@@ -32,7 +32,10 @@ class QuadratureRule:
     """Nodes and weights representing E[f(Z)] for standard normal Z.
 
     ``nodes`` are ascending and symmetric about zero, ``weights`` are
-    positive and sum to one.
+    positive and sum to one.  Both mirror bit for bit:
+    ``weights[i] == weights[M - 1 - i]`` holds for every bit, which the
+    sweep's read tables rely on (``lattice.interpolate`` serves branches
+    i and M - 1 - i from one table).
     """
 
     order: int

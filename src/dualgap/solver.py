@@ -13,7 +13,9 @@ built once per solve:
 
 with xi running over the quadrature nodes.  Every displaced state is
 therefore bracketed on the grid once per solve (``lattice.locate``), and
-a step only reads the next row at the stored brackets.  The state at
+a step only reads the next row at the stored brackets, each branch from
+a table that already carries its quadrature weight, so the expectation
+is a plain sum of reads.  The state at
 the origin is absorbing in both cases, so row entry 0 is copied through
 time.  Both directions run the same step kernel; they differ only in
 these factors and in max versus min.
@@ -131,19 +133,21 @@ def step_factors(model, control, rule, step, direction):
 def _sweep_step(next_row, located, weights, grid, plateau, reduce):
     """One backward step in either direction, given the solve's located states.
 
-    Block by block, branches are accumulated in ascending node order,
-    and ``reduce`` (``np.max`` or ``np.min``) writes each node's best
-    value over the mesh into the row; a tie returns the tied value, so
-    the sweep is bit-reproducible.  Nodes past the located ones are the
-    certified plateau and read ``plateau``.  Returns the new row; the
-    absorbing origin is copied through.
+    The reads come weighted (``interpolate`` folds each branch's weight
+    into its table), so a block's expectation starts from branch 0's
+    read and adds the others in ascending branch order, and ``reduce``
+    (``np.max`` or ``np.min``) writes each node's best value over the
+    mesh into the row; a tie returns the tied value, so the sweep is
+    bit-reproducible.  Nodes past the located ones are the certified
+    plateau and read ``plateau``.  Returns the new row; the absorbing
+    origin is copied through.
     """
     best = np.empty(grid.cells + 1)
-    blocks = interpolate(grid, next_row, located, plateau)
+    blocks = interpolate(grid, next_row, located, plateau, weights)
     for span, reads in zip(located.spans, blocks):
-        value = np.zeros((located.controls, span.stop - span.start))
-        for weight in weights:  # not zip: its reused tuple would keep the last read alive
-            value += weight * next(reads)
+        value = next(reads)
+        for _ in weights[1:]:  # not over reads: a loop variable would keep the last read alive
+            value += next(reads)
         reduce(value, axis=0, out=best[span])
     best[located.stop:] = plateau
     best[0] = next_row[0]
@@ -180,6 +184,15 @@ def plateau_cuts(located, terminal_row, steps):
     return cuts
 
 
+def _float_failure(exc, direction, disc, grid, factors, where):
+    """The NumericalFailure for a floating-point error raised inside a sweep."""
+    largest = float(np.abs(factors).max())
+    return NumericalFailure(
+        f"{direction} sweep: {exc} {where} (N={disc.steps}, J={grid.cells}); "
+        f"largest |branch factor| = {largest:.6g}"
+    )
+
+
 def solve(model, terminal, disc, direction="primal"):
     """Run the full backward sweep for one discretisation level.
 
@@ -212,7 +225,12 @@ def solve(model, terminal, disc, direction="primal"):
     if bottom.shape != grid.nodes.shape or not np.all(np.isfinite(bottom)):
         raise ValueError("terminal reward must be finite on the grid")
     plateau = float(bottom[-1])
-    located = locate(grid, step_factors(model, mesh, rule, time.step, direction))
+    factors = step_factors(model, mesh, rule, time.step, direction)
+    try:
+        located = locate(grid, factors)
+    except FloatingPointError as exc:
+        where = "locating the displaced states"
+        raise _float_failure(exc, direction, disc, grid, factors, where) from exc
     cuts = np.full(disc.steps + 1, grid.cells + 1)
     if direction == "primal":
         cuts = plateau_cuts(located, bottom, disc.steps)
@@ -220,7 +238,11 @@ def solve(model, terminal, disc, direction="primal"):
     data = np.empty((disc.steps + 1, grid.cells + 1))
     data[disc.steps] = bottom
     for n in range(disc.steps - 1, -1, -1):
-        row = sweep_step(data[n + 1], located.below(cuts[n]), rule.weights, grid, plateau)
+        try:
+            row = sweep_step(data[n + 1], located.below(cuts[n]), rule.weights, grid, plateau)
+        except FloatingPointError as exc:
+            where = f"at time index {n}"
+            raise _float_failure(exc, direction, disc, grid, factors, where) from exc
         if not np.all(np.isfinite(row)):
             raise NumericalFailure(
                 f"non-finite {direction} value row at time index {n} "

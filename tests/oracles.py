@@ -7,12 +7,13 @@ only run on toy problem sizes.
 
 The one exception is the ``interp_*`` referee: the vectorised sweep as it
 was before displaced states were located once per solve, searching every
-state with ``np.interp`` at every step.  It shares the grids and the step
-factors with production on purpose, so the two can be compared bit for
-bit.  Its primal sweep writes the plateau U(rho) from the certified cut
-on, as production does, but derives the cut on its own
-(``interp_plateau_cuts``): from the branch factors by a formula, not
-from brackets.
+state with ``np.interp`` at every step.  It reads each branch from the
+weighted row ``weight * next_row``, as production's weighted tables do,
+and shares the grids and the step factors with production on purpose,
+so the two can be compared bit for bit.  Its primal sweep writes the
+plateau U(rho) from the certified cut on, as production does, but
+derives the cut on its own (``interp_plateau_cuts``): from the branch
+factors by a formula, not from brackets.
 
 The ``csv_*`` referee is the CSV writer as it was before it formatted
 whole blocks: one ``cell`` call per cell, one joined line per row.
@@ -75,10 +76,18 @@ def interp_read(grid, row, query, plateau):
 
 
 def interp_step(next_row, factors, weights, grid, plateau, select, cut):
-    """One backward step that searches every displaced state afresh; plateau from ``cut`` on."""
-    value = np.zeros((factors.shape[0], grid.cells + 1))
-    for weight, factor in zip(weights, factors.T):
-        value += weight * interp_read(grid, next_row, factor[:, None] * grid.nodes, plateau)
+    """One backward step that searches every displaced state afresh; plateau from ``cut`` on.
+
+    Each branch reads ``np.interp`` of the weighted row ``weight * next_row``
+    (plateau ``weight * plateau``), and the sum starts from the first read.
+    """
+    reads = (
+        interp_read(grid, weight * next_row, factor[:, None] * grid.nodes, weight * plateau)
+        for weight, factor in zip(weights, factors.T)
+    )
+    value = next(reads)
+    for read in reads:
+        value += read
     best = value[select(value, axis=0), np.arange(grid.cells + 1)]
     best[cut:] = plateau
     best[0] = next_row[0]

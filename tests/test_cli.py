@@ -473,6 +473,33 @@ def test_overflow_exits_3_before_any_csv_is_written(capsys, tmp_path):
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "keys, command, where, largest",
+    [
+        ("sigma = 1e-300", "solve-dual", "at time index 6", "2.33441e+299"),
+        ("sigma = 1e-300", "gap", "at time index 6", "2.33441e+299"),
+        ("b = 1e308", "solve-dual", "locating the displaced states", "5.83604e+307"),
+    ],
+)
+def test_a_volatility_overflow_in_the_sweep_names_it_and_exits_3(
+    capsys, tmp_path, keys, command, where, largest
+):
+    """A dual volatility (r - b) / sigma near the float limit overflows the lattice reads.
+
+    ``sigma = 1e-300`` locates its states and overflows in a step's reads;
+    ``b = 1e308`` overflows already while the states are located.  Neither
+    is refused as a config error yet (no volatility admissibility check).
+    """
+    cfg = write_cfg(tmp_path, f"problem = merton\n{keys}\n")
+    out = tmp_path / "out"
+    assert run([command, "--config", str(cfg), "--out", str(out), "--level", "1"]) == 3
+    assert capsys.readouterr().err == (
+        f"numerical failure: dual sweep: overflow encountered in multiply {where} "
+        f"(N=8, J=12); largest |branch factor| = {largest}\n"
+    )
+    assert not any(out.iterdir())
+
+
 def install_checkout(tmp_path):
     """Install a copy of the checkout into a prefix under ``tmp_path``.
 

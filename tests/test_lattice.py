@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from dualgap import Discretization, SpaceGrid, TimeGrid, control_mesh, lattice
+from dualgap import Discretization, SpaceGrid, TimeGrid, control_mesh, gauss_hermite_rule, lattice
 from dualgap.lattice import interpolate, locate
 
 
@@ -60,7 +60,7 @@ def _read_at(grid, row, queries, plateau):
     One control per query, so the reads come back in query order.
     """
     located = locate(grid, np.asarray(queries, dtype=float)[:, None] / grid.length)
-    (block,) = interpolate(grid, row, located, plateau)
+    (block,) = interpolate(grid, row, located, plateau, np.ones(1))
     return next(block)[:, -1]
 
 
@@ -97,7 +97,7 @@ def test_interpolate_vector_queries():
     factors = np.array([[-1.0, 0.5], [6.0, 1.0]])  # (controls, branches)
     with mock.patch.object(lattice, "_BLOCK", 6):  # three nodes per block
         located = locate(grid, factors)
-    blocks = [list(reads) for reads in interpolate(grid, row, located, 9.0)]
+    blocks = [list(reads) for reads in interpolate(grid, row, located, 9.0, np.ones(2))]
     assert [[read.shape for read in reads] for reads in blocks] == [[(2, 3)] * 2, [(2, 2)] * 2]
     first = np.concatenate([reads[0] for reads in blocks], axis=1)
     assert np.allclose(first, [[0.0, -1.0, -2.0, -3.0, -4.0], [0.0, 9.0, 9.0, 9.0, 9.0]])
@@ -107,9 +107,14 @@ def test_interpolate_validation():
     grid = SpaceGrid(2.0, 4)
     located = locate(grid, np.ones((1, 1)))
     with pytest.raises(ValueError, match="expected 5 values"):
-        interpolate(grid, np.zeros(4), located, 0.0)
+        interpolate(grid, np.zeros(4), located, 0.0, np.ones(1))
     with pytest.raises(ValueError, match="non-finite"):
-        interpolate(grid, np.array([0.0, 1.0, np.nan, 3.0, 4.0]), located, 0.0)
+        interpolate(grid, np.array([0.0, 1.0, np.nan, 3.0, 4.0]), located, 0.0, np.ones(1))
+    with pytest.raises(ValueError, match="expected 1 weights"):
+        interpolate(grid, np.zeros(5), located, 0.0, np.ones(2))
+    two = locate(grid, np.ones((1, 2)))
+    with pytest.raises(ValueError, match="must equal their reverse"):
+        interpolate(grid, np.zeros(5), two, 0.0, np.array([0.25, 0.75]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -168,11 +173,38 @@ def test_located_reads_are_np_interp_with_the_two_closures(case, data):
     assert np.array_equal(covered, grid.nodes)
     assert located.size == factors.size * grid.nodes.size
     assert {index.dtype for index in located.index} == {np.min_scalar_type(grid.cells + 1)}
-    blocks = interpolate(grid, row, located, plateau)
+    blocks = interpolate(grid, row, located, plateau, np.ones(branches))
     for span, reads in zip(located.spans, blocks):
         for factor, read in zip(factors.T, reads):
             want = oracles.interp_read(grid, row, factor[:, None] * grid.nodes[span], plateau)
             assert np.array_equal(read, want)
+
+
+@pytest.mark.parametrize("order", [4, 5])
+def test_weighted_located_reads_are_np_interp_of_the_weighted_row(order):
+    """Branch b reads np.interp(q, nodes, w_b * row) with both closures, bit for bit.
+
+    Every branch has states left of the origin (control 0), between
+    nodes and past the grid (control 1), and on the nodes (control 2).
+    Order 5 adds the unpaired middle weight.  A branch may read its
+    mirror's table, whose weight is its own bit for bit; any other table
+    carries another weight and fails the comparison.
+    """
+    rule = gauss_hermite_rule(order)
+    grid = SpaceGrid(3.0, 12)
+    row = np.random.default_rng(order).uniform(-2.0, 2.0, grid.cells + 1)
+    plateau = 1.75
+    factors = np.stack(
+        [np.linspace(-0.4, -0.1, order), np.linspace(1.1, 1.6, order), np.ones(order)]
+    )  # (controls, branches)
+    with mock.patch.object(lattice, "_BLOCK", 15):  # five nodes per block
+        located = locate(grid, factors)
+    blocks = interpolate(grid, row, located, plateau, rule.weights)
+    for span, reads in zip(located.spans, blocks):
+        for weight, factor, read in zip(rule.weights, factors.T, reads, strict=True):
+            states = factor[:, None] * grid.nodes[span]
+            want = oracles.interp_read(grid, weight * row, states, weight * plateau)
+            assert np.array_equal(read.view(np.uint64), want.view(np.uint64))
 
 
 def test_control_mesh_cases():

@@ -104,7 +104,7 @@ def test_steps_keep_the_first_mesh_point_on_ties(direction):
 @pytest.mark.parametrize(
     "k, order",
     [pytest.param(k, None, id=str(k)) for k in (1, 2, 3, 4)]
-    + [pytest.param(k, m, id=f"{k}-M{m}") for m in (2, 8, 20) for k in (1, 3)],
+    + [pytest.param(k, m, id=f"{k}-M{m}") for m in (2, 5, 8, 20) for k in (1, 3)],
 )
 @pytest.mark.parametrize("direction", ["primal", "dual"])
 @pytest.mark.parametrize("config", ["merton", "cuoco_liu"])
