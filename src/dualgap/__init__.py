@@ -42,7 +42,6 @@ from .market import (
     cuoco_liu_model,
     dual_coefficient_bounds,
     merton_model,
-    merton_optimal_fraction,
     merton_value,
     penalty_conjugate,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "gh_bound",
     "lipschitz_truncate",
     "merton_model",
-    "merton_optimal_fraction",
     "merton_value",
     "moment_defect",
     "penalty_conjugate",

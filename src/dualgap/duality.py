@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import csvout
+from .errors import NumericalFailure
 from .solver import coupled_factors
 
 #: minimand entries per chunk of x rows in the gap readout
@@ -144,12 +145,19 @@ def polar_defect(model, rule, steps, step, start, primal_policy, dual_policy):
     call, so its bits do not depend on the BLAS build.  The defect must
     be O(step) uniformly in the policies: each step multiplies the
     expectation by 1 + h (g - conj(g) - a gamma) - h^2 mu (r + conj(g))
-    whose middle term is nonpositive by conjugacy.
+    whose middle term is nonpositive by conjugacy.  A product that
+    overflows raises a NumericalFailure naming N and the largest mean.
     """
     fxs, fys = coupled_factors(model, rule, steps, step, primal_policy, dual_policy)
     means = np.sum(rule.weights * fxs * fys, axis=1)
     origin = float(start[0]) * float(start[1])
-    expectation = origin * float(np.prod(means))
+    try:
+        expectation = origin * float(np.prod(means))
+    except FloatingPointError as exc:
+        largest = float(np.abs(means).max())
+        raise NumericalFailure(
+            f"polar check: {exc} (N={steps}); largest |branch mean| = {largest:.6g}"
+        ) from exc
     return expectation, expectation - origin
 
 

@@ -53,13 +53,6 @@ class SpaceGrid:
         widths.setflags(write=False)
         return widths
 
-    @cached_property
-    def _bases(self):
-        """The left node of each bracket 0..cells + 1; past the grid that is ``length``."""
-        bases = np.concatenate((self.nodes, [self.length]))
-        bases.setflags(write=False)
-        return bases
-
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -114,18 +107,18 @@ _BLOCK = 6144
 
 @dataclass(frozen=True)
 class Located:
-    """Displaced states ``factors[c, b] * x_m`` of every grid node, bracketed once.
+    """Displaced states ``factors[c, b] * x_m`` of the nodes below a stop, bracketed once.
 
-    A located point is the bracket ``j`` that ``np.interp``'s search
+    A located point is the ``bracket`` ``j`` that ``np.interp``'s search
     picks for it (0 left of the origin, ``cells + 1`` right of the
-    grid) and its offset ``q - x_j``.  Nodes are stored in blocks: block
-    i covers the nodes ``spans[i]``, and ``index[i]`` and ``offset[i]``
-    have shape (branches, controls, width), so every branch of a block
-    is contiguous.  A point costs an 8 B offset plus the smallest
-    integer type that holds ``cells + 1`` (2 B up to level 8).
+    grid) and its offset ``q - x_j``.  Nodes are stored in blocks from
+    node 0, whatever the stop, so a store is a prefix of any that stops
+    later: block i covers the nodes ``spans[i]``, and ``index[i]`` and
+    ``offset[i]`` have shape (branches, controls, width), so every
+    branch of a block is contiguous.  A point costs an 8 B offset plus
+    the smallest integer type that holds ``cells + 1`` (2 B up to level 8).
     """
 
-    controls: int
     spans: tuple
     index: tuple
     offset: tuple
@@ -152,25 +145,30 @@ class Located:
             spans.append(slice(span.start, span.start + width))
             index.append(j[..., :width])
             offset.append(d[..., :width])
-        return Located(self.controls, tuple(spans), tuple(index), tuple(offset))
+        return Located(tuple(spans), tuple(index), tuple(offset))
 
 
-def _bracket(grid, q):
-    """Bracket index (intp) and offset of every point of a state array (ndim >= 1)."""
+def bracket(grid, q):
+    """Bracket index (intp) and offset of every point of a state array (ndim >= 1).
+
+    The index is nondecreasing in the state; past the grid it is
+    ``cells + 1``, with the offset taken from ``length``.
+    """
     index = np.searchsorted(grid.nodes, q, side="right") - 1
     index[q > grid.length] = grid.cells + 1
     np.maximum(index, 0, out=index)
-    return index, q - grid._bases[index]
+    return index, q - grid.nodes.take(index, mode="clip")
 
 
-def locate(grid, factors):
+def locate(grid, factors, stop=None):
     """Locate the displaced states of a (controls, branches) factor array.
 
-    Built one block and one branch at a time, so nothing the size of
-    all controls times all nodes is allocated besides the result.
+    Only the nodes below ``stop`` (all when None), one block and one
+    branch at a time, so nothing the size of all controls times all
+    nodes is allocated besides the result.
     """
     controls, branches = factors.shape
-    nodes = grid.nodes
+    nodes = grid.nodes[:stop]
     width = max(1, _BLOCK // controls)
     dtype = np.min_scalar_type(grid.cells + 1)
     spans, index, offset = [], [], []
@@ -179,11 +177,11 @@ def locate(grid, factors):
         shape = (branches, controls, span.stop - start)
         block_index, block_offset = np.empty(shape, dtype), np.empty(shape)
         for b in range(branches):
-            block_index[b], block_offset[b] = _bracket(grid, factors[:, b, None] * nodes[span])
+            block_index[b], block_offset[b] = bracket(grid, factors[:, b, None] * nodes[span])
         spans.append(span)
         index.append(block_index)
         offset.append(block_offset)
-    return Located(controls, tuple(spans), tuple(index), tuple(offset))
+    return Located(tuple(spans), tuple(index), tuple(offset))
 
 
 def _read(slope, level, index, offset):

@@ -123,15 +123,6 @@ def merton_model(
     )
 
 
-def merton_optimal_fraction(p, r, b, sigma):
-    """(b - r) / (sigma^2 (1 - p)), the constant optimal risky fraction."""
-    if not p < 1.0:
-        raise ValueError(f"power exponent must satisfy p < 1, got {p}")
-    if sigma <= 0.0:
-        raise ValueError(f"volatility must be positive, got {sigma}")
-    return (b - r) / (sigma * sigma * (1.0 - p))
-
-
 def merton_value(tau, x, p, model):
     """Closed-form value of the power problem with constant coefficients.
 

@@ -24,16 +24,19 @@ The primal sweep skips its certified plateau.  The truncated reward is
 flat at U(rho) from some node m*_N of the terminal row on, and no control
 can do better than U(rho).  A node whose displaced states under one mesh
 control all land in brackets j >= m*_{n+1} reads ``0 * offset + U(rho)``
-on every branch, so its value at step n is U(rho) exactly.  Per node,
-the largest over controls of the smallest bracket over branches, taken
-as a suffix minimum, is therefore a nondecreasing certificate, and
-m*_n is the first node where it reaches m*_{n+1} (``plateau_cuts``).  A
-step computes only the nodes below m*_n, cutting inside the block that
-straddles it, and writes U(rho) itself from m*_n on; the solve drops
-the brackets of the nodes at or past the largest cut.  The cut comes
-from the stored brackets, not from a formula in the branch factors, so
-it is exact whatever the mesh, with or without the riskless position on
-it.  The dual sweep computes every node.
+on every branch, so its value at step n is U(rho) exactly.  The reach of
+node m, the largest over controls of the smallest bracket over branches,
+is the bracket of f* x_m with f* = max_c min_b f_cb: for x >= 0 the
+rounded product fl(f x) is nondecreasing in f and the bracket is
+nondecreasing in the state, so the min and the max pass through both.
+The nodes ascend, so the reach is nondecreasing in m, and m*_n is the
+first node where it reaches m*_{n+1} (``plateau_cuts``).  The cut is
+exact in floating point whatever the mesh, with or without the riskless
+position on it, and it is known before anything is located: the solve
+locates only the nodes below the largest cut a step reads.  A step
+computes only the nodes below m*_n, cutting inside the block that
+straddles it, and writes U(rho) itself from m*_n on.  The dual sweep
+computes every node.
 
 The same factors drive the polar check's coupled chains
 (``coupled_factors``), whose expectation is a product of per-step branch
@@ -48,7 +51,7 @@ import numpy as np
 
 from . import csvout
 from .errors import NumericalFailure, ResourceLimit
-from .lattice import SpaceGrid, TimeGrid, control_mesh, interpolate, locate
+from .lattice import SpaceGrid, TimeGrid, bracket, control_mesh, interpolate, locate
 from .market import penalty_conjugate
 from .quadrature import gauss_hermite_rule
 
@@ -164,23 +167,23 @@ def dual_step(next_row, located, weights, grid, plateau):
     return _sweep_step(next_row, located, weights, grid, plateau, np.min)
 
 
-def plateau_cuts(located, terminal_row, steps):
+def plateau_cuts(grid, factors, terminal_row, steps):
     """The certified plateau's first node m*_n at time index n = 0..steps.
 
     m*_N is the first node from which ``terminal_row`` equals its last
-    entry, the plateau, bit for bit.  A node's reach is the largest over
-    controls of the smallest bracket over branches in ``located``, which
-    must hold every node; the suffix minimum of the reaches is
-    nondecreasing, so each earlier cut is one search of the later one.
-    ``cells + 1`` certifies no node.
+    entry, the plateau, bit for bit.  The reach of node m is the bracket
+    of f* x_m, f* = max_c min_b ``factors[c, b]``: exactly the largest
+    over controls of the smallest bracket over branches of its displaced
+    states, since fl(f x) (x >= 0) and the bracket are both monotone.
+    It is nondecreasing in m (all zero when f* <= 0), so each earlier
+    cut is one search of the later one.  ``cells + 1`` certifies no node.
     """
     different = np.flatnonzero(terminal_row != terminal_row[-1])
-    reach = np.concatenate([index.min(axis=0).max(axis=0) for index in located.index])
-    floor = np.minimum.accumulate(reach[::-1])[::-1]
+    reach, _ = bracket(grid, factors.min(axis=1).max() * grid.nodes)
     cuts = np.empty(steps + 1, dtype=np.intp)
     cuts[steps] = different[-1] + 1 if different.size else 0
     for n in range(steps - 1, -1, -1):
-        cuts[n] = np.searchsorted(floor, cuts[n + 1])
+        cuts[n] = np.searchsorted(reach, cuts[n + 1])
     return cuts
 
 
@@ -226,15 +229,14 @@ def solve(model, terminal, disc, direction="primal"):
         raise ValueError("terminal reward must be finite on the grid")
     plateau = float(bottom[-1])
     factors = step_factors(model, mesh, rule, time.step, direction)
+    cuts = np.full(disc.steps + 1, grid.cells + 1)
     try:
-        located = locate(grid, factors)
+        if direction == "primal":
+            cuts = plateau_cuts(grid, factors, bottom, disc.steps)
+        located = locate(grid, factors, cuts[:-1].max())  # no step reads past its cut
     except FloatingPointError as exc:
         where = "locating the displaced states"
         raise _float_failure(exc, direction, disc, grid, factors, where) from exc
-    cuts = np.full(disc.steps + 1, grid.cells + 1)
-    if direction == "primal":
-        cuts = plateau_cuts(located, bottom, disc.steps)
-        located = located.below(cuts[:-1].max())  # no step reads past its cut
     data = np.empty((disc.steps + 1, grid.cells + 1))
     data[disc.steps] = bottom
     for n in range(disc.steps - 1, -1, -1):

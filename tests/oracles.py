@@ -12,8 +12,17 @@ weighted row ``weight * next_row``, as production's weighted tables do,
 and shares the grids and the step factors with production on purpose,
 so the two can be compared bit for bit.  Its primal sweep writes the
 plateau U(rho) from the certified cut on, as production does, but
-derives the cut on its own (``interp_plateau_cuts``): from the branch
-factors by a formula, not from brackets.
+derives the cut on its own (``interp_plateau_cuts``): by a formula in
+f*, not from brackets.
+
+``store_plateau_cuts`` is the certified cut as it was before it came
+from the bracket of f* x_m: per node of a full located store, the
+largest over controls of the smallest bracket over branches, and the
+suffix minimum of that reach.  Production's reach is that same number
+with no scan: fl(f x) is nondecreasing in f for x >= 0 and the bracket
+is nondecreasing in the state, so the min over branches and the max over
+controls pass through the product and the bracket, and ascending nodes
+make the reach nondecreasing, so the suffix minimum changes nothing.
 
 The ``csv_*`` referee is the CSV writer as it was before it formatted
 whole blocks: one ``cell`` call per cell, one joined line per row.
@@ -125,6 +134,18 @@ def interp_plateau_cuts(grid, factors, terminal_row, steps):
                 m += 1
             cut = m
         cuts.insert(0, cut)
+    return cuts
+
+
+def store_plateau_cuts(located, terminal_row, steps):
+    """The certified cut m*_n for n = 0..steps, scanned from a store that holds every node."""
+    different = np.flatnonzero(terminal_row != terminal_row[-1])
+    reach = np.concatenate([index.min(axis=0).max(axis=0) for index in located.index])
+    floor = np.minimum.accumulate(reach[::-1])[::-1]
+    cuts = np.empty(steps + 1, dtype=np.intp)
+    cuts[steps] = different[-1] + 1 if different.size else 0
+    for n in range(steps - 1, -1, -1):
+        cuts[n] = np.searchsorted(floor, cuts[n + 1])
     return cuts
 
 

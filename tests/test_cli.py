@@ -500,6 +500,18 @@ def test_a_volatility_overflow_in_the_sweep_names_it_and_exits_3(
     assert not any(out.iterdir())
 
 
+def test_a_polar_check_overflow_names_it_and_exits_3(capsys, tmp_path):
+    """Branch means of about 1e283 overflow the product over N = 2 steps."""
+    cfg = write_cfg(tmp_path, "problem = merton\nsigma = 1e-300\n")
+    out = tmp_path / "out"
+    assert run(["polar-check", "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: polar check: overflow encountered in reduce (N=2); "
+        "largest |branch mean| = 9.29386e+282\n"
+    )
+    assert not any(out.iterdir())
+
+
 def install_checkout(tmp_path):
     """Install a copy of the checkout into a prefix under ``tmp_path``.
 

@@ -180,6 +180,22 @@ def test_located_reads_are_np_interp_with_the_two_closures(case, data):
             assert np.array_equal(read, want)
 
 
+@pytest.mark.parametrize("stop", [0, 4, 6, 7, 11])
+def test_locate_to_a_stop_is_the_prefix_of_the_full_store(stop):
+    """Nodes [0, stop) bit for bit: none, a stop inside a block, on a block boundary, all nodes."""
+    grid = SpaceGrid(2.5, 10)
+    factors = np.array([[-0.3, 0.9, 1.05], [0.5, 1.2, 1.7]])  # (controls, branches)
+    with mock.patch.object(lattice, "_BLOCK", 6):  # three nodes per block
+        full = locate(grid, factors)
+        got = locate(grid, factors, stop)
+    want = full.below(stop)
+    assert got.stop == want.stop == min(stop, grid.cells + 1)
+    assert got.spans == want.spans
+    for mine, theirs in zip(got.index + got.offset, want.index + want.offset, strict=True):
+        assert mine.dtype == theirs.dtype
+        assert np.array_equal(mine.view(np.uint8), theirs.view(np.uint8))
+
+
 @pytest.mark.parametrize("order", [4, 5])
 def test_weighted_located_reads_are_np_interp_of_the_weighted_row(order):
     """Branch b reads np.interp(q, nodes, w_b * row) with both closures, bit for bit.

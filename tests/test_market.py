@@ -16,7 +16,6 @@ from dualgap import (
     cuoco_liu_model,
     dual_coefficient_bounds,
     merton_model,
-    merton_optimal_fraction,
     merton_value,
 )
 from dualgap.cli import build_problem, load_config
@@ -51,12 +50,6 @@ def test_merton_model_validation():
         merton_model(horizon=-1.0)
 
 
-def test_optimal_fraction():
-    assert merton_optimal_fraction(0.5, 0.8, 1.2, 1.0) == pytest.approx(0.8, abs=1.0e-14)
-    with pytest.raises(ValueError):
-        merton_optimal_fraction(1.0, 0.8, 1.2, 1.0)
-
-
 def test_merton_value_frozen():
     assert merton_value(0.5, 1.0, 0.5, merton_model()) == pytest.approx(
         2.5424983006428095, abs=1.0e-13
@@ -78,6 +71,8 @@ def test_merton_value_validation():
         merton_value(-0.1, 1.0, 0.5, merton_model())
     with pytest.raises(ValueError):
         merton_value(0.5, -1.0, 0.5, merton_model())
+    with pytest.raises(ValueError, match="p < 1"):
+        merton_value(0.5, 1.0, 1.0, merton_model())
 
 
 def test_merton_value_on_a_model_without_risky_position_is_riskless():

@@ -4,6 +4,7 @@ import math
 import re
 import tracemalloc
 import types
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from dualgap import (
     refinement_ladder,
     solve,
 )
-from dualgap import market, solver
+from dualgap import lattice, market, solver
 from dualgap.cli import build_problem, load_config
 from dualgap.lattice import locate
 from dualgap.market import penalty_conjugate
@@ -131,7 +132,7 @@ def _plateau_case(model, reward, disc):
     factors = step_factors(model, mesh, rule, TimeGrid(model.horizon, disc.steps).step, "primal")
     bottom = reward.evaluate(grid.nodes)
     want = oracles.interp_plateau_cuts(grid, factors, bottom, disc.steps)
-    got = solver.plateau_cuts(locate(grid, factors), bottom, disc.steps)
+    got = solver.plateau_cuts(grid, factors, bottom, disc.steps)
     assert got.tolist() == want
     return want, solve(model, reward, disc, "primal").data
 
@@ -162,6 +163,32 @@ def test_a_convex_kink_shrinks_the_certificate_and_keeps_the_referee_bits(order,
     assert cuts == sorted(cuts, reverse=True) and cuts[-1] < cuts[0] == disc.cells + 1
     want = oracles.interp_solve(model, reward, disc, "primal")
     assert np.array_equal(data.view(np.uint64), want.view(np.uint64))
+
+
+_FACTOR = st.one_of(
+    st.floats(-4.0, 4.0, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 1.0, 5.0e-324]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_plateau_cuts_are_the_store_scan_of_every_bracket(data):
+    """The bracket of f* x_m is the store's max-min bracket, so its reach needs no suffix minimum."""
+    grid = SpaceGrid(data.draw(st.floats(0.125, 64.0)), data.draw(st.integers(1, 40)))
+    controls, branches = data.draw(st.integers(1, 9)), data.draw(st.integers(2, 20))
+    size = controls * branches
+    factors = np.array(data.draw(st.lists(_FACTOR, min_size=size, max_size=size)))
+    factors = factors.reshape(controls, branches)
+    flat = data.draw(st.integers(0, grid.cells))  # the terminal row is flat from this node on
+    bottom = np.minimum(np.arange(grid.cells + 1.0), flat)
+    steps = data.draw(st.integers(1, 8))
+    reach, _ = lattice.bracket(grid, factors.min(axis=1).max() * grid.nodes)
+    assert np.all(np.diff(reach) >= 0)
+    with mock.patch.object(lattice, "_BLOCK", data.draw(st.integers(1, 64))):
+        located = locate(grid, factors)  # the oracle reads every block of a full store
+    want = oracles.store_plateau_cuts(located, bottom, steps)
+    assert solver.plateau_cuts(grid, factors, bottom, steps).tolist() == want.tolist()
 
 
 def test_primal_step_holds_one_block_at_a_time():
