@@ -487,7 +487,10 @@ def run(argv=None):
             raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
         # FloatingPointError is an ArithmeticError: an overflow exits 3, not 0
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            _PIPELINES[args.command](cfg, build_problem(cfg), out, args)
+            try:
+                _PIPELINES[args.command](cfg, build_problem(cfg), out, args)
+            except OSError as exc:  # a pipeline touches the file system only to write its CSVs
+                raise ConfigError(f"cannot write an output file in {out}: {exc}") from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -146,13 +146,15 @@ def polar_defect(model, rule, steps, step, start, primal_policy, dual_policy):
     be O(step) uniformly in the policies: each step multiplies the
     expectation by 1 + h (g - conj(g) - a gamma) - h^2 mu (r + conj(g))
     whose middle term is nonpositive by conjugacy.  A product that
-    overflows raises a NumericalFailure naming N and the largest mean.
+    overflows raises a NumericalFailure naming N and the largest mean,
+    whatever the caller's numpy error settings.
     """
     fxs, fys = coupled_factors(model, rule, steps, step, primal_policy, dual_policy)
     means = np.sum(rule.weights * fxs * fys, axis=1)
     origin = float(start[0]) * float(start[1])
     try:
-        expectation = origin * float(np.prod(means))
+        with np.errstate(over="raise", invalid="raise"):
+            expectation = origin * float(np.prod(means))
     except FloatingPointError as exc:
         largest = float(np.abs(means).max())
         raise NumericalFailure(

@@ -217,7 +217,8 @@ def interpolate(grid, values, query, plateau, weights):
     ----------
     grid : SpaceGrid
     values : array of shape (cells + 1,)
-        Row to read; must be finite.
+        Row to read; its finiteness is the caller's precondition, which
+        ``solve`` guarantees (a sweep raises on its first overflow).
     query : Located
         The states to read, bracketed on ``grid`` once by ``locate``.
     plateau : float
@@ -233,8 +234,6 @@ def interpolate(grid, values, query, plateau, weights):
     row = np.asarray(values, dtype=float)
     if row.shape != (grid.cells + 1,):
         raise ValueError(f"expected {grid.cells + 1} values, got shape {row.shape}")
-    if not np.all(np.isfinite(row)):
-        raise ValueError("cannot interpolate a row with non-finite entries")
     weights = np.asarray(weights, dtype=float).tolist()
     if query.index and len(weights) != len(query.index[0]):
         raise ValueError(f"expected {len(query.index[0])} weights, got {len(weights)}")

@@ -38,6 +38,12 @@ computes only the nodes below m*_n, cutting inside the block that
 straddles it, and writes U(rho) itself from m*_n on.  The dual sweep
 computes every node.
 
+A sweep raises numpy's overflow, invalid and divide-by-zero errors
+whatever its caller's settings, so a value turns non-finite only as an
+exception, which ``solve`` reports once: the direction, the time index
+(or the locating), N, J and the largest |branch factor|.  No row is
+scanned in the loop; ``ValueSurface.validate`` checks the surface.
+
 The same factors drive the polar check's coupled chains
 (``coupled_factors``), whose expectation is a product of per-step branch
 means.  ``enumerate_coupled`` expands every branch of both chains; no
@@ -187,15 +193,6 @@ def plateau_cuts(grid, factors, terminal_row, steps):
     return cuts
 
 
-def _float_failure(exc, direction, disc, grid, factors, where):
-    """The NumericalFailure for a floating-point error raised inside a sweep."""
-    largest = float(np.abs(factors).max())
-    return NumericalFailure(
-        f"{direction} sweep: {exc} {where} (N={disc.steps}, J={grid.cells}); "
-        f"largest |branch factor| = {largest:.6g}"
-    )
-
-
 def solve(model, terminal, disc, direction="primal"):
     """Run the full backward sweep for one discretisation level.
 
@@ -210,7 +207,8 @@ def solve(model, terminal, disc, direction="primal"):
 
     Returns
     -------
-    ValueSurface, already validated.
+    ValueSurface, already validated.  A floating-point error while the
+    states are located or in a step raises NumericalFailure.
     """
     if direction not in ("primal", "dual"):
         raise ValueError(f"unknown direction {direction!r}")
@@ -230,27 +228,23 @@ def solve(model, terminal, disc, direction="primal"):
     plateau = float(bottom[-1])
     factors = step_factors(model, mesh, rule, time.step, direction)
     cuts = np.full(disc.steps + 1, grid.cells + 1)
-    try:
-        if direction == "primal":
-            cuts = plateau_cuts(grid, factors, bottom, disc.steps)
-        located = locate(grid, factors, cuts[:-1].max())  # no step reads past its cut
-    except FloatingPointError as exc:
-        where = "locating the displaced states"
-        raise _float_failure(exc, direction, disc, grid, factors, where) from exc
     data = np.empty((disc.steps + 1, grid.cells + 1))
     data[disc.steps] = bottom
-    for n in range(disc.steps - 1, -1, -1):
-        try:
-            row = sweep_step(data[n + 1], located.below(cuts[n]), rule.weights, grid, plateau)
-        except FloatingPointError as exc:
-            where = f"at time index {n}"
-            raise _float_failure(exc, direction, disc, grid, factors, where) from exc
-        if not np.all(np.isfinite(row)):
-            raise NumericalFailure(
-                f"non-finite {direction} value row at time index {n} "
-                f"(N={disc.steps}, J={grid.cells})"
-            )
-        data[n] = row
+    n = disc.steps  # no step has run while the states are located
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            if direction == "primal":
+                cuts = plateau_cuts(grid, factors, bottom, disc.steps)
+            located = locate(grid, factors, cuts[:-1].max())  # no step reads past its cut
+            for n in range(disc.steps - 1, -1, -1):
+                below = located.below(cuts[n])
+                data[n] = sweep_step(data[n + 1], below, rule.weights, grid, plateau)
+    except FloatingPointError as exc:
+        where = f"at time index {n}" if n < disc.steps else "locating the displaced states"
+        raise NumericalFailure(
+            f"{direction} sweep: {exc} {where} (N={disc.steps}, J={grid.cells}); "
+            f"largest |branch factor| = {float(np.abs(factors).max()):.6g}"
+        ) from exc
     del located  # 10 B per located point, not needed past the sweep
     data.setflags(write=False)
     surface = ValueSurface(grid=grid, time=time, data=data, direction=direction)

@@ -280,6 +280,17 @@ def test_an_out_directory_that_cannot_be_created_exits_2(capsys, tmp_path):
     assert taken.read_text(encoding="utf-8") == "a file, not a directory\n"
 
 
+def test_an_output_file_that_cannot_be_written_exits_2(capsys, tmp_path):
+    out = tmp_path / "out"
+    blocked = out / "primal_N8.csv"
+    blocked.mkdir(parents=True)
+    assert run(["solve-primal", "--config", "merton", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write an output file in {out}: ")
+    assert "Is a directory" in err and str(blocked) in err
+    assert blocked.is_dir() and not any(blocked.iterdir())
+
+
 def test_run_resource_limit_exit_code(capsys, tmp_path):
     """The allowance's tail sum from x = 5000 needs over 1e7 terms: exit 3, no CSV."""
     path = write_cfg(tmp_path, "problem = merton\nx_max = 10000\n")

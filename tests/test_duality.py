@@ -1,6 +1,7 @@
 """Duality gaps, two-sided bounds, and the coupled product chain."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from dualgap import (
     BoundReport,
     GapReport,
+    NumericalFailure,
     SpaceGrid,
     TimeGrid,
     ValueSurface,
@@ -270,6 +272,17 @@ def test_polar_validation():
         polar_defect(model, rule, 2, 0.1, (1.0, 1.0), (0.0, 0.0), (0.0,))
     with pytest.raises(ValueError, match="both policies must cover 2 steps"):
         polar_defect(model, rule, 2, 0.1, (1.0, 1.0), (0.0,), (0.0, 0.0))
+
+
+def test_a_library_polar_defect_reports_its_own_overflow():
+    """Branch means of about 1e283 overflow the product whatever the caller's errstate."""
+    model, rule = merton_model(sigma=1e-300), gauss_hermite_rule(4)
+    message = (
+        "polar check: overflow encountered in reduce (N=2); "
+        "largest |branch mean| = 9.29386e+282"
+    )
+    with pytest.raises(NumericalFailure, match=f"^{re.escape(message)}$"):
+        polar_defect(model, rule, 2, 0.25, (1.0, 1.0), (0.0, 0.0), (0.0, 0.0))
 
 
 def test_polar_zero_policy_single_step():

@@ -508,7 +508,21 @@ def test_enumerate_coupled_matches_the_per_step_factors(cuoco):
     assert probs.shape == (27,)
 
 
+def test_a_library_solve_reports_its_own_overflow():
+    """No caller's errstate needed: the sweep raises its floating-point errors itself."""
+    cfg = load_config("merton")
+    conjugate = build_problem(cfg).conjugate
+    disc = refinement_ladder(1, 1, cfg.M, cfg.x_max, cfg.y_max)[0]
+    message = (
+        "dual sweep: overflow encountered in multiply at time index 6 (N=8, J=12); "
+        "largest |branch factor| = 2.33441e+299"
+    )
+    with pytest.raises(NumericalFailure, match=f"^{re.escape(message)}$"):
+        solve(merton_model(sigma=1e-300), conjugate, disc, "dual")
+
+
 def test_non_finite_row_names_direction_level_and_time(monkeypatch):
+    """A step that returns NaN without an FP error is caught by the surface check."""
     monkeypatch.setattr(solver, "dual_step", lambda row, *args: np.full_like(row, np.nan))
     terminal = conjugate_spec(lipschitz_truncate(power_utility(0.5), 1.6, 0.768))
     disc = Discretization(
@@ -520,7 +534,7 @@ def test_non_finite_row_names_direction_level_and_time(monkeypatch):
         x_max=2.0,
         y_max=2.0,
     )
-    message = "non-finite dual value row at time index 3 (N=4, J=6)"
+    message = "dual value surface has a non-finite entry at time index 0, node 0 (N=4, J=6)"
     with pytest.raises(NumericalFailure, match=re.escape(message)):
         solve(cuoco_liu_model(), terminal, disc, "dual")
 
