@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimit
+from .errors import NumericalFailure, ResourceLimit
 from .quadrature import double_factorial, moment_defect
 from .utility import PowerUtility
 
@@ -55,8 +55,17 @@ class ConstantSet:
     @property
     def defect_envelope(self):
         """sqrt(3 + 9 k1 T e^{3 k1 T}), carrying one-step defects to the horizon."""
-        k1 = self.growth_rate
-        return math.sqrt(3.0 + 9.0 * k1 * self.horizon * math.exp(3.0 * k1 * self.horizon))
+        k1, t = self.growth_rate, self.horizon
+        return math.sqrt(3.0 + 9.0 * k1 * t * self.exp_growth(3.0, "defect envelope"))
+
+    def exp_growth(self, factor, envelope):
+        """exp(factor k1 T); an overflow raises NumericalFailure naming ``envelope``, k1 and T."""
+        k1, t = self.growth_rate, self.horizon
+        try:
+            return math.exp(factor * k1 * t)
+        except OverflowError as exc:
+            where = f"exp({factor:g} k1 T) overflows at k1 = {k1:.6g}, T = {t:g}"
+            raise NumericalFailure(f"{envelope}: {where}") from exc
 
 
 def constant_set(bounds, horizon):
@@ -74,17 +83,9 @@ def em_bound(step, x, lipschitz, constants):
     """
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step}")
-    k1 = constants.growth_rate
-    t = constants.horizon
-    body = (
-        24.0
-        * k1
-        * t
-        * constants.vol_bound**2
-        * x
-        * x
-        * (1.0 + 4.0 * k1 * t * math.exp(4.0 * k1 * t))
-    )
+    k1, t = constants.growth_rate, constants.horizon
+    growth = constants.exp_growth(4.0, "em_bound envelope")
+    body = 24.0 * k1 * t * constants.vol_bound**2 * x * x * (1.0 + 4.0 * k1 * t * growth)
     return lipschitz * math.sqrt(body) * math.sqrt(step)
 
 

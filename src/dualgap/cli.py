@@ -18,7 +18,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from . import analytics, apriori, csvout, duality, market, solver, utility
+from . import analytics, apriori, csvout, duality, lattice, market, solver, utility
 from .errors import ConfigError, NumericalFailure, ResourceLimit
 from .quadrature import MAX_ORDER, MIN_ORDER, gauss_hermite_rule
 
@@ -307,10 +307,16 @@ def _check_drift(model, steps, level=None, directions=("primal", "dual")):
             )
 
 
-def _reference(cfg, model):
+def _reference(cfg, model, coarsest):
     if cfg.problem != "merton":
+        raise ConfigError(f"no closed-form reference for problem {cfg.problem}; use mode gap")
+    # the spacing x_max / J falls with k, so the coarsest level decides
+    nodes = lattice.SpaceGrid(coarsest.x_max, coarsest.cells).nodes
+    if not analytics.in_window(nodes, analytics.ERROR_WINDOW).any():
         raise ConfigError(
-            f"no closed-form reference for problem {cfg.problem}; use mode gap"
+            f"the error window {list(analytics.ERROR_WINDOW)} holds no primal grid node at "
+            f"k_min = {cfg.k_min}: J = {coarsest.cells} cells on [0, x_max = {cfg.x_max:g}] "
+            f"are {cfg.x_max / coarsest.cells:.3g} apart"
         )
     return lambda x: market.merton_value(cfg.T, x, cfg.p, model)
 
@@ -362,7 +368,7 @@ def cmd_gap(cfg, problem, out, args):
 def cmd_convergence(cfg, problem, out, args):
     mode = cfg.mode if getattr(args, "mode", None) is None else args.mode
     ladder = analytics.refinement_ladder(cfg.k_min, cfg.k_max, cfg.M, cfg.x_max, cfg.y_max)
-    reference = _reference(cfg, problem.model) if mode == "error" else None
+    reference = _reference(cfg, problem.model, ladder[0]) if mode == "error" else None
     conjugate = problem.conjugate if mode == "gap" else None
     directions = ("primal",) if mode == "error" else ("primal", "dual")
     _check_drift(problem.model, ladder[0].steps, f"k_min = {cfg.k_min}", directions)
@@ -381,8 +387,8 @@ def cmd_convergence(cfg, problem, out, args):
 
 
 def cmd_bounds(cfg, problem, out, args):
-    reference = _reference(cfg, problem.model)
     ladder = analytics.refinement_ladder(cfg.k_min, cfg.k_max, cfg.M, cfg.x_max, cfg.y_max)
+    reference = _reference(cfg, problem.model, ladder[0])
     _check_drift(problem.model, ladder[0].steps, f"k_min = {cfg.k_min}")
     rule = gauss_hermite_rule(cfg.M)
     constants = apriori.constant_set(market.coefficient_bounds(problem.model), cfg.T)

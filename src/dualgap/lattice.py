@@ -113,39 +113,36 @@ class Located:
     picks for it (0 left of the origin, ``cells + 1`` right of the
     grid) and its offset ``q - x_j``.  Nodes are stored in blocks from
     node 0, whatever the stop, so a store is a prefix of any that stops
-    later: block i covers the nodes ``spans[i]``, and ``index[i]`` and
-    ``offset[i]`` have shape (branches, controls, width), so every
-    branch of a block is contiguous.  A point costs an 8 B offset plus
-    the smallest integer type that holds ``cells + 1`` (2 B up to level 8).
+    later.  A block is one ``(span, index, offset)`` triple: it covers
+    the nodes ``span``, and ``index`` and ``offset`` have shape
+    (branches, controls, width), so every branch of a block is
+    contiguous.  A point costs an 8 B offset plus the smallest integer
+    type that holds ``cells + 1`` (2 B up to level 8).
     """
 
-    spans: tuple
-    index: tuple
-    offset: tuple
+    blocks: tuple
 
     @property
     def size(self):
         """Number of located points, read by the benchmark's points counter."""
-        return sum(index.size for index in self.index)
+        return sum(index.size for _, index, _ in self.blocks)
 
     @property
     def stop(self):
         """One past the last located node."""
-        return self.spans[-1].stop if self.spans else 0
+        return self.blocks[-1][0].stop if self.blocks else 0
 
     def below(self, stop):
         """The located nodes ``< stop`` only: the block that straddles ``stop`` is cut (a view)."""
         if stop >= self.stop:
             return self
-        spans, index, offset = [], [], []
-        for span, j, d in zip(self.spans, self.index, self.offset):
+        blocks = []
+        for span, j, d in self.blocks:
             if span.start >= stop:
                 break
             width = min(span.stop, stop) - span.start
-            spans.append(slice(span.start, span.start + width))
-            index.append(j[..., :width])
-            offset.append(d[..., :width])
-        return Located(tuple(spans), tuple(index), tuple(offset))
+            blocks.append((slice(span.start, span.start + width), j[..., :width], d[..., :width]))
+        return Located(tuple(blocks))
 
 
 def bracket(grid, q):
@@ -171,17 +168,15 @@ def locate(grid, factors, stop=None):
     nodes = grid.nodes[:stop]
     width = max(1, _BLOCK // controls)
     dtype = np.min_scalar_type(grid.cells + 1)
-    spans, index, offset = [], [], []
+    blocks = []
     for start in range(0, nodes.size, width):
         span = slice(start, min(start + width, nodes.size))
         shape = (branches, controls, span.stop - start)
-        block_index, block_offset = np.empty(shape, dtype), np.empty(shape)
+        index, offset = np.empty(shape, dtype), np.empty(shape)
         for b in range(branches):
-            block_index[b], block_offset[b] = bracket(grid, factors[:, b, None] * nodes[span])
-        spans.append(span)
-        index.append(block_index)
-        offset.append(block_offset)
-    return Located(tuple(spans), tuple(index), tuple(offset))
+            index[b], offset[b] = bracket(grid, factors[:, b, None] * nodes[span])
+        blocks.append((span, index, offset))
+    return Located(tuple(blocks))
 
 
 def _read(slope, level, index, offset):
@@ -235,8 +230,8 @@ def interpolate(grid, values, query, plateau, weights):
     if row.shape != (grid.cells + 1,):
         raise ValueError(f"expected {grid.cells + 1} values, got shape {row.shape}")
     weights = np.asarray(weights, dtype=float).tolist()
-    if query.index and len(weights) != len(query.index[0]):
-        raise ValueError(f"expected {len(query.index[0])} weights, got {len(weights)}")
+    if query.blocks and len(weights) != len(query.blocks[0][1]):
+        raise ValueError(f"expected {len(query.blocks[0][1])} weights, got {len(weights)}")
     if weights != weights[::-1]:
         raise ValueError("weights must equal their reverse")
     tables = []
@@ -251,7 +246,7 @@ def interpolate(grid, values, query, plateau, weights):
     tables += tables[: len(weights) // 2][::-1]
     return (
         (_read(slope, level, j, d) for (slope, level), j, d in zip(tables, index, offset))
-        for index, offset in zip(query.index, query.offset)
+        for _, index, offset in query.blocks
     )
 
 

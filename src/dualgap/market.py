@@ -23,8 +23,9 @@ A model stores its penalty as data: its values at the vertices (the
 interval ends and the kinks between them), linear in between, so no
 non-linear segment can be built.  g(a) - a gamma is then linear between
 vertices too, so its supremum is attained at a vertex, and the conjugate
-is one maximum over the vertices: exact, and vectorised in gamma.  The
-coefficient sizes are exact too, evaluated only where they can peak.
+is one maximum over the vertices: exact, and vectorised in gamma.
+``chain_increments`` writes the four coefficients once, for the sweep's
+branch factors and for their exact sizes, taken only where they can peak.
 """
 
 import itertools
@@ -98,6 +99,22 @@ def penalty_conjugate(model, nu):
     nu = np.asarray(nu, dtype=float)[..., None]
     best = (np.array(model.values) - vertices * nu).max(axis=-1)
     return best.tolist()
+
+
+def chain_increments(model, control, direction, step):
+    """One step's drift and noise coefficient per unit state, shaped like ``control``.
+
+    The one place the chains' coefficients are written: a branch factor is
+    1 + drift + noise xi, and at ``step = 1`` they are the coefficients, bit for bit.
+    """
+    r, b, sigma = model.rate, model.appreciation, model.vol
+    c = np.asarray(control, dtype=float)
+    if direction == "primal":
+        return step * (r + c * (b - r) + model.penalty(c)), math.sqrt(step) * c * sigma
+    if direction == "dual":
+        conj = np.asarray(penalty_conjugate(model, control), dtype=float)
+        return step * -(r + conj), math.sqrt(step) * ((r - b - c) / sigma)
+    raise ValueError(f"unknown direction {direction!r}")
 
 
 def merton_model(
@@ -224,11 +241,8 @@ def coefficient_bounds(model):
     Both are linear in a between the penalty's vertices, so their largest
     absolute values are attained at a vertex: exact, with no scan.
     """
-    vertices = np.array(model.vertices)
-    r, b = model.rate, model.appreciation
-    drift = np.abs(r + vertices * (b - r) + np.array(model.values))
-    vol = np.abs(vertices * model.vol)
-    return CoefficientBounds(drift=float(drift.max()), vol=float(vol.max()))
+    drift, vol = chain_increments(model, np.array(model.vertices), "primal", 1.0)
+    return CoefficientBounds(drift=float(np.abs(drift).max()), vol=float(np.abs(vol).max()))
 
 
 def dual_coefficient_bounds(model):
@@ -244,8 +258,5 @@ def dual_coefficient_bounds(model):
     pairs = itertools.combinations(zip(model.vertices, model.values), 2)
     slopes = [(g1 - g2) / (v1 - v2) for (v1, g1), (v2, g2) in pairs]
     gammas = np.array([lo, hi, *(slope for slope in slopes if lo < slope < hi)])
-    conj = np.asarray(penalty_conjugate(model, gammas))
-    r, b = model.rate, model.appreciation
-    drift = np.abs(r + conj)
-    vol = np.abs((r - b - gammas) / model.vol)
-    return CoefficientBounds(drift=float(drift.max()), vol=float(vol.max()))
+    drift, vol = chain_increments(model, gammas, "dual", 1.0)
+    return CoefficientBounds(drift=float(np.abs(drift).max()), vol=float(np.abs(vol).max()))

@@ -6,17 +6,13 @@ quadrature nodes, reads the next value row by linear interpolation, and
 optimises over a finite control mesh.  Both state processes are
 geometric and the coefficients constant, so the displaced states are
 the current node times a factor shared by every node and every step,
-built once per solve:
-
-    primal, maximising:  1 + h (r + a (b - r) + g) + sqrt(h) a sigma xi
-    dual,   minimising:  1 - h (r + sup_a {g - a gamma}) + sqrt(h) (r - b - gamma) / sigma xi
-
-with xi running over the quadrature nodes.  Every displaced state is
-therefore bracketed on the grid once per solve (``lattice.locate``), and
-a step only reads the next row at the stored brackets, each branch from
-a table that already carries its quadrature weight, so the expectation
-is a plain sum of reads.  The state at
-the origin is absorbing in both cases, so row entry 0 is copied through
+built once per solve: 1 + drift + noise xi, with the step's drift and
+noise from ``market.chain_increments`` and xi over the quadrature nodes.
+Every displaced state is therefore bracketed on the grid once per solve
+(``lattice.locate``), and a step only reads the next row at the stored
+brackets, each branch from a table that already carries its quadrature
+weight, so the expectation is a plain sum of reads.  The state at the
+origin is absorbing in both cases, so row entry 0 is copied through
 time.  Both directions run the same step kernel; they differ only in
 these factors and in max versus min.
 
@@ -50,7 +46,6 @@ means.  ``enumerate_coupled`` expands every branch of both chains; no
 pipeline calls it, and it is the tests' referee for that product.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +53,7 @@ import numpy as np
 from . import csvout
 from .errors import NumericalFailure, ResourceLimit
 from .lattice import SpaceGrid, TimeGrid, bracket, control_mesh, interpolate, locate
-from .market import penalty_conjugate
+from .market import chain_increments
 from .quadrature import gauss_hermite_rule
 
 #: hard cap on explicitly enumerated chain branches
@@ -119,24 +114,13 @@ class ValueSurface:
 
 
 def step_factors(model, control, rule, step, direction):
-    """Branch multipliers for one step of the chosen chain.
+    """Branch multipliers 1 + drift + noise xi of one step, from ``chain_increments``.
 
-    For a scalar control this is an array over quadrature branches; for
-    a control mesh it is a (controls, branches) array.  The displaced
-    state is the current state times the factor.  The dual chain
-    evaluates the conjugate penalty in one vectorised call over the
-    whole mesh.
+    An array over quadrature branches for a scalar control, (controls, branches)
+    for a mesh; the displaced state is the current state times the factor.
     """
-    r, b, sig = model.rate, model.appreciation, model.vol
-    root = math.sqrt(step)
-    c = np.asarray(control, dtype=float)[..., None]
-    if direction == "primal":
-        mu = r + c * (b - r) + model.penalty(c)
-        return 1.0 + step * mu + root * c * sig * rule.nodes
-    if direction == "dual":
-        conj = np.asarray(penalty_conjugate(model, control), dtype=float)[..., None]
-        return 1.0 - step * (r + conj) + root * ((r - b - c) / sig) * rule.nodes
-    raise ValueError(f"unknown direction {direction!r}")
+    drift, noise = chain_increments(model, control, direction, step)
+    return 1.0 + drift[..., None] + noise[..., None] * rule.nodes
 
 
 def _sweep_step(next_row, located, weights, grid, plateau, reduce):
@@ -153,7 +137,7 @@ def _sweep_step(next_row, located, weights, grid, plateau, reduce):
     """
     best = np.empty(grid.cells + 1)
     blocks = interpolate(grid, next_row, located, plateau, weights)
-    for span, reads in zip(located.spans, blocks):
+    for (span, _, _), reads in zip(located.blocks, blocks):
         value = next(reads)
         for _ in weights[1:]:  # not over reads: a loop variable would keep the last read alive
             value += next(reads)
@@ -210,8 +194,6 @@ def solve(model, terminal, disc, direction="primal"):
     ValueSurface, already validated.  A floating-point error while the
     states are located or in a step raises NumericalFailure.
     """
-    if direction not in ("primal", "dual"):
-        raise ValueError(f"unknown direction {direction!r}")
     rule = gauss_hermite_rule(disc.order)
     time = TimeGrid(model.horizon, disc.steps)
     if direction == "primal":

@@ -140,7 +140,7 @@ def interp_plateau_cuts(grid, factors, terminal_row, steps):
 def store_plateau_cuts(located, terminal_row, steps):
     """The certified cut m*_n for n = 0..steps, scanned from a store that holds every node."""
     different = np.flatnonzero(terminal_row != terminal_row[-1])
-    reach = np.concatenate([index.min(axis=0).max(axis=0) for index in located.index])
+    reach = np.concatenate([index.min(axis=0).max(axis=0) for _, index, _ in located.blocks])
     floor = np.minimum.accumulate(reach[::-1])[::-1]
     cuts = np.empty(steps + 1, dtype=np.intp)
     cuts[steps] = different[-1] + 1 if different.size else 0

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from dualgap import (
     CoefficientBounds,
     ConstantSet,
+    NumericalFailure,
     ResourceLimit,
     SpaceGrid,
     coefficient_bounds,
@@ -107,6 +108,23 @@ def test_gh_growth_in_state(primal_constants, rule4):
         0.01, 1.0, rule4, 3.0, primal_constants
     )
     assert ratio == pytest.approx(257.0 / 2.0, rel=1.0e-12)
+
+
+@pytest.mark.parametrize(
+    "sigma, envelope, message",
+    [
+        (20.0, lambda c: em_bound(0.1, 1.0, 1.0, c), "em_bound envelope: exp(4 k1 T) overflows"),
+        (22.0, lambda c: c.defect_envelope, "defect envelope: exp(3 k1 T) overflows"),
+    ],
+    ids=["em_bound", "defect_envelope"],
+)
+def test_an_envelope_past_the_float_range_names_itself(sigma, envelope, message):
+    """k1 = c_mu^2 T + c_psi^2 grows with sigma^2; exp(4 k1 T) overflows from sigma 18.8 on."""
+    constants = constant_set(coefficient_bounds(merton_model(sigma=sigma)), 0.5)
+    k1 = constants.growth_rate
+    with pytest.raises(NumericalFailure) as info:
+        envelope(constants)
+    assert str(info.value) == f"{message} at k1 = {k1:.6g}, T = 0.5"
 
 
 def test_bound_step_validation(primal_constants, rule4):

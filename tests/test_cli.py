@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualgap import ConfigError
+from dualgap import ConfigError, analytics
 from dualgap.cli import build_problem, load_config, resolve_config_path, run
 
 REPO = Path(__file__).resolve().parents[1]
@@ -406,6 +406,33 @@ def test_a_drift_only_the_dual_outruns_refuses_only_the_steps_it_outruns(capsys,
         assert run([command, "--config", str(cfg), "--out", str(out)]) == 0, command
 
 
+@pytest.mark.parametrize("command", ["convergence", "bounds"])
+@pytest.mark.parametrize(
+    "keys, where",
+    [
+        ("x_max = 40\nk_min = 1\nk_max = 1", "k_min = 1: J = 18 cells on [0, x_max = 40] are 2.22"),
+        ("k_min = 0\nk_max = 0", "k_min = 0: J = 7 cells on [0, x_max = 20] are 2.86"),
+    ],
+    ids=["x_max-40", "k_min-0"],
+)
+def test_an_error_window_without_a_grid_node_exits_2_before_any_solve(
+    capsys, tmp_path, monkeypatch, command, keys, where
+):
+    """Spacing x_max / J above 2 puts no node in [1, 2]: refused before the ladder runs."""
+
+    def no_solve(*args):
+        raise AssertionError("solved before the refusal")
+
+    monkeypatch.setattr(analytics, "solve", no_solve)
+    cfg = write_cfg(tmp_path, f"problem = merton\n{keys}\n")
+    out = tmp_path / "out"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: the error window [1.0, 2.0] holds no primal grid node at {where} apart\n"
+    )
+    assert not any(out.iterdir())
+
+
 def test_convergence_pipeline_reruns_identically(capsys, tmp_path):
     cfg = write_cfg(tmp_path, MERTON_SMALL)
     out_a = tmp_path / "a"
@@ -507,6 +534,18 @@ def test_a_volatility_overflow_in_the_sweep_names_it_and_exits_3(
     assert capsys.readouterr().err == (
         f"numerical failure: dual sweep: overflow encountered in multiply {where} "
         f"(N=8, J=12); largest |branch factor| = {largest}\n"
+    )
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["gap", "bounds"])
+def test_an_envelope_overflow_names_it_and_exits_3(capsys, tmp_path, command):
+    """sigma = 20: k1 = 1.2^2 T + 20^2 = 400.72, and exp(4 k1 T) = exp(801) overflows."""
+    cfg = write_cfg(tmp_path, "problem = merton\nsigma = 20\nk_min = 1\nk_max = 1\n")
+    out = tmp_path / "out"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: em_bound envelope: exp(4 k1 T) overflows at k1 = 400.72, T = 0.5\n"
     )
     assert not any(out.iterdir())
 

@@ -167,12 +167,12 @@ def test_located_reads_are_np_interp_with_the_two_closures(case, data):
     ).reshape(controls, branches)
     with mock.patch.object(lattice, "_BLOCK", data.draw(st.integers(1, 64))):
         located = locate(grid, factors)
-    covered = np.concatenate([grid.nodes[span] for span in located.spans])
+    covered = np.concatenate([grid.nodes[span] for span, _, _ in located.blocks])
     assert np.array_equal(covered, grid.nodes)
     assert located.size == factors.size * grid.nodes.size
-    assert {index.dtype for index in located.index} == {np.min_scalar_type(grid.cells + 1)}
+    assert {index.dtype for _, index, _ in located.blocks} == {np.min_scalar_type(grid.cells + 1)}
     blocks = interpolate(grid, row, located, plateau, np.ones(branches))
-    for span, reads in zip(located.spans, blocks):
+    for (span, _, _), reads in zip(located.blocks, blocks):
         for factor, read in zip(factors.T, reads):
             want = oracles.interp_read(grid, row, factor[:, None] * grid.nodes[span], plateau)
             assert np.array_equal(read, want)
@@ -188,10 +188,14 @@ def test_locate_to_a_stop_is_the_prefix_of_the_full_store(stop):
         got = locate(grid, factors, stop)
     want = full.below(stop)
     assert got.stop == want.stop == min(stop, grid.cells + 1)
-    assert got.spans == want.spans
-    for mine, theirs in zip(got.index + got.offset, want.index + want.offset, strict=True):
-        assert mine.dtype == theirs.dtype
-        assert np.array_equal(mine.view(np.uint8), theirs.view(np.uint8))
+    assert [span for span, _, _ in got.blocks] == [span for span, _, _ in want.blocks]
+    for (_, *mine), (_, *theirs) in zip(got.blocks, want.blocks, strict=True):
+        for a, b in zip(mine, theirs, strict=True):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a.view(np.uint8), b.view(np.uint8))
+    # the cut blocks are views of the full store, not copies
+    for (_, *cut), (_, *stored) in zip(want.blocks, full.blocks):
+        assert all(np.shares_memory(a, b) for a, b in zip(cut, stored, strict=True))
 
 
 @pytest.mark.parametrize("order", [4, 5])
@@ -214,7 +218,7 @@ def test_weighted_located_reads_are_np_interp_of_the_weighted_row(order):
     with mock.patch.object(lattice, "_BLOCK", 15):  # five nodes per block
         located = locate(grid, factors)
     blocks = interpolate(grid, row, located, plateau, rule.weights)
-    for span, reads in zip(located.spans, blocks):
+    for (span, _, _), reads in zip(located.blocks, blocks):
         for weight, factor, read in zip(rule.weights, factors.T, reads, strict=True):
             states = factor[:, None] * grid.nodes[span]
             want = oracles.interp_read(grid, weight * row, states, weight * plateau)

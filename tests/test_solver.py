@@ -58,6 +58,15 @@ def test_step_factors_primal(merton, rule2):
     got = step_factors(merton, 0.5, rule2, 0.1, "primal")
     noise = math.sqrt(0.1) * 0.5
     assert np.allclose(got, [1.1 - noise, 1.1 + noise], atol=1.0e-14)
+    # bit for bit in the product order 1 + h mu + ((sqrt(h) a) sigma) xi, at a sigma that
+    # is not a power of two, where sqrt(h) (a sigma) moves last bits on this mesh
+    model, step, rule = merton_model(sigma=0.3, b=1.1), 0.125, gauss_hermite_rule(4)
+    r, b, sigma = model.rate, model.appreciation, model.vol
+    a = control_mesh(model.a_interval, 17)[:, None]
+    got = step_factors(model, a[:, 0], rule, step, "primal")
+    drift = 1.0 + step * (r + a * (b - r) + 0.0)
+    assert np.array_equal(got, drift + math.sqrt(step) * a * sigma * rule.nodes)
+    assert not np.array_equal(got, drift + math.sqrt(step) * (a * sigma) * rule.nodes)
 
 
 def test_step_factors_dual(merton, rule2):
@@ -65,6 +74,16 @@ def test_step_factors_dual(merton, rule2):
     got = step_factors(merton, 0.0, rule2, 0.1, "dual")
     noise = math.sqrt(0.1) * 0.4
     assert np.allclose(got, [0.92 + noise, 0.92 - noise], atol=1.0e-14)
+    # bit for bit in the product order 1 - h (r + conj) + (sqrt(h) ((r - b - gamma) / sigma)) xi
+    model, step, rule = cuoco_liu_model(sigma=0.3), 0.125, gauss_hermite_rule(4)
+    r, b, sigma = model.rate, model.appreciation, model.vol
+    gamma = control_mesh(model.gamma_interval, 17)
+    conj = np.array([penalty_conjugate(model, g) for g in gamma.tolist()])[:, None]
+    gamma = gamma[:, None]
+    got = step_factors(model, gamma[:, 0], rule, step, "dual")
+    drift = 1.0 - step * (r + conj)
+    assert np.array_equal(got, drift + math.sqrt(step) * ((r - b - gamma) / sigma) * rule.nodes)
+    assert not np.array_equal(got, drift + math.sqrt(step) * (r - b - gamma) / sigma * rule.nodes)
 
 
 def test_step_factors_rejects_unknown_direction(merton, rule2):
@@ -474,7 +493,6 @@ def test_conjugate_is_evaluated_once_per_solve(monkeypatch):
         calls.append(args)
         return penalty_conjugate(*args)
 
-    monkeypatch.setattr(solver, "penalty_conjugate", counting)
     monkeypatch.setattr(market, "penalty_conjugate", counting)
     model = cuoco_liu_model()
     terminal = conjugate_spec(lipschitz_truncate(power_utility(0.5), 1.6, 0.768))
