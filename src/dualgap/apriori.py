@@ -79,14 +79,18 @@ def em_bound(step, x, lipschitz, constants):
     """Lipschitz-weighted distance between the chain and its diffusion.
 
     Order sqrt(step), with the quadratic dependence on the start state
-    kept explicit.
+    kept explicit.  Past the float range it raises NumericalFailure.
     """
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step}")
     k1, t = constants.growth_rate, constants.horizon
     growth = constants.exp_growth(4.0, "em_bound envelope")
     body = 24.0 * k1 * t * constants.vol_bound**2 * x * x * (1.0 + 4.0 * k1 * t * growth)
-    return lipschitz * math.sqrt(body) * math.sqrt(step)
+    bound = lipschitz * math.sqrt(body) * math.sqrt(step)
+    if not math.isfinite(bound):
+        where = f"its product overflows at k1 = {k1:.6g}, T = {t:g}"
+        raise NumericalFailure(f"em_bound envelope: {where}")
+    return bound
 
 
 def gh_bound(step, x, rule, lipschitz, constants):

@@ -10,13 +10,13 @@ states, and nothing here checks how far.  A sweep reads every row at the
 same displaced states, so it brackets them once (``locate``).  Each
 step's expectation is a quadrature sum of weighted reads, and linear
 interpolation commutes with the weight, so the weight goes into the
-step's read table (J + 2 entries) rather than onto every located point:
-a read is two gathers and np.interp's own arithmetic on the weighted
-row.  The quadrature weights are symmetric, so branches b and M - 1 - b
-share one table.
+step's read table (J + 2 entries, built by ``interpolate``) rather than
+onto every located point: ``read`` is two gathers and np.interp's own
+arithmetic on the weighted row.  The quadrature weights are symmetric,
+so branches b and M - 1 - b share one table.
 """
 
-import math
+import bisect
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -132,17 +132,21 @@ class Located:
         """One past the last located node."""
         return self.blocks[-1][0].stop if self.blocks else 0
 
+    @cached_property
+    def _stops(self):  # each block's span.stop, ascending: what ``below`` bisects
+        return [span.stop for span, _, _ in self.blocks]
+
     def below(self, stop):
-        """The located nodes ``< stop`` only: the block that straddles ``stop`` is cut (a view)."""
+        """Nodes ``< stop``: the store's blocks wholly below it, the straddling one cut (views)."""
         if stop >= self.stop:
             return self
-        blocks = []
-        for span, j, d in self.blocks:
-            if span.start >= stop:
-                break
-            width = min(span.stop, stop) - span.start
-            blocks.append((slice(span.start, span.start + width), j[..., :width], d[..., :width]))
-        return Located(tuple(blocks))
+        whole = bisect.bisect_right(self._stops, stop)
+        blocks = self.blocks[:whole]
+        if self.blocks[whole][0].start < stop:  # stop < self.stop: block ``whole`` exists
+            span, j, d = self.blocks[whole]
+            width = stop - span.start
+            blocks += ((slice(span.start, stop), j[..., :width], d[..., :width]),)
+        return Located(blocks)
 
 
 def bracket(grid, q):
@@ -179,8 +183,12 @@ def locate(grid, factors, stop=None):
     return Located(tuple(blocks))
 
 
-def _read(slope, level, index, offset):
-    """``slope[j] * d + level[j]``: np.interp's interior formula, term for term."""
+def read(table, index, offset):
+    """``slope[j] * d + level[j]`` of one branch of a located block: np.interp's interior formula.
+
+    ``table`` is that branch's ``(slope, level)`` pair from ``interpolate``.
+    """
+    slope, level = table
     j = index.astype(np.intp, copy=False)
     out = slope.take(j)
     out *= offset
@@ -189,12 +197,12 @@ def _read(slope, level, index, offset):
 
 
 def interpolate(grid, values, query, plateau, weights):
-    """Weighted piecewise-linear reads of a grid row at located states, with the boundary closure.
+    """The step's weighted read tables of a grid row, with the boundary closure.
 
-    Branch b of ``query`` reads ``weights[b] * values``: inside
-    [0, length] by plain linear interpolation, left of 0 by the first
-    cell continued linearly, and right of length as the constant
-    ``weights[b] * plateau``.
+    Branch b of ``query`` reads ``weights[b] * values`` through its
+    table and ``read``: inside [0, length] by plain linear interpolation,
+    left of 0 by the first cell continued linearly, and right of length
+    as the constant ``weights[b] * plateau``.
 
     Each weight w of the first half of ``weights`` gets one table pair:
     ``level = w * [values, plateau]`` and ``slope`` its cell slopes,
@@ -206,7 +214,7 @@ def interpolate(grid, values, query, plateau, weights):
     value (a -0.0 entry read exactly at its node can come back as +0.0).
     The weights must be symmetric bit for bit, as every Gauss-Hermite
     rule's are, so the ceil(M / 2) tables of the first half serve all M
-    branches: branch b reads table ``min(b, M - 1 - b)``.
+    branches: branch b's pair is the same object as branch M - 1 - b's.
 
     Parameters
     ----------
@@ -223,8 +231,8 @@ def interpolate(grid, values, query, plateau, weights):
 
     Returns
     -------
-    An iterator over the blocks of ``query``, each an iterator over the
-    branches' weighted (controls, width) arrays.
+    A list of M ``(slope, level)`` pairs, pair b for branch b of every
+    block of ``query``; the reads themselves are the caller's, through ``read``.
     """
     row = np.asarray(values, dtype=float)
     if row.shape != (grid.cells + 1,):
@@ -243,11 +251,7 @@ def interpolate(grid, values, query, plateau, weights):
         np.subtract(level[1:-1], level[:-2], out=slope[:-2])
         slope[:-2] /= grid._widths
         tables.append((slope, level))
-    tables += tables[: len(weights) // 2][::-1]
-    return (
-        (_read(slope, level, j, d) for (slope, level), j, d in zip(tables, index, offset))
-        for _, index, offset in query.blocks
-    )
+    return tables + tables[: len(weights) // 2][::-1]
 
 
 def control_mesh(interval, count):

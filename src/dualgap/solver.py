@@ -10,11 +10,11 @@ built once per solve: 1 + drift + noise xi, with the step's drift and
 noise from ``market.chain_increments`` and xi over the quadrature nodes.
 Every displaced state is therefore bracketed on the grid once per solve
 (``lattice.locate``), and a step only reads the next row at the stored
-brackets, each branch from a table that already carries its quadrature
-weight, so the expectation is a plain sum of reads.  The state at the
-origin is absorbing in both cases, so row entry 0 is copied through
-time.  Both directions run the same step kernel; they differ only in
-these factors and in max versus min.
+brackets: ``interpolate`` builds one table per branch, its quadrature
+weight folded in, and the step's loop over blocks and branches sums
+the ``read``s.  The state at the origin is absorbing in both cases, so
+row entry 0 is copied through time.  Both directions run the same step
+kernel; they differ only in these factors and in max versus min.
 
 The primal sweep skips its certified plateau.  The truncated reward is
 flat at U(rho) from some node m*_N of the terminal row on, and no control
@@ -52,7 +52,7 @@ import numpy as np
 
 from . import csvout
 from .errors import NumericalFailure, ResourceLimit
-from .lattice import SpaceGrid, TimeGrid, bracket, control_mesh, interpolate, locate
+from .lattice import SpaceGrid, TimeGrid, bracket, control_mesh, interpolate, locate, read
 from .market import chain_increments
 from .quadrature import gauss_hermite_rule
 
@@ -104,7 +104,7 @@ class ValueSurface:
             )
         # row by row, no surface-sized copy; the first row holding the
         # smallest step, then its first node: the flattened argmin
-        steps = [np.diff(row).min() for row in self.data]
+        steps = [np.minimum.reduce(np.subtract(row[1:], row[:-1])) for row in self.data]
         if min(steps) < -_SURFACE_SLACK:
             n = int(np.argmin(steps))
             m = int(np.diff(self.data[n]).argmin())
@@ -126,21 +126,23 @@ def step_factors(model, control, rule, step, direction):
 def _sweep_step(next_row, located, weights, grid, plateau, reduce):
     """One backward step in either direction, given the solve's located states.
 
-    The reads come weighted (``interpolate`` folds each branch's weight
-    into its table), so a block's expectation starts from branch 0's
-    read and adds the others in ascending branch order, and ``reduce``
-    (``np.max`` or ``np.min``) writes each node's best value over the
-    mesh into the row; a tie returns the tied value, so the sweep is
+    ``interpolate`` gives the step's read tables, each branch's weight
+    folded in, so a block's expectation starts from branch 0's ``read``
+    and adds the others in ascending branch order, and ``reduce``
+    (``np.maximum.reduce`` or ``np.minimum.reduce``, what ``np.max`` and
+    ``np.min`` call) writes each node's best value over the mesh into
+    the row; a tie returns the tied value, so the sweep is
     bit-reproducible.  Nodes past the located ones are the certified
     plateau and read ``plateau``.  Returns the new row; the absorbing
     origin is copied through.
     """
     best = np.empty(grid.cells + 1)
-    blocks = interpolate(grid, next_row, located, plateau, weights)
-    for (span, _, _), reads in zip(located.blocks, blocks):
-        value = next(reads)
-        for _ in weights[1:]:  # not over reads: a loop variable would keep the last read alive
-            value += next(reads)
+    tables = interpolate(grid, next_row, located, plateau, weights)
+    for span, index, offset in located.blocks:
+        reads = zip(tables, index, offset)
+        value = read(*next(reads))
+        for table, j, d in reads:  # no read is bound to a name while the next is built
+            value += read(table, j, d)
         reduce(value, axis=0, out=best[span])
     best[located.stop:] = plateau
     best[0] = next_row[0]
@@ -149,12 +151,12 @@ def _sweep_step(next_row, located, weights, grid, plateau, reduce):
 
 def primal_step(next_row, located, weights, grid, plateau):
     """One backward step of the maximising sweep."""
-    return _sweep_step(next_row, located, weights, grid, plateau, np.max)
+    return _sweep_step(next_row, located, weights, grid, plateau, np.maximum.reduce)
 
 
 def dual_step(next_row, located, weights, grid, plateau):
     """One backward step of the minimising sweep."""
-    return _sweep_step(next_row, located, weights, grid, plateau, np.min)
+    return _sweep_step(next_row, located, weights, grid, plateau, np.minimum.reduce)
 
 
 def plateau_cuts(grid, factors, terminal_row, steps):

@@ -115,11 +115,15 @@ def test_gh_growth_in_state(primal_constants, rule4):
     [
         (20.0, lambda c: em_bound(0.1, 1.0, 1.0, c), "em_bound envelope: exp(4 k1 T) overflows"),
         (22.0, lambda c: c.defect_envelope, "defect envelope: exp(3 k1 T) overflows"),
+        (18.6, lambda c: em_bound(0.0625, 1.0, 1.0, c), "em_bound envelope: its product overflows"),
     ],
-    ids=["em_bound", "defect_envelope"],
+    ids=["em_bound", "defect_envelope", "em_bound_product"],
 )
 def test_an_envelope_past_the_float_range_names_itself(sigma, envelope, message):
-    """k1 = c_mu^2 T + c_psi^2 grows with sigma^2; exp(4 k1 T) overflows from sigma 18.8 on."""
+    """k1 = c_mu^2 T + c_psi^2 grows with sigma^2; exp(4 k1 T) overflows from sigma 18.8 on.
+
+    The em_bound product around a finite exp(4 k1 T) overflows first, from sigma 18.6 on.
+    """
     constants = constant_set(coefficient_bounds(merton_model(sigma=sigma)), 0.5)
     k1 = constants.growth_rate
     with pytest.raises(NumericalFailure) as info:

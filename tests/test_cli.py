@@ -550,6 +550,17 @@ def test_an_envelope_overflow_names_it_and_exits_3(capsys, tmp_path, command):
     assert not any(out.iterdir())
 
 
+def test_an_em_bound_product_overflow_exits_3_without_writing_inf(capsys, tmp_path):
+    """sigma = 18.6: exp(4 k1 T) is finite, but 24 k1 T vol^2 (1 + 4 k1 T exp(4 k1 T)) is not."""
+    cfg = write_cfg(tmp_path, "problem = merton\nsigma = 18.6\nk_min = 1\nk_max = 1\n")
+    out = tmp_path / "out"
+    assert run(["bounds", "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: em_bound envelope: its product overflows at k1 = 346.68, T = 0.5\n"
+    )
+    assert not any(out.iterdir())
+
+
 def test_a_polar_check_overflow_names_it_and_exits_3(capsys, tmp_path):
     """Branch means of about 1e283 overflow the product over N = 2 steps."""
     cfg = write_cfg(tmp_path, "problem = merton\nsigma = 1e-300\n")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from dualgap import Discretization, SpaceGrid, TimeGrid, control_mesh, gauss_hermite_rule, lattice
-from dualgap.lattice import interpolate, locate
+from dualgap.lattice import interpolate, locate, read
 
 
 def test_space_grid_nodes():
@@ -60,8 +60,9 @@ def _read_at(grid, row, queries, plateau):
     One control per query, so the reads come back in query order.
     """
     located = locate(grid, np.asarray(queries, dtype=float)[:, None] / grid.length)
-    (block,) = interpolate(grid, row, located, plateau, np.ones(1))
-    return next(block)[:, -1]
+    (table,) = interpolate(grid, row, located, plateau, np.ones(1))
+    ((_, index, offset),) = located.blocks
+    return read(table, index[0], offset[0])[:, -1]
 
 
 def test_interpolate_interior():
@@ -97,7 +98,8 @@ def test_interpolate_vector_queries():
     factors = np.array([[-1.0, 0.5], [6.0, 1.0]])  # (controls, branches)
     with mock.patch.object(lattice, "_BLOCK", 6):  # three nodes per block
         located = locate(grid, factors)
-    blocks = [list(reads) for reads in interpolate(grid, row, located, 9.0, np.ones(2))]
+    tables = interpolate(grid, row, located, 9.0, np.ones(2))
+    blocks = [list(map(read, tables, index, offset)) for _, index, offset in located.blocks]
     assert [[read.shape for read in reads] for reads in blocks] == [[(2, 3)] * 2, [(2, 2)] * 2]
     first = np.concatenate([reads[0] for reads in blocks], axis=1)
     assert np.allclose(first, [[0.0, -1.0, -2.0, -3.0, -4.0], [0.0, 9.0, 9.0, 9.0, 9.0]])
@@ -171,11 +173,11 @@ def test_located_reads_are_np_interp_with_the_two_closures(case, data):
     assert np.array_equal(covered, grid.nodes)
     assert located.size == factors.size * grid.nodes.size
     assert {index.dtype for _, index, _ in located.blocks} == {np.min_scalar_type(grid.cells + 1)}
-    blocks = interpolate(grid, row, located, plateau, np.ones(branches))
-    for (span, _, _), reads in zip(located.blocks, blocks):
-        for factor, read in zip(factors.T, reads):
+    tables = interpolate(grid, row, located, plateau, np.ones(branches))
+    for span, index, offset in located.blocks:
+        for factor, got in zip(factors.T, map(read, tables, index, offset)):
             want = oracles.interp_read(grid, row, factor[:, None] * grid.nodes[span], plateau)
-            assert np.array_equal(read, want)
+            assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("stop", [0, 4, 6, 7, 11])
@@ -198,6 +200,47 @@ def test_locate_to_a_stop_is_the_prefix_of_the_full_store(stop):
         assert all(np.shares_memory(a, b) for a, b in zip(cut, stored, strict=True))
 
 
+def _sliced_below(located, stop):
+    """Every block below ``stop`` sliced to its width: what ``Located.below`` must equal."""
+    blocks = []
+    for span, j, d in located.blocks:
+        if span.start >= stop:
+            break
+        width = min(span.stop, stop) - span.start
+        blocks.append((slice(span.start, span.start + width), j[..., :width], d[..., :width]))
+    return blocks
+
+
+def test_below_keeps_the_whole_blocks_and_cuts_the_straddling_one():
+    """The blocks wholly below a stop are the store's own; the result is the per-block slicing."""
+    grid = SpaceGrid(2.0, 10)
+    factors = np.array([[-1.0, 0.5, 1.3], [6.0, 1.0, 0.2]])  # (controls, branches)
+    with mock.patch.object(lattice, "_BLOCK", 6):  # three nodes per block
+        located = locate(grid, factors)
+    for stop in range(located.stop + 2):
+        got = located.below(stop)
+        whole = [block for block in located.blocks if block[0].stop <= stop]
+        assert all(mine is theirs for mine, theirs in zip(got.blocks, whole))
+        want = _sliced_below(located, stop)
+        assert [span for span, _, _ in got.blocks] == [span for span, _, _ in want]
+        for (_, *mine), (_, *theirs) in zip(got.blocks, want, strict=True):
+            for a, b in zip(mine, theirs, strict=True):
+                assert a.shape == b.shape and np.shares_memory(a, b)
+                assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("order", [4, 5])
+def test_interpolate_returns_one_table_per_branch_shared_with_its_mirror(order):
+    """M pairs; pair b is pair M - 1 - b itself, and at odd M the middle pair is its own."""
+    rule = gauss_hermite_rule(order)
+    grid = SpaceGrid(2.0, 4)
+    located = locate(grid, np.ones((1, order)))
+    tables = interpolate(grid, np.arange(5.0), located, 4.0, rule.weights)
+    assert len(tables) == order
+    assert all(tables[b] is tables[order - 1 - b] for b in range(order))
+    assert len({id(table) for table in tables}) == (order + 1) // 2
+
+
 @pytest.mark.parametrize("order", [4, 5])
 def test_weighted_located_reads_are_np_interp_of_the_weighted_row(order):
     """Branch b reads np.interp(q, nodes, w_b * row) with both closures, bit for bit.
@@ -217,12 +260,13 @@ def test_weighted_located_reads_are_np_interp_of_the_weighted_row(order):
     )  # (controls, branches)
     with mock.patch.object(lattice, "_BLOCK", 15):  # five nodes per block
         located = locate(grid, factors)
-    blocks = interpolate(grid, row, located, plateau, rule.weights)
-    for (span, _, _), reads in zip(located.blocks, blocks):
-        for weight, factor, read in zip(rule.weights, factors.T, reads, strict=True):
+    tables = interpolate(grid, row, located, plateau, rule.weights)
+    for span, index, offset in located.blocks:
+        reads = map(read, tables, index, offset)
+        for weight, factor, got in zip(rule.weights, factors.T, reads, strict=True):
             states = factor[:, None] * grid.nodes[span]
             want = oracles.interp_read(grid, weight * row, states, weight * plateau)
-            assert np.array_equal(read.view(np.uint64), want.view(np.uint64))
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_control_mesh_cases():
