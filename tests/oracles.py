@@ -296,16 +296,17 @@ def tail_weight(log_ratio, drift_bound, vol_bound, horizon):
 def tail_sum_loop(x, rho, constants, cutoff):
     """Tail weights over integer barriers from floor(rho) up, one term at a time.
 
-    Adds terms in barrier order until the first one under ``cutoff`` and
-    returns (sum, level of that first term).  No cap: callers keep x
-    small enough for the loop to end.
+    Collects terms in barrier order until the first one under ``cutoff``
+    and returns (their correctly rounded sum by ``math.fsum``, level of
+    that first term).  No cap: callers keep x small enough for the loop
+    to end.
     """
     # tail_weight inlined with the same operations in the same order; a
     # call per term would double the loop's time
     shift = constants.drift_bound * constants.horizon
     coeff = -(3.0 / (8.0 * constants.vol_bound**2 * constants.horizon))
     log, exp = math.log, math.exp
-    total = 0.0
+    terms = []
     level = max(int(math.floor(rho)), 1)
     while True:
         margin = log(level / x) - shift
@@ -315,8 +316,8 @@ def tail_sum_loop(x, rho, constants, cutoff):
         if term > 1.0:
             term = 1.0
         if term < cutoff:
-            return total, level
-        total += term
+            return math.fsum(terms), level
+        terms.append(term)
         level += 1
 
 

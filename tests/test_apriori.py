@@ -206,6 +206,17 @@ def test_allowance_validation(primal_constants):
         truncation_allowance(-1.0, power_utility(0.5), 18.0, 8.0, primal_constants)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["x", "rho", "c0"])
+def test_allowance_refuses_a_non_finite_argument_by_name(primal_constants, name, value):
+    args = {"x": 1.0, "rho": 18.0, "c0": 8.0}
+    args[name] = value
+    with pytest.raises(ValueError, match=f"{name} = {value}"):
+        truncation_allowance(
+            args["x"], power_utility(0.5), args["rho"], args["c0"], primal_constants
+        )
+
+
 def test_allowance_validation_covers_every_node(primal_constants):
     base = power_utility(0.5)
     with pytest.raises(ValueError, match="at index 2"):
@@ -238,15 +249,48 @@ def test_allowance_array_equals_scalar_calls(primal_constants):
     assert got.tolist() == expected
 
 
+def _gap_nodes(factory, level):
+    """The nodes of the bundled config's gap CSV at ``level``, and the primal constants."""
+    constants = constant_set(coefficient_bounds(factory()), 0.5)
+    xs = SpaceGrid(20.0, refinement_ladder(level, level, 4, 20.0, 4.0)[0].cells).nodes[1:]
+    return xs, constants
+
+
 @pytest.mark.parametrize("factory, level", [(merton_model, 3), (cuoco_liu_model, 4)])
 def test_allowance_matches_the_loop_on_every_gap_node(factory, level):
     """The bundled gap levels' nodes, against the per-term math loop."""
-    constants = constant_set(coefficient_bounds(factory()), 0.5)
+    xs, constants = _gap_nodes(factory, level)
     base = power_utility(0.5)
-    xs = SpaceGrid(20.0, refinement_ladder(level, level, 4, 20.0, 4.0)[0].cells).nodes[1:]
     got = truncation_allowance(xs, base, 18.0, 8.0, constants)
     expected = [allowance_loop(x, base, 18.0, 8.0, constants, apriori._TAIL_CUTOFF) for x in xs]
     np.testing.assert_allclose(got, expected, rtol=1.0e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("factory, level", [(merton_model, 3), (cuoco_liu_model, 4)])
+def test_allowance_blocks_cut_where_the_loop_stops_and_match_scalar_calls(
+    factory, level, monkeypatch
+):
+    """Every gap node sums the loop's terms, and the array call is one scalar call per node.
+
+    Short tails share a block there, so this covers the rows of a block
+    being cut and added each on its own.
+    """
+    xs, constants = _gap_nodes(factory, level)
+    rows = []
+    block = apriori._tail_block
+
+    def counting_rows(states, *args):
+        rows.append(len(states))
+        return block(states, *args)
+
+    monkeypatch.setattr(apriori, "_tail_block", counting_rows)
+    _, counts = apriori._tail_sums(xs.tolist(), 18.0, constants)
+    assert max(rows) > 1
+    stops = [tail_sum_loop(x, 18.0, constants, apriori._TAIL_CUTOFF)[1] for x in xs]
+    assert counts.tolist() == [stop - 18 for stop in stops]
+    base = power_utility(0.5)
+    got = truncation_allowance(xs, base, 18.0, 8.0, constants)
+    assert got.tolist() == [truncation_allowance(x, base, 18.0, 8.0, constants) for x in xs]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
