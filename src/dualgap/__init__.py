@@ -9,7 +9,6 @@ tracking turns it into computable two-sided bounds.
 """
 
 from .analytics import (
-    ConvergenceTable,
     convergence_orders,
     dual_cell_count,
     refinement_ladder,
@@ -43,17 +42,10 @@ from .market import (
     dual_coefficient_bounds,
     merton_model,
     merton_value,
-    penalty_conjugate,
 )
-from .quadrature import QuadratureRule, double_factorial, gauss_hermite_rule, moment_defect
-from .solver import ValueSurface, solve, write_surface_csv
-from .utility import (
-    ConjugateSpec,
-    TruncatedUtility,
-    conjugate_spec,
-    lipschitz_truncate,
-    power_utility,
-)
+from .quadrature import double_factorial, gauss_hermite_rule, moment_defect
+from .solver import ValueSurface, solve
+from .utility import conjugate_spec, lipschitz_truncate, power_utility
 
 __version__ = "0.1.0"
 
@@ -61,18 +53,14 @@ __all__ = [
     "BoundReport",
     "CoefficientBounds",
     "ConfigError",
-    "ConjugateSpec",
     "ConstantSet",
-    "ConvergenceTable",
     "Discretization",
     "GapReport",
     "MarketModel",
     "NumericalFailure",
-    "QuadratureRule",
     "ResourceLimit",
     "SpaceGrid",
     "TimeGrid",
-    "TruncatedUtility",
     "ValueSurface",
     "aposteriori_bounds",
     "coefficient_bounds",
@@ -93,7 +81,6 @@ __all__ = [
     "merton_model",
     "merton_value",
     "moment_defect",
-    "penalty_conjugate",
     "polar_defect",
     "power_utility",
     "refinement_ladder",
@@ -103,5 +90,4 @@ __all__ = [
     "window_norms",
     "write_convergence_csv",
     "write_gap_csv",
-    "write_surface_csv",
 ]

@@ -108,7 +108,7 @@ _CROSS_CHECKS = (
      lambda v: f"k_min = {v['k_min']} exceeds k_max = {v['k_max']}"),
     (lambda v: v["problem"] != "cuoco-liu" or v["R"] >= v["r"],
      lambda v: f"borrowing rate R = {v['R']} must be at least r = {v['r']}"),
-    # last: it builds the model, whose own checks the ones above cover
+    # last: it builds the model, the checks above cover all its own but the penalty's finiteness
     (lambda v: _plateau_reach(v) <= v["x_max"],
      lambda v: f"rho exp(max(0, -(r + g(0))) T) = {_plateau_reach(v)} must not exceed "
                f"x_max = {v['x_max']}"),
@@ -146,7 +146,11 @@ def _plateau_reach(v):
     r + g(0), so from rho e^{max(0, -(r + g(0))) T} on it ends at or
     above rho, where the truncated reward is flat, for sure.
     """
-    exponent = max(0.0, -(v["r"] + float(_market(v).penalty(0.0)))) * v["T"]
+    try:
+        model = _market(v)
+    except ValueError as exc:  # a penalty the model refuses, such as an infinite vertex
+        raise ConfigError(str(exc)) from exc
+    exponent = max(0.0, -(v["r"] + float(model.penalty(0.0)))) * v["T"]
     return v["rho"] * math.exp(exponent) if exponent < 700.0 else math.inf
 
 

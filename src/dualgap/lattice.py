@@ -16,7 +16,6 @@ arithmetic on the weighted row.  The quadrature weights are symmetric,
 so branches b and M - 1 - b share one table.
 """
 
-import bisect
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -113,11 +112,12 @@ class Located:
     picks for it (0 left of the origin, ``cells + 1`` right of the
     grid) and its offset ``q - x_j``.  Nodes are stored in blocks from
     node 0, whatever the stop, so a store is a prefix of any that stops
-    later.  A block is one ``(span, index, offset)`` triple: it covers
-    the nodes ``span``, and ``index`` and ``offset`` have shape
-    (branches, controls, width), so every branch of a block is
-    contiguous.  A point costs an 8 B offset plus the smallest integer
-    type that holds ``cells + 1`` (2 B up to level 8).
+    later; every block but the last spans as many nodes as the first.
+    A block is one ``(span, index, offset)`` triple: it covers the nodes
+    ``span``, and ``index`` and ``offset`` have shape (branches,
+    controls, width), so every branch of a block is contiguous.  A point
+    costs an 8 B offset plus the smallest integer type that holds
+    ``cells + 1`` (2 B up to level 8).
     """
 
     blocks: tuple
@@ -132,20 +132,16 @@ class Located:
         """One past the last located node."""
         return self.blocks[-1][0].stop if self.blocks else 0
 
-    @cached_property
-    def _stops(self):  # each block's span.stop, ascending: what ``below`` bisects
-        return [span.stop for span, _, _ in self.blocks]
-
     def below(self, stop):
         """Nodes ``< stop``: the store's blocks wholly below it, the straddling one cut (views)."""
         if stop >= self.stop:
             return self
-        whole = bisect.bisect_right(self._stops, stop)
+        # every block but the last is as wide as the first, which starts at node 0
+        whole, cut = divmod(stop, self.blocks[0][0].stop)
         blocks = self.blocks[:whole]
-        if self.blocks[whole][0].start < stop:  # stop < self.stop: block ``whole`` exists
+        if cut:  # stop < self.stop: block ``whole`` exists
             span, j, d = self.blocks[whole]
-            width = stop - span.start
-            blocks += ((slice(span.start, stop), j[..., :width], d[..., :width]),)
+            blocks += ((slice(span.start, stop), j[..., :cut], d[..., :cut]),)
         return Located(blocks)
 
 

@@ -57,6 +57,10 @@ class MarketModel:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
         if not self.vertices or len(self.values) != len(self.vertices):
             raise ValueError(f"need one value per vertex, got {self.values} at {self.vertices}")
+        if not all(map(math.isfinite, self.vertices + self.values)):
+            raise ValueError(
+                f"penalty vertices {self.vertices} and values {self.values} must be finite"
+            )
         if any(left >= right for left, right in zip(self.vertices, self.vertices[1:])):
             raise ValueError(f"vertices {self.vertices} must ascend strictly")
         lo, hi = self.gamma_interval
@@ -221,15 +225,19 @@ def cuoco_liu_model(
         raise ValueError(f"short haircut must be nonnegative, got {iota}")
     spread = borrowing_rate - r
     short_rate = r * (1.0 + iota * lambda_minus)
-    vertices = np.array((-1.0 / lambda_minus, 0.0, 1.0 / lambda_plus))
-    long_part, short_part = np.maximum(0.0, vertices), np.maximum(0.0, -vertices)
-    values = -short_rate * short_part - spread * (1.0 - long_part - iota * lambda_minus * short_part)
+    vertices = (-1.0 / lambda_minus, 0.0, 1.0 / lambda_plus)
+    # Python floats overflow to inf and nan without a warning, and MarketModel refuses them.
+    # max(x, 0.0) keeps x at a tie, so a^- = -0.0 at a = 0, as np.maximum(0.0, -0.0) gives.
+    parts = [(max(a, 0.0), max(-a, 0.0)) for a in vertices]  # (a^+, a^-)
+    values = tuple(
+        -short_rate * neg - spread * (1.0 - pos - iota * lambda_minus * neg) for pos, neg in parts
+    )
     return MarketModel(
         rate=float(r),
         appreciation=float(b),
         vol=float(sigma),
-        vertices=tuple(vertices.tolist()),
-        values=tuple(values.tolist()),
+        vertices=vertices,
+        values=values,
         gamma_interval=(float(gamma_interval[0]), float(gamma_interval[1])),
         horizon=float(horizon),
     )

@@ -201,6 +201,22 @@ def test_allowance_refuses_a_cut_off_tail(primal_constants, monkeypatch):
         truncation_allowance(1.0, power_utility(0.5), 18.0, 8.0, primal_constants)
 
 
+def test_allowance_refuses_a_tail_still_above_the_cutoff_at_its_last_barrier(
+    primal_constants, monkeypatch
+):
+    """A last barrier 10 short of the closed form's cuts the tail off before the cutoff."""
+    barriers = apriori._barriers
+
+    def short(*args):
+        first, last = barriers(*args)
+        return first, last - 10
+
+    monkeypatch.setattr(apriori, "_barriers", short)
+    message = "tail sum from state 1.0 still above 1e-16 at barrier 2145"
+    with pytest.raises(ResourceLimit, match=f"^{message}$"):
+        truncation_allowance(1.0, power_utility(0.5), 18.0, 8.0, primal_constants)
+
+
 def test_allowance_validation(primal_constants):
     with pytest.raises(ValueError):
         truncation_allowance(-1.0, power_utility(0.5), 18.0, 8.0, primal_constants)

@@ -142,6 +142,19 @@ def test_explicit_dual_extent(tmp_path):
             whole("lambda_plus and lambda_minus must be positive"),
         ),
         ("problem = cuoco-liu\niota = -0.1\n", whole("iota must be nonnegative, got -0.1")),
+        # a penalty that floats cannot hold passes every key's check; the model refuses it
+        (
+            "problem = cuoco-liu\nlambda_minus = 1e-320\n",
+            r"^penalty vertices \(-inf, 0.0, 1.0\) and values \(nan, .*\) must be finite$",
+        ),
+        (
+            "problem = cuoco-liu\niota = 1e308\nlambda_minus = 10\n",
+            whole("penalty vertices (-0.1, 0.0, 1.0) and values (nan, nan, nan) must be finite"),
+        ),
+        (
+            "problem = cuoco-liu\nlambda_plus = 1e-320\n",
+            r"^penalty vertices \(-1.0, 0.0, inf\) and values \(.*, inf\) must be finite$",
+        ),
         # a key the problem never reads is refused, not echoed as if used
         ("problem = cuoco-liu\na_min = -0.25\n", whole("a_min is not read by problem cuoco-liu")),
         ("problem = cuoco-liu\na_max = 0.5\n", whole("a_max is not read by problem cuoco-liu")),
@@ -429,6 +442,24 @@ def test_an_error_window_without_a_grid_node_exits_2_before_any_solve(
     assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         f"config error: the error window [1.0, 2.0] holds no primal grid node at {where} apart\n"
+    )
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", [["bounds"], ["convergence", "--mode", "error"]])
+def test_a_closed_form_reference_for_cuoco_liu_exits_2_before_any_solve(
+    capsys, tmp_path, monkeypatch, command
+):
+    """Only merton has a closed-form value to measure errors against."""
+
+    def no_solve(*args):
+        raise AssertionError("solved before the refusal")
+
+    monkeypatch.setattr(analytics, "solve", no_solve)
+    out = tmp_path / "out"
+    assert run([*command, "--config", "cuoco_liu", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: no closed-form reference for problem cuoco-liu; use mode gap\n"
     )
     assert not any(out.iterdir())
 

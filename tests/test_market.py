@@ -1,6 +1,7 @@
 """Market coefficient functions, benchmark models, closed-form values."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -92,6 +93,21 @@ def test_merton_value_projects_the_fraction_onto_the_interval():
         )
     tiny = merton_model(sigma=1.0e-300)
     assert merton_value(0.5, 1.0, 0.5, tiny) == pytest.approx(np.exp(0.5 * 1.2 * 0.5) / 0.5)
+
+
+def test_merton_value_projects_a_fraction_below_the_interval_onto_its_lower_end():
+    """a* = (0.2 - 0.8) / (1 - 0.5) = -1.2 lies below a_min = -1: the lower end is taken.
+
+    The frozen value is the best per-step objective over a fine scan of
+    [-1, 1], whose maximiser is the scan's first point.
+    """
+    model = merton_model(r=0.8, b=0.2, sigma=1.0)
+    got = merton_value(0.5, 1.0, 0.5, model)
+    assert got == pytest.approx(2.6661811843264056, rel=1.0e-15)
+    scan = np.linspace(-1.0, 1.0, 200_001)
+    objective = scan * (0.2 - 0.8) + 0.8 - 0.5 * scan * scan * 0.5
+    assert np.argmax(objective) == 0
+    assert got == pytest.approx(np.exp(0.5 * objective.max() * 0.5) / 0.5, rel=1.0e-15)
 
 
 def test_merton_value_refuses_a_drift_penalty(cuoco):
@@ -234,6 +250,10 @@ def test_model_refuses_a_penalty_outside_the_vertex_contract():
         MarketModel(**{**fields, "values": (0.0, 0.0, 0.0)})
     with pytest.raises(ValueError, match=r"one value per vertex, got \(\) at \(\)"):
         MarketModel(**{**fields, "vertices": (), "values": ()})
+    with pytest.raises(ValueError, match=r"vertices \(-inf, 1.0\) and values \(0.0, 0.0\) must be"):
+        MarketModel(**{**fields, "vertices": (-math.inf, 1.0)})
+    with pytest.raises(ValueError, match=r"\(-1.0, 1.0\) and values \(nan, 0.0\) must be finite"):
+        MarketModel(**{**fields, "values": (math.nan, 0.0)})
     # a vertex where the slope does not change is allowed, and so is a single one
     assert MarketModel(**{**fields, "vertices": (-1.0, 0.25, 1.0), "values": (0.0,) * 3})
     single = MarketModel(**{**fields, "vertices": (0.0,), "values": (-0.5,)})

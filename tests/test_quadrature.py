@@ -7,6 +7,7 @@ import pytest
 from numpy.polynomial.hermite import hermgauss
 
 from dualgap import NumericalFailure, double_factorial, gauss_hermite_rule, moment_defect
+from dualgap import quadrature
 from dualgap.quadrature import MAX_ORDER, MIN_ORDER
 
 # Rescaled nodes and weights with algebraic closed forms.
@@ -129,6 +130,13 @@ def test_construction_is_deterministic():
     b = gauss_hermite_rule(16)
     assert np.array_equal(a.nodes, b.nodes)
     assert np.array_equal(a.weights, b.weights)
+
+
+def test_a_newton_iteration_that_does_not_converge_raises(monkeypatch):
+    monkeypatch.setattr(quadrature, "_NEWTON_MAX_ITER", 1)
+    message = "Hermite root 0 of order 4 not converged after 1 Newton steps"
+    with pytest.raises(NumericalFailure, match=f"^{message}$"):
+        gauss_hermite_rule(4)
 
 
 def test_failure_type_is_exported():
