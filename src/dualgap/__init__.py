@@ -32,7 +32,7 @@ from .duality import (
     polar_defect,
     write_gap_csv,
 )
-from .errors import ConfigError, NumericalFailure, ResourceLimit
+from .errors import ConfigError, NumericalFailure
 from .lattice import Discretization, SpaceGrid, TimeGrid, control_mesh
 from .market import (
     CoefficientBounds,
@@ -58,7 +58,6 @@ __all__ = [
     "GapReport",
     "MarketModel",
     "NumericalFailure",
-    "ResourceLimit",
     "SpaceGrid",
     "TimeGrid",
     "ValueSurface",

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailure, ResourceLimit
+from .errors import NumericalFailure
 from .quadrature import double_factorial, moment_defect
 from .utility import PowerUtility
 
@@ -162,7 +162,7 @@ def _tail_sums(states, rho, constants):
     spans = [_barriers(x, rho, constants) for x in states]
     for x, (first, last) in zip(states, spans):
         if last - first + 1 > _TAIL_MAX_TERMS:
-            raise ResourceLimit(
+            raise NumericalFailure(
                 f"tail sum from state {x} needs {last - first + 1:.6g} terms "
                 f"to fall below {_TAIL_CUTOFF}, more than {_TAIL_MAX_TERMS}"
             )
@@ -197,7 +197,7 @@ def _tail_block(states, first, widths, constants):
     cuts = np.argmax(terms < _TAIL_CUTOFF, axis=1).tolist()
     for x, width, row, cut in zip(states, widths, terms, cuts):
         if cut >= width or not row[cut] < _TAIL_CUTOFF:
-            raise ResourceLimit(
+            raise NumericalFailure(
                 f"tail sum from state {x} still above {_TAIL_CUTOFF} "
                 f"at barrier {first + width - 1}"
             )
@@ -228,7 +228,7 @@ def truncation_allowance(x, utility, rho, c0, constants):
     whose tails fit ``_TAIL_BLOCK`` terms together are evaluated as the
     rows of one block, a longer tail alone, and only one block is held
     at a time.  A state whose closed-form count exceeds
-    ``_TAIL_MAX_TERMS`` raises ResourceLimit before any terms are
+    ``_TAIL_MAX_TERMS`` raises NumericalFailure before any terms are
     allocated, as does a tail that never falls below the cutoff: a
     partial sum would understate the allowance.  A non-finite x, rho or
     c0 raises ValueError naming it.

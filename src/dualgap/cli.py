@@ -19,7 +19,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from . import analytics, apriori, csvout, duality, lattice, market, solver, utility
-from .errors import ConfigError, NumericalFailure, ResourceLimit
+from .errors import ConfigError, NumericalFailure
 from .quadrature import MAX_ORDER, MIN_ORDER, gauss_hermite_rule
 
 _PROBLEMS = ("merton", "cuoco-liu")
@@ -504,7 +504,7 @@ def run(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalFailure, ResourceLimit, ArithmeticError) as exc:
+    except (NumericalFailure, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -119,19 +119,33 @@ def aposteriori_bounds(
     polynomial growth 1 + s^{2M}, where s is the space node for the
     lower side and the attained conjugate argument for the upper side.
     ``allowance`` is what the domain truncation may cost, as an array
-    over the report nodes; it enters the upper side only.
+    over the report nodes; it enters the upper side only.  A side that
+    overflows raises a NumericalFailure naming it, M, the step, the
+    spacing, its largest s and its Lipschitz constant, whatever the
+    caller's numpy error settings.
     """
     if order < 1:
         raise ValueError(f"quadrature order must be positive, got {order}")
     if step <= 0.0 or spacing <= 0.0:
         raise ValueError("step and spacing must be positive")
-    rate = step ** ((order - 1.0) / (2.0 * order)) + spacing / step
     two_m = 2 * order
     slack = np.asarray(allowance, dtype=float)
     if slack.shape != report.x.shape:
         raise ValueError("allowance array must match the report nodes")
-    lower = -lip_primal * c_primal * (1.0 + report.x**two_m) * rate
-    upper = report.gap + lip_dual * c_dual * (1.0 + report.argmin_y**two_m) * rate + slack
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            side, name, reach, lip = "lower", "x", report.x, lip_primal
+            # np.divide, so that a rate past the float range raises too
+            rate = step ** ((order - 1.0) / (2.0 * order)) + np.divide(spacing, step)
+            lower = -lip * c_primal * (1.0 + reach**two_m) * rate
+            side, name, reach, lip = "upper", "argmin_y", report.argmin_y, lip_dual
+            upper = report.gap + lip * c_dual * (1.0 + reach**two_m) * rate + slack
+    except FloatingPointError as exc:
+        raise NumericalFailure(
+            f"a posteriori {side} bound: {exc} (M={order}, step={step:.6g}, "
+            f"spacing={spacing:.6g}); largest {name} = {float(np.max(reach)):.6g}, "
+            f"Lipschitz constant {lip:.6g}"
+        ) from exc
     return BoundReport(x=report.x, lower=lower, upper=upper)
 
 

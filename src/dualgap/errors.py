@@ -2,11 +2,7 @@
 
 
 class NumericalFailure(RuntimeError):
-    """An iteration failed to converge or a sweep produced non-finite values."""
-
-
-class ResourceLimit(RuntimeError):
-    """A request would exceed a hard enumeration or memory budget."""
+    """A computation left the float range or would exceed a term or branch cap."""
 
 
 class ConfigError(ValueError):

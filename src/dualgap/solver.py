@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import csvout
-from .errors import NumericalFailure, ResourceLimit
+from .errors import NumericalFailure
 from .lattice import SpaceGrid, TimeGrid, bracket, control_mesh, interpolate, locate, read
 from .market import chain_increments
 from .quadrature import gauss_hermite_rule
@@ -268,7 +268,7 @@ def enumerate_coupled(model, rule, steps, step, start, primal_policy, dual_polic
     fxs, fys = coupled_factors(model, rule, steps, step, primal_policy, dual_policy)
     total = rule.order**steps
     if total > MAX_BRANCHES:
-        raise ResourceLimit(
+        raise NumericalFailure(
             f"{rule.order}^{steps} = {total} chain branches exceed the cap of {MAX_BRANCHES}"
         )
     xs = np.array([float(start[0])])

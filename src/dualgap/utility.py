@@ -89,11 +89,11 @@ class TruncatedUtility:
 
     def evaluate(self, x):
         arr = np.asarray(x, dtype=float)
-        inner = self.base.evaluate(np.clip(arr, self.x_rho, self.rho))
-        out = np.where(
-            arr <= self.x_rho,
-            self.lipschitz * arr,
-            np.where(arr <= self.rho, inner, self.base.evaluate(self.rho)),
+        # the base takes the nodes neither end band holds, so a NaN stays NaN
+        out = np.piecewise(
+            arr,
+            [arr <= self.x_rho, arr > self.rho],
+            [lambda a: self.lipschitz * a, self.base.evaluate(self.rho), self.base.evaluate],
         )
         return _match_shape(out, x)
 
@@ -121,17 +121,20 @@ class ConjugateSpec:
     def evaluate(self, y):
         arr = _nonnegative(y, "conjugate is defined for y >= 0")
         p, rho, x_rho = self.reward.base.p, self.reward.rho, self.reward.x_rho
-        with np.errstate(divide="ignore", over="ignore"):
-            interior = (1.0 / p - 1.0) * np.power(arr, -p / (1.0 - p))
-        out = np.where(
-            arr >= self.reward.lipschitz,
-            0.0,
-            np.where(
-                arr >= x_rho ** (p - 1.0),  # marginal utility at the chord cutoff
-                x_rho**p / p - x_rho * arr,
-                # rho^(p-1) is the marginal utility at the plateau edge
-                np.where(arr > rho ** (p - 1.0), interior, rho**p / p - rho * arr),
-            ),
+        # each band holds the nodes that no band above it holds
+        zero = arr >= self.reward.lipschitz
+        chord = ~zero & (arr >= x_rho ** (p - 1.0))  # marginal utility at the chord cutoff
+        # rho^(p-1) is the marginal utility at the plateau edge
+        interior = ~(zero | chord) & (arr > rho ** (p - 1.0))
+        out = np.piecewise(
+            arr,
+            [zero, chord, interior],
+            [
+                0.0,
+                lambda b: x_rho**p / p - x_rho * b,
+                lambda b: (1.0 / p - 1.0) * np.power(b, -p / (1.0 - p)),
+                lambda b: rho**p / p - rho * b,
+            ],
         )
         return _match_shape(out, y)
 

@@ -6,6 +6,7 @@ horizon one half) and were cross-checked against hand arithmetic.
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,6 @@ from dualgap import (
     CoefficientBounds,
     ConstantSet,
     NumericalFailure,
-    ResourceLimit,
     SpaceGrid,
     coefficient_bounds,
     conjugate_spec,
@@ -197,7 +197,8 @@ def test_allowance_monotone_in_state(primal_constants):
 def test_allowance_refuses_a_cut_off_tail(primal_constants, monkeypatch):
     """A tail sum stopped before its terms fall below the cutoff is an error."""
     monkeypatch.setattr(apriori, "_TAIL_MAX_TERMS", 3)
-    with pytest.raises(ResourceLimit):
+    message = "tail sum from state 1.0 needs 2138 terms to fall below 1e-16, more than 3"
+    with pytest.raises(NumericalFailure, match=f"^{re.escape(message)}$"):
         truncation_allowance(1.0, power_utility(0.5), 18.0, 8.0, primal_constants)
 
 
@@ -213,7 +214,7 @@ def test_allowance_refuses_a_tail_still_above_the_cutoff_at_its_last_barrier(
 
     monkeypatch.setattr(apriori, "_barriers", short)
     message = "tail sum from state 1.0 still above 1e-16 at barrier 2145"
-    with pytest.raises(ResourceLimit, match=f"^{message}$"):
+    with pytest.raises(NumericalFailure, match=f"^{re.escape(message)}$"):
         truncation_allowance(1.0, power_utility(0.5), 18.0, 8.0, primal_constants)
 
 
@@ -247,7 +248,11 @@ def test_allowance_cap_raises_before_it_allocates(primal_constants):
     """About 2e8 terms against a cap of 1e7: refused from the closed-form count."""
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceLimit):
+        message = (
+            "tail sum from state 100000.0 needs 2.15236e+08 terms "
+            "to fall below 1e-16, more than 10000000"
+        )
+        with pytest.raises(NumericalFailure, match=f"^{re.escape(message)}$"):
             truncation_allowance(1.0e5, power_utility(0.5), 18.0, 8.0, primal_constants)
         _, peak = tracemalloc.get_traced_memory()
     finally:

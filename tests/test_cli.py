@@ -533,12 +533,64 @@ def test_polar_pipeline(tmp_path):
 
 
 def test_overflow_exits_3_before_any_csv_is_written(capsys, tmp_path):
-    """A floating-point overflow is a numerical failure, not a result."""
+    """A floating-point overflow is a numerical failure, not a result.
+
+    With x_max = 1e308 the gap readout's x y overflows; the primal sweep
+    alone stays finite, since the reward's chord is evaluated only up to x_rho.
+    """
     cfg = write_cfg(tmp_path, "problem = merton\nx_max = 1e308\n")
     out = tmp_path / "out"
-    code = run(["solve-primal", "--config", str(cfg), "--out", str(out), "--level", "1"])
+    code = run(["gap", "--config", str(cfg), "--out", str(out), "--level", "1"])
     assert code == 3
     assert capsys.readouterr().err.startswith("numerical failure: ")
+    assert not any(out.iterdir())
+    assert run(["solve-primal", "--config", str(cfg), "--out", str(out), "--level", "1"]) == 0
+    assert [path.name for path in out.iterdir()] == ["primal_N8.csv"]
+
+
+@pytest.mark.parametrize("command, name", [("solve-primal", "primal"), ("solve-dual", "dual")])
+def test_a_reward_finite_on_every_node_solves_without_overflow(tmp_path, command, name):
+    """rho = 1e299 puts the chord slope at 2.2e149; x_max = 1e300 times it is past the float range.
+
+    Each band of the reward and its conjugate is evaluated only on its
+    own nodes, so the slope never meets a node beyond x_rho.
+    """
+    cfg = write_cfg(tmp_path, "problem = merton\nx_max = 1e300\nrho = 1e299\n")
+    out = tmp_path / "out"
+    assert run([command, "--config", str(cfg), "--out", str(out), "--level", "1"]) == 0
+    lines = (out / f"{name}_N8.csv").read_text(encoding="utf-8").splitlines()
+    cells = np.array([line.split(",") for line in lines[2:]], dtype=float)
+    assert np.all(np.isfinite(cells))
+
+
+@pytest.mark.parametrize(
+    "keys, message",
+    [
+        (
+            "T = 1e-300",
+            "a posteriori lower bound: overflow encountered in multiply "
+            "(M=4, step=1.25e-301, spacing=1.11111); largest x = 20, Lipschitz constant 3",
+        ),
+        (
+            "p = 1e-300",
+            "a posteriori lower bound: overflow encountered in multiply "
+            "(M=4, step=0.0625, spacing=1.11111); largest x = 20, Lipschitz constant 2.25e+300",
+        ),
+        (
+            "c0 = 1e-300",
+            "a posteriori upper bound: overflow encountered in power "
+            "(M=4, step=0.0625, spacing=1.11111); largest argmin_y = 7.07107e+149, "
+            "Lipschitz constant 18",
+        ),
+    ],
+    ids=("T", "p", "c0"),
+)
+def test_an_aposteriori_overflow_names_its_side_and_exits_3(capsys, tmp_path, keys, message):
+    """A rate spacing/step near the float range, a chord slope near it, or an argmin_y of 7e149."""
+    cfg = write_cfg(tmp_path, f"problem = merton\n{keys}\n")
+    out = tmp_path / "out"
+    assert run(["gap", "--config", str(cfg), "--out", str(out), "--level", "1"]) == 3
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
     assert not any(out.iterdir())
 
 

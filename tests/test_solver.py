@@ -15,7 +15,6 @@ import oracles
 from dualgap import (
     Discretization,
     NumericalFailure,
-    ResourceLimit,
     SpaceGrid,
     TimeGrid,
     ValueSurface,
@@ -406,7 +405,8 @@ def test_enumerate_chain_policy_too_short(merton, rule2):
 def test_enumeration_cap(merton):
     policy = (0.0,) * 13
     assert 4**13 > MAX_BRANCHES
-    with pytest.raises(ResourceLimit):
+    message = f"4^13 = 67108864 chain branches exceed the cap of {MAX_BRANCHES}"
+    with pytest.raises(NumericalFailure, match=f"^{re.escape(message)}$"):
         enumerate_coupled(merton, gauss_hermite_rule(4), 13, 0.01, (1.0, 1.0), policy, policy)
 
 

@@ -117,6 +117,51 @@ def test_conjugate_band_edges(conj):
         assert abs(above - below) < 1.0e-7
 
 
+@pytest.mark.parametrize(
+    "p, rho, c0, bands_differ", [(0.5, 18.0, 8.0, False), (0.9, 5.0, 2.0, True)]
+)
+def test_band_edges_bit_for_bit(p, rho, c0, bands_differ):
+    """Each edge belongs to one band, with the sidedness of the closed forms.
+
+    The bundled square-root geometry puts the kink slope 1.5 and the
+    chord slope 3.0 on dual nodes.  At p = 0.9 the bands on either side
+    of each finite edge differ in the last bits, so the equalities pin
+    which band holds it.
+    """
+    reward = lipschitz_truncate(power_utility(p), rho, c0)
+    conj = conjugate_spec(reward)
+    x_rho, slope = reward.x_rho, reward.lipschitz
+    plateau, kink = rho ** (p - 1.0), x_rho ** (p - 1.0)
+    at_rho = rho**p / p
+    # the chord holds x <= x_rho, the plateau x > rho
+    assert reward.evaluate(x_rho) == slope * x_rho
+    assert reward.evaluate(rho) == at_rho
+    assert reward.evaluate(math.inf) == at_rho
+    assert reward.evaluate(-math.inf) == -math.inf
+    # zero from the chord slope on, the chord band from the kink, the plateau up to its edge
+    assert conj.evaluate(slope) == 0.0
+    assert conj.evaluate(kink) == x_rho**p / p - x_rho * kink
+    assert conj.evaluate(plateau) == at_rho - rho * plateau
+    assert conj.evaluate(math.inf) == 0.0
+    with pytest.raises(ValueError, match="y >= 0"):
+        conj.evaluate(-math.inf)
+    edges = np.array([x_rho, rho, math.inf, -math.inf])
+    assert reward.evaluate(edges).tolist() == [reward.evaluate(x) for x in edges]
+    ys = np.array([plateau, kink, slope, math.inf])
+    assert conj.evaluate(ys).tolist() == [conj.evaluate(y) for y in ys]
+    if bands_differ:
+        interior = (1.0 / p - 1.0) * np.power([plateau, kink], -p / (1.0 - p))
+        assert reward.evaluate(x_rho) != reward.base.evaluate(x_rho)
+        assert np.all(conj.evaluate(np.array([plateau, kink])) != interior)
+
+
+def test_a_nan_stays_nan(truncated, conj):
+    """A NaN is on no band, so neither closed form may give it a finite value."""
+    assert math.isnan(truncated.evaluate(math.nan))
+    assert math.isnan(conj.evaluate(math.nan))
+    assert np.isnan(truncated.evaluate(np.array([1.0, math.nan]))).tolist() == [False, True]
+
+
 def test_conjugate_plateau_branch(conj):
     y = 0.2  # below the plateau slope 18^(-1/2)
     assert conj.evaluate(y) == pytest.approx(AT_PLATEAU - 18.0 * y, abs=1.0e-12)
