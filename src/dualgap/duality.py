@@ -73,7 +73,9 @@ def duality_gap(primal, dual, time_index=0):
     supremum dual(0) = U(rho).  The readout leaves y = 0 out only because
     the acceptance gate pins the convergence orders of this y_1 readout,
     whose gap on that block is O(x y_1).  The minimand is formed a chunk
-    of x rows at a time, never whole.
+    of x rows at a time, never whole; one that overflows raises a
+    NumericalFailure naming the time index and the largest x and y,
+    whatever the caller's numpy error settings.
     """
     if primal.direction != "primal" or dual.direction != "dual":
         raise ValueError("duality_gap expects a primal and a dual surface, in that order")
@@ -87,11 +89,18 @@ def duality_gap(primal, dual, time_index=0):
     pick = np.empty(xs.size, dtype=np.intp)
     low = np.empty(xs.size)
     chunk = max(1, _CHUNK // ys.size)
-    for start in range(0, xs.size, chunk):
-        rows = slice(start, start + chunk)
-        minimand = dual.data[n, 1:][None, :] + xs[rows, None] * ys[None, :]
-        pick[rows] = np.argmin(minimand, axis=1)
-        low[rows] = minimand[np.arange(minimand.shape[0]), pick[rows]]
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for start in range(0, xs.size, chunk):
+                rows = slice(start, start + chunk)
+                minimand = dual.data[n, 1:][None, :] + xs[rows, None] * ys[None, :]
+                pick[rows] = np.argmin(minimand, axis=1)
+                low[rows] = minimand[np.arange(minimand.shape[0]), pick[rows]]
+    except FloatingPointError as exc:
+        raise NumericalFailure(
+            f"duality gap readout: {exc} at time index {n}; "
+            f"largest x = {float(xs.max()):.6g}, largest y = {float(ys.max()):.6g}"
+        ) from exc
     gap = low - primal.data[n, 1:]
     return GapReport(
         x=xs.copy(),

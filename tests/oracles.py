@@ -321,6 +321,29 @@ def tail_sum_loop(x, rho, constants, cutoff):
         level += 1
 
 
+def tail_term(level, x, constants):
+    """The unclamped tail weight g(L) = 2 exp(-k (log(L / x) - c_mu T)^2), k = 3 / (8 c_psi^2 T)."""
+    k = 3.0 / (8.0 * constants.vol_bound**2 * constants.horizon)
+    margin = math.log(level / x) - constants.drift_bound * constants.horizon
+    return 2.0 * math.exp(-k * margin * margin)
+
+
+def tail_integral(x, lo, hi, constants):
+    """The integral of ``tail_term`` over levels [lo, hi] by quadrature, not by erfc.
+
+    In u = log L the integrand is 2 exp(-k (u - log x - c_mu T)^2 + u),
+    smooth; 32-point Gauss-Legendre on 64 equal pieces of [log lo, log hi].
+    """
+    k = 3.0 / (8.0 * constants.vol_bound**2 * constants.horizon)
+    centre = math.log(x) + constants.drift_bound * constants.horizon
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    edges = np.linspace(math.log(lo), math.log(hi), 65)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    u = (half[:, None] * nodes + (0.5 * (edges[1:] + edges[:-1]))[:, None]).ravel()
+    values = 2.0 * np.exp(-k * (u - centre) ** 2 + u)
+    return math.fsum((np.repeat(half, 32) * np.tile(weights, 64) * values).tolist())
+
+
 def allowance_loop(x, utility, rho, c0, constants, cutoff):
     """Truncation allowance at one state with the per-term tail loop."""
     lower = tail_weight(

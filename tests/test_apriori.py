@@ -7,7 +7,6 @@ horizon one half) and were cross-checked against hand arithmetic.
 
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +35,7 @@ from dualgap import (
 )
 from dualgap import apriori
 
-from oracles import allowance_loop, tail_sum_loop
+from oracles import allowance_loop, tail_integral, tail_sum_loop, tail_term
 
 
 @pytest.fixture(scope="module")
@@ -195,9 +194,9 @@ def test_allowance_monotone_in_state(primal_constants):
 
 
 def test_allowance_refuses_a_cut_off_tail(primal_constants, monkeypatch):
-    """A tail sum stopped before its terms fall below the cutoff is an error."""
+    """A head longer than the cap is refused: a partial sum would cut the tail off."""
     monkeypatch.setattr(apriori, "_TAIL_MAX_TERMS", 3)
-    message = "tail sum from state 1.0 needs 2138 terms to fall below 1e-16, more than 3"
+    message = "tail sum from state 1.0 needs 62 head terms, more than 3"
     with pytest.raises(NumericalFailure, match=f"^{re.escape(message)}$"):
         truncation_allowance(1.0, power_utility(0.5), 18.0, 8.0, primal_constants)
 
@@ -205,17 +204,49 @@ def test_allowance_refuses_a_cut_off_tail(primal_constants, monkeypatch):
 def test_allowance_refuses_a_tail_still_above_the_cutoff_at_its_last_barrier(
     primal_constants, monkeypatch
 ):
-    """A last barrier 10 short of the closed form's cuts the tail off before the cutoff."""
-    barriers = apriori._barriers
+    """A closed-form stop 10 short of the terms' leaves the crossing outside its settling window."""
+    levels = apriori._crossing_levels
 
-    def short(*args):
-        first, last = barriers(*args)
-        return first, last - 10
+    def short(states, threshold, *args):
+        shift = 10.0 if threshold == apriori._TAIL_CUTOFF else 0.0
+        return levels(states, threshold, *args) - shift
 
-    monkeypatch.setattr(apriori, "_barriers", short)
-    message = "tail sum from state 1.0 still above 1e-16 at barrier 2145"
+    monkeypatch.setattr(apriori, "_crossing_levels", short)
+    message = "tail sum from state 1.0 still at or above 1e-16 at barrier 2145"
     with pytest.raises(NumericalFailure, match=f"^{re.escape(message)}$"):
         truncation_allowance(1.0, power_utility(0.5), 18.0, 8.0, primal_constants)
+
+
+def test_allowance_refuses_a_closed_form_past_the_crossing(primal_constants, monkeypatch):
+    """A closed-form stop 10 past the terms' is refused too, not settled at the window's start."""
+    levels = apriori._crossing_levels
+
+    def long(states, threshold, *args):
+        shift = 10.0 if threshold == apriori._TAIL_CUTOFF else 0.0
+        return levels(states, threshold, *args) + shift
+
+    monkeypatch.setattr(apriori, "_crossing_levels", long)
+    message = "tail sum from state 1.0 already below 1e-16 at barrier 2161"
+    with pytest.raises(NumericalFailure, match=f"^{re.escape(message)}$"):
+        truncation_allowance(1.0, power_utility(0.5), 18.0, 8.0, primal_constants)
+
+
+def test_allowance_refuses_a_subnormal_horizon_by_name():
+    """k = 3 / (8 c_psi^2 T) is inf at T = 1e-320: named, before any weight meets it."""
+    constants = ConstantSet(drift_bound=1.2, vol_bound=1.0, horizon=1.0e-320)
+    message = "truncation allowance: k = 3 / (8 c_psi^2 T) is inf at T = 1e-320, c_psi = 1.0"
+    with pytest.raises(NumericalFailure, match=f"^{re.escape(message)}$"):
+        truncation_allowance(1.0, power_utility(0.5), 18.0, 8.0, constants)
+
+
+def test_allowance_refuses_a_stop_past_exact_barriers(primal_constants):
+    """From 2^53 on, consecutive barriers are no longer distinct floats."""
+    message = (
+        "tail sum from state 10000000000000.0 runs to barrier 2.15236e+16, "
+        "past 2**53, where barriers are no longer exact floats"
+    )
+    with pytest.raises(NumericalFailure, match=f"^{re.escape(message)}$"):
+        truncation_allowance(1.0e13, power_utility(0.5), 18.0, 8.0, primal_constants)
 
 
 def test_allowance_validation(primal_constants):
@@ -244,20 +275,18 @@ def test_allowance_validation_covers_every_node(primal_constants):
         truncation_allowance(np.ones((2, 2)), base, 18.0, 8.0, primal_constants)
 
 
-def test_allowance_cap_raises_before_it_allocates(primal_constants):
-    """About 2e8 terms against a cap of 1e7: refused from the closed-form count."""
-    tracemalloc.start()
-    try:
-        message = (
-            "tail sum from state 100000.0 needs 2.15236e+08 terms "
-            "to fall below 1e-16, more than 10000000"
-        )
-        with pytest.raises(NumericalFailure, match=f"^{re.escape(message)}$"):
-            truncation_allowance(1.0e5, power_utility(0.5), 18.0, 8.0, primal_constants)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+def test_allowance_cap_raises_before_it_allocates(primal_constants, monkeypatch):
+    """Every head width is checked before any head is evaluated; only the settling windows are."""
+    monkeypatch.setattr(apriori, "_TAIL_MAX_TERMS", 92)
+
+    def evaluated(*args):
+        raise AssertionError("a head was evaluated")
+
+    monkeypatch.setattr(apriori, "_head_block", evaluated)
+    message = "tail sum from state 0.1 needs 93 head terms, more than 92"
+    xs = np.linspace(0.1, 2.0, 2000)
+    with pytest.raises(NumericalFailure, match=f"^{re.escape(message)}$"):
+        truncation_allowance(xs, power_utility(0.5), 18.0, 8.0, primal_constants)
 
 
 def test_allowance_array_equals_scalar_calls(primal_constants):
@@ -291,27 +320,49 @@ def test_allowance_matches_the_loop_on_every_gap_node(factory, level):
 def test_allowance_blocks_cut_where_the_loop_stops_and_match_scalar_calls(
     factory, level, monkeypatch
 ):
-    """Every gap node sums the loop's terms, and the array call is one scalar call per node.
+    """Every gap node stops where the loop does, within 1e-15 of its sum, one scalar call per node.
 
-    Short tails share a block there, so this covers the rows of a block
-    being cut and added each on its own.
+    Short heads share a block there, so this covers the heads of a block
+    being added each on its own; no evaluation exceeds a block.
     """
     xs, constants = _gap_nodes(factory, level)
-    rows = []
-    block = apriori._tail_block
+    rows, sizes = [], []
+    block, weight = apriori._head_block, apriori._gaussian_tail_weight
 
     def counting_rows(states, *args):
         rows.append(len(states))
         return block(states, *args)
 
-    monkeypatch.setattr(apriori, "_tail_block", counting_rows)
-    _, counts = apriori._tail_sums(xs.tolist(), 18.0, constants)
+    def counting_terms(log_ratio, *args):
+        sizes.append(log_ratio.size)
+        return weight(log_ratio, *args)
+
+    monkeypatch.setattr(apriori, "_head_block", counting_rows)
+    monkeypatch.setattr(apriori, "_gaussian_tail_weight", counting_terms)
+    sums, counts = apriori._tail_sums(xs, 18.0, constants)
     assert max(rows) > 1
-    stops = [tail_sum_loop(x, 18.0, constants, apriori._TAIL_CUTOFF)[1] for x in xs]
-    assert counts.tolist() == [stop - 18 for stop in stops]
+    assert max(sizes) <= apriori._TAIL_BLOCK
+    loops = [tail_sum_loop(x, 18.0, constants, apriori._TAIL_CUTOFF) for x in xs]
+    assert counts.tolist() == [stop - 18 for _, stop in loops]
+    np.testing.assert_allclose(sums, [total for total, _ in loops], rtol=1.0e-15, atol=0.0)
     base = power_utility(0.5)
     got = truncation_allowance(xs, base, 18.0, 8.0, constants)
     assert got.tolist() == [truncation_allowance(x, base, 18.0, 8.0, constants) for x in xs]
+
+
+def test_allowance_evaluates_few_tail_terms(monkeypatch):
+    """The merton k=3 gap's tails sum 2,559,244 terms; its allowance evaluates a few thousand."""
+    xs, constants = _gap_nodes(merton_model, 3)
+    sizes = []
+    weight = apriori._gaussian_tail_weight
+
+    def counting_terms(log_ratio, *args):
+        sizes.append(log_ratio.size)
+        return weight(log_ratio, *args)
+
+    monkeypatch.setattr(apriori, "_gaussian_tail_weight", counting_terms)
+    truncation_allowance(xs, power_utility(0.5), 18.0, 8.0, constants)
+    assert sum(sizes) < 10_000
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -329,8 +380,55 @@ def test_allowance_matches_the_loop(x, rho, drift, vol, horizon):
     expected = allowance_loop(x, base, rho, 8.0, constants, apriori._TAIL_CUTOFF)
     np.testing.assert_allclose(got, expected, rtol=1.0e-14, atol=0.0)
     _, stop = tail_sum_loop(x, rho, constants, apriori._TAIL_CUTOFF)
-    first, last = apriori._barriers(x, rho, constants)
-    assert first <= stop <= last
+    first = max(math.floor(rho), 1)
+    k = apriori._tail_rate(constants)
+    states = np.array([x])
+    starts = apriori._crossings(states, first, 1.0, k, constants)
+    stops = apriori._crossings(states, first, apriori._TAIL_CUTOFF, k, constants)
+    assert first <= starts[0] <= stops[0] == stop
+
+
+def test_allowance_matches_the_loop_far_from_the_barrier(primal_constants):
+    """x = 100: 215,219 terms, 459 of them clamped to one and the rest by Euler-Maclaurin."""
+    base = power_utility(0.5)
+    got = truncation_allowance(100.0, base, 18.0, 8.0, primal_constants)
+    expected = allowance_loop(100.0, base, 18.0, 8.0, primal_constants, apriori._TAIL_CUTOFF)
+    assert got == pytest.approx(expected, rel=1.0e-14, abs=0.0)
+
+
+def test_allowance_sums_every_term_where_the_integral_factor_overflows(monkeypatch):
+    """c_psi = 60, T = 1/2: e^{1/(4k)} is past the float range, so x = 1e-178 sums all 2,189,272.
+
+    The value is that of one pairwise numpy sum over every term.
+    """
+
+    def integral(*args):
+        raise AssertionError("Euler-Maclaurin was used")
+
+    monkeypatch.setattr(apriori, "_em_tails", integral)
+    constants = ConstantSet(drift_bound=0.0, vol_bound=60.0, horizon=0.5)
+    got = truncation_allowance(1.0e-178, power_utility(0.5), 18.0, 8.0, constants)
+    assert got == pytest.approx(6.264825632038257e-11, rel=1.0e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("x", [4722.0, 1.0e5])
+def test_euler_maclaurin_tails_lie_between_their_integral_bounds(primal_constants, x):
+    """g decreases from the head's end a on, so its sum over [a, stop) is sandwiched by integrals.
+
+    int_a^stop g <= sum <= g(a) + int_a^{stop-1} g.  The per-term loop
+    would take 1.02e7 and 2.15e8 terms here.
+    """
+    states = np.array([x])
+    k = apriori._tail_rate(primal_constants)
+    starts = apriori._crossings(states, 18, 1.0, k, primal_constants)
+    stops = apriori._crossings(states, 18, apriori._TAIL_CUTOFF, k, primal_constants)
+    (a,) = apriori._head_ends(states, starts, stops, k, primal_constants)
+    (start,), (stop,) = starts, stops
+    head = math.fsum(tail_term(level, x, primal_constants) for level in range(start, a))
+    rest = apriori._tail_sums(states, 18.0, primal_constants)[0][0] - (start - 18) - head
+    assert tail_integral(x, a, stop, primal_constants) <= rest
+    upper = tail_term(a, x, primal_constants) + tail_integral(x, a, stop - 1, primal_constants)
+    assert rest <= upper
 
 
 def test_envelope_constants_frozen(primal_constants, dual_constants, rule4):

@@ -304,14 +304,15 @@ def test_an_output_file_that_cannot_be_written_exits_2(capsys, tmp_path):
     assert blocked.is_dir() and not any(blocked.iterdir())
 
 
-def test_run_resource_limit_exit_code(capsys, tmp_path):
-    """The allowance's tail sum from x = 5000 needs over 1e7 terms: exit 3, no CSV."""
+def test_gap_sums_tails_of_any_length(tmp_path):
+    """The allowance's tail from x = 10000 runs to 2.15e7 terms; none is counted, so gap writes."""
     path = write_cfg(tmp_path, "problem = merton\nx_max = 10000\n")
     out = tmp_path / "out"
-    code = run(["gap", "--config", str(path), "--out", str(out)])
-    assert code == 3
-    assert capsys.readouterr().err.startswith("numerical failure: tail sum from state ")
-    assert not any(out.iterdir())
+    assert run(["gap", "--config", str(path), "--out", str(out)]) == 0
+    lines = (out / "gap_N8.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[1] == "x,gap,argmin_y,lower,upper"
+    upper = np.array([line.split(",")[4] for line in lines[2:]], dtype=float)
+    assert upper.size == 18 and np.all(np.isfinite(upper))
 
 
 def test_polar_check_has_no_branch_cap(tmp_path):
@@ -542,10 +543,25 @@ def test_overflow_exits_3_before_any_csv_is_written(capsys, tmp_path):
     out = tmp_path / "out"
     code = run(["gap", "--config", str(cfg), "--out", str(out), "--level", "1"])
     assert code == 3
-    assert capsys.readouterr().err.startswith("numerical failure: ")
+    assert capsys.readouterr().err == (
+        "numerical failure: duality gap readout: overflow encountered in multiply "
+        "at time index 0; largest x = 1e+308, largest y = 4\n"
+    )
     assert not any(out.iterdir())
     assert run(["solve-primal", "--config", str(cfg), "--out", str(out), "--level", "1"]) == 0
     assert [path.name for path in out.iterdir()] == ["primal_N8.csv"]
+
+
+def test_a_subnormal_horizon_names_the_allowance_rate_and_exits_3(capsys, tmp_path):
+    """T = 1e-320 passes the config checks, but k = 3 / (8 c_psi^2 T) is inf."""
+    cfg = write_cfg(tmp_path, "problem = merton\nT = 1e-320\n")
+    out = tmp_path / "out"
+    assert run(["gap", "--config", str(cfg), "--out", str(out), "--level", "1"]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: truncation allowance: k = 3 / (8 c_psi^2 T) is inf "
+        "at T = 1e-320, c_psi = 1.0\n"
+    )
+    assert not any(out.iterdir())
 
 
 @pytest.mark.parametrize("command, name", [("solve-primal", "primal"), ("solve-dual", "dual")])
