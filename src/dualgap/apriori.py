@@ -321,7 +321,8 @@ def _tail_sums(states, rho, constants):
     of ``_head_ends`` are summed, and the rest go to ``_em_tails``.
     Every state's head width is checked against ``_TAIL_MAX_TERMS``
     before any head is evaluated.  Consecutive states whose heads fit
-    ``_TAIL_BLOCK`` terms together share one evaluation.
+    ``_TAIL_BLOCK`` terms together share one evaluation; a longer head
+    is evaluated that many terms at a time.
     """
     first = max(math.floor(rho), 1)
     k = _tail_rate(constants)
@@ -353,8 +354,18 @@ def _head_block(states, starts, widths, constants):
     """Head sums of ``states``, from one evaluation of all their terms.
 
     Each state's terms are added over their own stretch, so a state's
-    sum is the same in any block.
+    sum is the same in any block.  A head longer than ``_TAIL_BLOCK``
+    is alone in its block, and its terms are evaluated and added that
+    many at a time, the chunks' sums added pairwise in turn.
     """
+    if widths[0] > _TAIL_BLOCK:
+        lows = np.arange(starts[0], starts[0] + widths[0], _TAIL_BLOCK)
+        sizes = np.minimum(starts[0] + widths[0] - lows, _TAIL_BLOCK)
+        sums = [
+            np.add.reduce(_tail_terms(states, lows[i : i + 1], sizes[i : i + 1], constants))
+            for i in range(lows.size)
+        ]
+        return [np.add.reduce(np.array(sums))]
     terms = _tail_terms(states, starts, widths, constants)
     ends = np.cumsum(widths).tolist()
     # pairwise, so the rounding grows like log(count), not like count
@@ -391,9 +402,10 @@ def truncation_allowance(x, utility, rho, c0, constants):
     about 1,900 and 39,000 of the 2.56M and 186K terms are evaluated.
     There the tail sums lie within 6e-16 relative of ``math.fsum`` over
     the loop's terms.  Consecutive states whose heads fit ``_TAIL_BLOCK``
-    terms together are evaluated in one pass, a longer head alone.  Where
-    the integral's factor sqrt(pi / k) e^{c_mu T + 1/(4k)} is past the
-    float range (k below about 3.5e-4), every head runs to its stop.  A
+    terms together are evaluated in one pass, a longer head alone and
+    ``_TAIL_BLOCK`` terms at a time, so no evaluation outgrows a block.
+    Where the integral's factor sqrt(pi / k) e^{c_mu T + 1/(4k)} is past
+    the float range (k below about 3.5e-4), every head runs to its stop.  A
     head longer than ``_TAIL_MAX_TERMS`` raises NumericalFailure before
     any head is evaluated, as does a stop from 2^53 on, where barriers
     are no longer exact floats, or a k past the float range (a horizon

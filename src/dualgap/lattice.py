@@ -164,19 +164,26 @@ def locate(grid, factors, stop=None):
     branch at a time, so nothing the size of all controls times all
     nodes is allocated besides the result.
     """
+    size = grid.nodes[:stop].size
+    width = block_width(factors)
+    spans = (slice(start, min(start + width, size)) for start in range(0, size, width))
+    return Located(tuple(locate_block(grid, factors, span) for span in spans))
+
+
+def block_width(factors):
+    """Nodes per block of a store of a (controls, branches) factor array."""
+    return max(1, _BLOCK // len(factors))
+
+
+def locate_block(grid, factors, span):
+    """One block of ``locate``: the ``(span, index, offset)`` of the nodes ``span``."""
     controls, branches = factors.shape
-    nodes = grid.nodes[:stop]
-    width = max(1, _BLOCK // controls)
-    dtype = np.min_scalar_type(grid.cells + 1)
-    blocks = []
-    for start in range(0, nodes.size, width):
-        span = slice(start, min(start + width, nodes.size))
-        shape = (branches, controls, span.stop - start)
-        index, offset = np.empty(shape, dtype), np.empty(shape)
-        for b in range(branches):
-            index[b], offset[b] = bracket(grid, factors[:, b, None] * nodes[span])
-        blocks.append((span, index, offset))
-    return Located(tuple(blocks))
+    nodes = grid.nodes[span]
+    shape = (branches, controls, nodes.size)
+    index, offset = np.empty(shape, np.min_scalar_type(grid.cells + 1)), np.empty(shape)
+    for b in range(branches):
+        index[b], offset[b] = bracket(grid, factors[:, b, None] * nodes)
+    return span, index, offset
 
 
 def read(table, index, offset):

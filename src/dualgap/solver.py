@@ -34,6 +34,26 @@ computes only the nodes below m*_n, cutting inside the block that
 straddles it, and writes U(rho) itself from m*_n on.  The dual sweep
 computes every node.
 
+The primal sweep also skips the mesh controls that cannot win.  Branches
+b and M - 1 - b share one read table, and the interpolated row is
+nondecreasing where its slopes are, so a control whose sorted factor
+pairs all lie strictly below another's has the smaller exact value
+(``dominated_controls``; on both bundled models every a < 0 is beaten
+by its mirror -a).  Computed sums of reads can still tie or swap by an
+ulp where the row is flat, as it is next to the plateau cut.  So a step
+certifies node m only where delta x_m s(J(m)) exceeds a bound H on the
+rounding of the two sums, with delta the least weighted factor gap to a
+dominator, s(J) the least slope of the next row over cells 0..J and J(m)
+the bracket of f_max x_m.  The certified nodes are a prefix [1, m_safe);
+there the kept controls' max is the mesh's max bit for bit, and on
+[m_safe, m*_n) the step reads the dominated controls too and merges
+their max with ``np.maximum``, which does not round.  The kept controls
+have their own store; the dominated ones are located block by block
+the first time such a band reaches a block (``_Pruned``).  This runs
+only where the full-mesh store would span more than one block (k >= 5
+on the bundled configs): below that a step is a fixed number of numpy
+calls, and the certificate would cost more than it saves.
+
 A sweep raises numpy's overflow, invalid and divide-by-zero errors
 whatever its caller's settings, so a value turns non-finite only as an
 exception, which ``solve`` reports once: the direction, the time index
@@ -46,13 +66,24 @@ means.  ``enumerate_coupled`` expands every branch of both chains; no
 pipeline calls it, and it is the tests' referee for that product.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import csvout
 from .errors import NumericalFailure
-from .lattice import SpaceGrid, TimeGrid, bracket, control_mesh, interpolate, locate, read
+from .lattice import (
+    Located,
+    SpaceGrid,
+    TimeGrid,
+    block_width,
+    bracket,
+    control_mesh,
+    interpolate,
+    locate,
+    locate_block,
+    read,
+)
 from .market import chain_increments
 from .quadrature import gauss_hermite_rule
 
@@ -82,7 +113,9 @@ class ValueSurface:
         direction the sweep is a composition of convex combinations and
         a pointwise maximum, so every value must stay inside the
         terminal range and rows must be nondecreasing in space, both up
-        to interpolation slack.
+        to interpolation slack: ``_SURFACE_SLACK`` times the terminal
+        row's largest |entry|, since a read is exact only to a relative
+        rounding.
         """
         where = f"(N={self.time.steps}, J={self.grid.cells})"
         smallest, largest = self.data.min(), self.data.max()  # nan propagates
@@ -94,8 +127,9 @@ class ValueSurface:
             )
         if self.direction != "primal":
             return
-        lo = float(self.data[-1].min()) - _SURFACE_SLACK
-        hi = float(self.data[-1].max()) + _SURFACE_SLACK
+        lo, hi = float(self.data[-1].min()), float(self.data[-1].max())
+        slack = _SURFACE_SLACK * max(-lo, hi)
+        lo, hi = lo - slack, hi + slack
         if smallest < lo or largest > hi:
             n, m = np.argwhere((self.data < lo) | (self.data > hi))[0]
             raise NumericalFailure(
@@ -105,7 +139,7 @@ class ValueSurface:
         # row by row, no surface-sized copy; the first row holding the
         # smallest step, then its first node: the flattened argmin
         steps = [np.minimum.reduce(np.subtract(row[1:], row[:-1])) for row in self.data]
-        if min(steps) < -_SURFACE_SLACK:
+        if min(steps) < -slack:
             n = int(np.argmin(steps))
             m = int(np.diff(self.data[n]).argmin())
             raise NumericalFailure(
@@ -123,40 +157,168 @@ def step_factors(model, control, rule, step, direction):
     return 1.0 + drift[..., None] + noise[..., None] * rule.nodes
 
 
-def _sweep_step(next_row, located, weights, grid, plateau, reduce):
+def _expectation(tables, index, offset):
+    """A block's weighted branch sum: branch 0's ``read`` plus the others in branch order."""
+    reads = zip(tables, index, offset)
+    value = read(*next(reads))
+    for table, j, d in reads:  # no read is bound to a name while the next is built
+        value += read(table, j, d)
+    return value
+
+
+def _sweep_step(next_row, located, weights, grid, plateau, best_of, band=()):
     """One backward step in either direction, given the solve's located states.
 
     ``interpolate`` gives the step's read tables, each branch's weight
-    folded in, so a block's expectation starts from branch 0's ``read``
-    and adds the others in ascending branch order, and ``reduce``
-    (``np.maximum.reduce`` or ``np.minimum.reduce``, what ``np.max`` and
-    ``np.min`` call) writes each node's best value over the mesh into
-    the row; a tie returns the tied value, so the sweep is
-    bit-reproducible.  Nodes past the located ones are the certified
-    plateau and read ``plateau``.  Returns the new row; the absorbing
-    origin is copied through.
+    folded in, and ``best_of`` (``np.maximum`` or ``np.minimum``; its
+    ``reduce`` is what ``np.max`` and ``np.min`` call) writes each
+    node's best expectation over the mesh into the row; a tie returns
+    the tied value, so the sweep is bit-reproducible.  The blocks of
+    ``band`` hold more controls of nodes ``located`` already covers,
+    and their best is merged in by ``best_of`` itself, which does not
+    round.  Nodes past the located ones are the certified plateau and
+    read ``plateau``.  Returns the new row; the absorbing origin is
+    copied through.
     """
     best = np.empty(grid.cells + 1)
     tables = interpolate(grid, next_row, located, plateau, weights)
     for span, index, offset in located.blocks:
-        reads = zip(tables, index, offset)
-        value = read(*next(reads))
-        for table, j, d in reads:  # no read is bound to a name while the next is built
-            value += read(table, j, d)
-        reduce(value, axis=0, out=best[span])
+        best_of.reduce(_expectation(tables, index, offset), axis=0, out=best[span])
+    for span, index, offset in band:
+        view = best[span]
+        best_of(view, best_of.reduce(_expectation(tables, index, offset), axis=0), out=view)
     best[located.stop:] = plateau
     best[0] = next_row[0]
     return best
 
 
 def primal_step(next_row, located, weights, grid, plateau):
-    """One backward step of the maximising sweep."""
-    return _sweep_step(next_row, located, weights, grid, plateau, np.maximum.reduce)
+    """One backward step of the maximising sweep, over a ``locate`` or a pruned store."""
+    band = ()
+    if isinstance(located, _Pruned):
+        band = located.band(grid, next_row, len(weights))
+        located = located.kept
+    return _sweep_step(next_row, located, weights, grid, plateau, np.maximum, band)
 
 
 def dual_step(next_row, located, weights, grid, plateau):
     """One backward step of the minimising sweep."""
-    return _sweep_step(next_row, located, weights, grid, plateau, np.minimum.reduce)
+    return _sweep_step(next_row, located, weights, grid, plateau, np.minimum)
+
+
+def dominated_controls(factors, weights):
+    """The mesh controls another control beats on every branch, and the least margin.
+
+    Branches b and M - 1 - b share their weight, so a control's pair of
+    factors there counts as a sorted pair (lo, hi).  Control c is
+    dominated when some d has every sorted entry strictly above c's.
+    The relation is a strict order, so every dominated control has an
+    undominated dominator.  The margin is the smallest, over dominated
+    c, of the weighted entry gap sum_b w_b (d_b - c_b) to c's best
+    undominated dominator d (inf when nothing is dominated).  Returns
+    (mask over controls, margin).
+    """
+    branches = factors.shape[1]
+    mirror = factors[:, ::-1]
+    low = np.arange(branches) < branches / 2
+    pairs = np.where(low, np.minimum(factors, mirror), np.maximum(factors, mirror))
+    under = np.all(pairs[:, None] < pairs[None, :], axis=2)  # under[c, d]: d beats c
+    dominated = under.any(axis=1)
+    if not dominated.any():
+        return dominated, np.inf
+    kept = ~dominated
+    gaps = (pairs[None, kept] - pairs[dominated, None]) @ weights
+    gaps[~under[np.ix_(dominated, kept)]] = 0.0
+    return dominated, float(gaps.max(axis=1).min())
+
+
+#: the dominance certificate's rounding allowance, per branch plus four, in units of a
+#: scale S of the step: the row's largest |entry| plus its first cell's slope times the
+#: farthest a state reaches left of the origin.  A certified node's states lie left of
+#: x_{J+1}, J < cells, so each weighted read slope d + level is at most 3 w S and rounds
+#: by at most 5 eps w S, and the M - 1 additions by (M - 1) eps 3 S (the weights sum to
+#: 1): (3M + 2) eps S per value, twice that for the two values compared.  The exact
+#: difference of the two sums of table reads is at least s x_m delta less the tables' own
+#: rounding (rounded levels and slopes, about 10 eps S), the rounding of the states f x_m
+#: (eps s |f| x_m, at most 2 eps S since s x_{J+1} is at most the row's rise over cells
+#: 0..J) and the relative rounding of s and delta (6 eps S): 6 (M + 4) eps S in all.
+#: 2^-44 = 256 eps is a safety factor of about 40 on that.
+_ROUNDING = 2.0**-44
+
+
+@dataclass(frozen=True)
+class _Pruned:
+    """A primal store that reads the dominated controls only where no certificate covers a node.
+
+    ``kept`` locates the undominated controls; the ``rest`` are located
+    into ``blocks`` (by block number, ``width`` nodes each) the first
+    time a band reaches a block.  ``margin`` is delta x_m and
+    ``reach`` the bracket of f_max x_m, per located node, where delta is
+    ``dominated_controls``' margin and f_max the largest factor; ``left``
+    is the farthest a located state lies left of the origin.
+    """
+
+    kept: Located
+    rest: np.ndarray
+    width: int
+    blocks: dict
+    margin: np.ndarray
+    reach: np.ndarray
+    left: float
+
+    def below(self, stop):
+        """The nodes ``< stop`` of the kept store; the located rest is shared."""
+        return replace(self, kept=self.kept.below(stop))
+
+    def band(self, grid, row, branches):
+        """The rest's located blocks over the nodes [m_safe, stop) of a step reading ``row``.
+
+        s(J) is the least cell slope of ``row`` over cells 0..J (zero
+        from the last node on), so the exact value of a dominated control
+        at node m lies at least delta x_m s(J(m)) below its dominator's.
+        Past H = (M + 4) ``_ROUNDING`` S, with S = max|row| + s(0)
+        ``left``, that gap outlasts the rounding of both sums, and the
+        mesh's best is the kept controls' best bit for bit.  m_safe is
+        the first node from 1 on that is not certified.
+        """
+        stop = self.kept.stop
+        slopes = np.zeros(grid.cells + 2)
+        with np.errstate(over="ignore"):  # a slope past the float range certifies nothing
+            np.divide(np.subtract(row[1:], row[:-1]), grid._widths, out=slopes[:-2])
+            slopes[np.isinf(slopes)] = 0.0
+            scale = max(-row.min(), row.max()) + abs(slopes[0]) * self.left
+            np.minimum.accumulate(slopes, out=slopes)
+            gaps = self.margin[1:stop] * slopes.take(self.reach[1:stop])
+        uncertified = np.flatnonzero(gaps <= (branches + 4) * _ROUNDING * scale)
+        if not uncertified.size:
+            return ()
+        start, width = 1 + int(uncertified[0]), self.width
+        blocks = []
+        for number in range(start // width, -(-stop // width)):
+            if number not in self.blocks:
+                nodes = slice(number * width, min(number * width + width, self.margin.size))
+                self.blocks[number] = locate_block(grid, self.rest, nodes)
+            span, j, d = self.blocks[number]
+            lo, hi = max(start, span.start), min(stop, span.stop)
+            part = slice(lo - span.start, hi - span.start)
+            blocks.append((slice(lo, hi), j[..., part], d[..., part]))
+        return blocks
+
+
+def _primal_store(grid, factors, weights, stop):
+    """``locate``'s store, or a ``_Pruned`` one where it spans blocks and a control is dominated."""
+    size = grid.nodes[:stop].size
+    if size > block_width(factors):
+        dominated, margin = dominated_controls(factors, weights)
+        if dominated.any():
+            nodes = grid.nodes[:size]
+            reach, _ = bracket(grid, factors.max() * nodes)
+            # an array product, so it overflows where and as ``locate`` would
+            left = (max(0.0, -float(factors.min())) * nodes[-1:]).item()
+            kept = locate(grid, factors[~dominated], size)
+            rest = factors[dominated]
+            return _Pruned(kept, rest, block_width(rest), {}, margin * nodes, reach, left)
+    return locate(grid, factors, stop)
 
 
 def plateau_cuts(grid, factors, terminal_row, steps):
@@ -219,7 +381,10 @@ def solve(model, terminal, disc, direction="primal"):
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             if direction == "primal":
                 cuts = plateau_cuts(grid, factors, bottom, disc.steps)
-            located = locate(grid, factors, cuts[:-1].max())  # no step reads past its cut
+                # no step reads past its cut
+                located = _primal_store(grid, factors, rule.weights, cuts[:-1].max())
+            else:
+                located = locate(grid, factors)
             for n in range(disc.steps - 1, -1, -1):
                 below = located.below(cuts[n])
                 data[n] = sweep_step(data[n + 1], below, rule.weights, grid, plateau)

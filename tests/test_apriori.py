@@ -7,6 +7,7 @@ horizon one half) and were cross-checked against hand arithmetic.
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -399,7 +400,7 @@ def test_allowance_matches_the_loop_far_from_the_barrier(primal_constants):
 def test_allowance_sums_every_term_where_the_integral_factor_overflows(monkeypatch):
     """c_psi = 60, T = 1/2: e^{1/(4k)} is past the float range, so x = 1e-178 sums all 2,189,272.
 
-    The value is that of one pairwise numpy sum over every term.
+    The value is that of pairwise numpy sums over every term.
     """
 
     def integral(*args):
@@ -409,6 +410,26 @@ def test_allowance_sums_every_term_where_the_integral_factor_overflows(monkeypat
     constants = ConstantSet(drift_bound=0.0, vol_bound=60.0, horizon=0.5)
     got = truncation_allowance(1.0e-178, power_utility(0.5), 18.0, 8.0, constants)
     assert got == pytest.approx(6.264825632038257e-11, rel=1.0e-14, abs=0.0)
+
+
+def test_a_long_head_is_evaluated_a_block_at_a_time():
+    """x = 1e-178 at c_psi = 60, T = 1/2: a 2,189,272-term head in 8,192-term chunks.
+
+    Evaluated whole, the head's terms and their temporaries held 50 MiB
+    at once; chunked, the sum is the loop's to the blocks' rtol.
+    """
+    constants = ConstantSet(drift_bound=0.0, vol_bound=60.0, horizon=0.5)
+    states = np.array([1.0e-178])
+    tracemalloc.start()
+    try:
+        sums, counts = apriori._tail_sums(states, 18.0, constants)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    total, stop = tail_sum_loop(1.0e-178, 18.0, constants, apriori._TAIL_CUTOFF)
+    assert counts.tolist() == [stop - 18] == [2_189_272]
+    np.testing.assert_allclose(sums, [total], rtol=1.0e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("x", [4722.0, 1.0e5])

@@ -122,7 +122,7 @@ def test_steps_keep_the_first_mesh_point_on_ties(direction):
 
 @pytest.mark.parametrize(
     "k, order",
-    [pytest.param(k, None, id=str(k)) for k in (1, 2, 3, 4)]
+    [pytest.param(k, None, id=str(k)) for k in (1, 2, 3, 4, 5)]
     + [pytest.param(k, m, id=f"{k}-M{m}") for m in (2, 5, 8, 20) for k in (1, 3)],
 )
 @pytest.mark.parametrize("direction", ["primal", "dual"])
@@ -132,6 +132,8 @@ def test_solve_matches_the_np_interp_sweep_bit_for_bit(config, direction, k, ord
 
     ``order`` None runs the config's own rule; the other orders change the
     branch count each block accumulates before the reduction over the mesh.
+    At k = 5 the primal store spans blocks, and the sweep skips its
+    dominated controls.
     """
     cfg = load_config(config)
     problem = build_problem(cfg)
@@ -139,6 +141,127 @@ def test_solve_matches_the_np_interp_sweep_bit_for_bit(config, direction, k, ord
     terminal = problem.reward if direction == "primal" else problem.conjugate
     got = solve(problem.model, terminal, disc, direction).data
     want = oracles.interp_solve(problem.model, terminal, disc, direction)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _pruned_solve(model, reward, disc):
+    """The primal surface of ``solve`` and whether its store was a pruned one."""
+    stores = []
+    store = solver._primal_store
+
+    def spy(*args):
+        stores.append(store(*args))
+        return stores[-1]
+
+    with mock.patch.object(solver, "_primal_store", spy):
+        data = solve(model, reward, disc, "primal").data
+    return data, isinstance(stores[0], solver._Pruned)
+
+
+@pytest.mark.parametrize(
+    "k, order",
+    [pytest.param(k, None, id=str(k)) for k in (1, 2, 3, 4, 5)]
+    + [pytest.param(k, m, id=f"{k}-M{m}") for m in (2, 5, 8, 20) for k in (1, 3)],
+)
+@pytest.mark.parametrize("config", ["merton", "cuoco_liu"])
+def test_the_pruned_primal_sweep_matches_the_np_interp_sweep_bit_for_bit(config, k, order):
+    """48 located points per branch a block: every level's store spans blocks and is pruned."""
+    cfg = load_config(config)
+    problem = build_problem(cfg)
+    disc = refinement_ladder(k, k, order or cfg.M, cfg.x_max, cfg.y_max)[0]
+    with mock.patch.object(lattice, "_BLOCK", 48):
+        got, pruned = _pruned_solve(problem.model, problem.reward, disc)
+    assert pruned
+    want = oracles.interp_solve(problem.model, problem.reward, disc, "primal")
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_the_certificate_keeps_the_bits_that_dropping_everywhere_moves(monkeypatch):
+    """cuoco-liu k=3: next to the plateau cut a dominated control wins the rounded max.
+
+    Skipping the dominated controls on every node moves node 106 at
+    time index 17 first; the certified band reads them there.
+    """
+    cfg = load_config("cuoco_liu")
+    problem = build_problem(cfg)
+    disc = refinement_ladder(3, 3, cfg.M, cfg.x_max, cfg.y_max)[0]
+    want = oracles.interp_solve(problem.model, problem.reward, disc, "primal")
+    monkeypatch.setattr(lattice, "_BLOCK", 48)
+    got, pruned = _pruned_solve(problem.model, problem.reward, disc)
+    assert pruned and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    monkeypatch.setattr(solver._Pruned, "band", lambda *args: ())
+    dropped, _ = _pruned_solve(problem.model, problem.reward, disc)
+    moved = np.argwhere(dropped != want)
+    assert moved[np.argmax(moved[:, 0])].tolist() == [17, 106]
+
+
+def _mesh_factors(model, k):
+    cfg = load_config("merton")
+    disc = refinement_ladder(k, k, cfg.M, cfg.x_max, cfg.y_max)[0]
+    rule = gauss_hermite_rule(disc.order)
+    mesh = control_mesh(model.a_interval, disc.controls)
+    step = TimeGrid(model.horizon, disc.steps).step
+    return mesh, step_factors(model, mesh, rule, step, "primal"), rule.weights
+
+
+def test_the_bundled_merton_mesh_drops_exactly_its_negative_fractions():
+    mesh, factors, weights = _mesh_factors(build_problem(load_config("merton")).model, 5)
+    dominated, margin = solver.dominated_controls(factors, weights)
+    assert mesh.size == 33 and dominated.sum() == 16
+    assert np.array_equal(dominated, mesh < 0.0)
+    assert 0.0 < margin < np.inf
+
+
+def test_mirror_controls_tie_and_drop_nothing_where_b_equals_r():
+    """b = r: controls a and -a share their sorted factor pairs, so neither beats the other."""
+    mesh, factors, weights = _mesh_factors(merton_model(r=1.2, b=1.2), 5)
+    dominated, margin = solver.dominated_controls(factors, weights)
+    assert not dominated.any() and margin == np.inf
+
+
+_ROW_STEP = st.one_of(
+    st.sampled_from([0.0, 2.0**-52, -(2.0**-52), 2.0**-50]),
+    st.floats(-1.0e-15, 0.5),
+)
+#: steps that keep a row rising by as little as an ulp, so every slope is positive
+_RISE = st.one_of(st.sampled_from([2.0**-52, 2.0**-50]), st.floats(2.0**-52, 1.0e-6))
+_GAP = st.one_of(st.sampled_from([2.0**-52, 2.0**-51]), st.floats(1.0e-16, 1.0e-9))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_pruned_step_is_the_full_mesh_step_bit_for_bit(data):
+    """Any finite row, any factors: the certificate only skips controls that cannot win.
+
+    Dominated controls sit an ulp to 1e-9 under a dominator on each
+    branch, and the rows are flat, fall or climb by ulps in places, so
+    the rounded max can pick a dominated control wherever the
+    certificate does not hold: where a slope is not positive, or where
+    the margin is within the rounding bound.
+    """
+    grid = SpaceGrid(data.draw(st.floats(0.5, 64.0)), data.draw(st.integers(2, 40)))
+    rule = gauss_hermite_rule(data.draw(st.integers(2, 6)))
+    factor = st.floats(-0.25, 2.0)
+    kept = [data.draw(st.lists(factor, min_size=rule.order, max_size=rule.order)) for _ in range(2)]
+    dominated = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        over = kept[data.draw(st.integers(0, 1))]
+        gaps = data.draw(st.lists(_GAP, min_size=rule.order, max_size=rule.order))
+        under = np.subtract(over, gaps)
+        # mirrored, the branches of a pair swap: the sorted pairs stay, the sums' order does not
+        dominated.append(under[::-1] if data.draw(st.booleans()) else under)
+    factors = np.array(data.draw(st.permutations(kept + dominated)))
+    step = data.draw(st.sampled_from([_ROW_STEP, _RISE]))
+    steps = data.draw(st.lists(step, min_size=grid.cells, max_size=grid.cells))
+    scale = data.draw(st.sampled_from([1.0, 1.0e-300, 1.0e300]))
+    row = scale * (1.0 + np.concatenate([[0.0], np.cumsum(steps)]))
+    stop = data.draw(st.integers(0, grid.cells + 1))
+    with mock.patch.object(lattice, "_BLOCK", data.draw(st.integers(1, 64))):
+        store = solver._primal_store(grid, factors, rule.weights, stop)
+        full = locate(grid, factors, stop)
+    cut = data.draw(st.integers(0, stop))
+    got = primal_step(row, store.below(cut), rule.weights, grid, float(row[-1]))
+    want = primal_step(row, full.below(cut), rule.weights, grid, float(row[-1]))
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -207,6 +330,23 @@ def test_plateau_cuts_are_the_store_scan_of_every_bracket(data):
         located = locate(grid, factors)  # the oracle reads every block of a full store
     want = oracles.store_plateau_cuts(located, bottom, steps)
     assert solver.plateau_cuts(grid, factors, bottom, steps).tolist() == want.tolist()
+
+
+def test_a_slope_past_the_float_range_certifies_nothing():
+    """Row slopes of 3.2e308 overflow in the certificate, not in the weighted read tables."""
+    grid = SpaceGrid(1.0, 4)
+    rule = gauss_hermite_rule(4)
+    factors = np.array([[0.9, 1.05, 1.15, 1.25], [1.0, 1.1, 1.2, 1.3]])
+    row = np.array([0.0, 0.8e308, 0.9e308, 1.0e308, 1.1e308])
+    with mock.patch.object(lattice, "_BLOCK", 4):  # four nodes per block of one control
+        store = solver._primal_store(grid, factors, rule.weights, grid.cells + 1)
+    assert isinstance(store, solver._Pruned)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        band = store.band(grid, row, rule.order)
+        assert [(span.start, span.stop) for span, _, _ in band] == [(1, 4), (4, 5)]
+        got = primal_step(row, store, rule.weights, grid, float(row[-1]))
+        want = primal_step(row, locate(grid, factors), rule.weights, grid, float(row[-1]))
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_primal_step_holds_one_block_at_a_time():
@@ -372,6 +512,27 @@ def test_validate_accepts_decreasing_dual_row():
 
 def test_validate_tolerates_interpolation_slack():
     _surface([[0.0, 1.0, 1.0 - 5.0e-9], [0.0, 1.0, 2.0]], "primal").validate()
+
+
+def test_validate_scales_its_slack_with_the_terminal_row():
+    """A surface 8 ulps above a terminal max of 6.3e149 and a row step of -1e134 are rounding."""
+    top = 6.324555320336759e149
+    over = top * (1.0 + 8 * 2.0**-52)
+    _surface([[0.0, over - 1.0e134, over], [0.0, top, top]], "primal").validate()
+    message = r"primal surface leaves the terminal range \[.*\] "
+    where = re.escape("at time index 0, node 2 (N=1, J=2)")
+    with pytest.raises(NumericalFailure, match=message + where):
+        _surface([[0.0, top, top * (1.0 + 2.0e-8)], [0.0, top, top]], "primal").validate()
+
+
+def test_a_large_scale_merton_surface_validates_at_level_5():
+    """x_max = 1e300, rho = 1e299: the level-5 surface is within 1.1e-15 of its terminal range."""
+    cfg = load_config("merton")
+    model = merton_model()
+    reward = lipschitz_truncate(power_utility(0.5), 1.0e299, 8.0)
+    disc = refinement_ladder(5, 5, cfg.M, 1.0e300, cfg.y_max)[0]
+    data = solve(model, reward, disc, "primal").data
+    assert data.max() > data[-1].max()
 
 
 def test_enumerate_chain_shapes(merton):
