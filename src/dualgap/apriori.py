@@ -17,9 +17,10 @@ summed pairwise by numpy; and the rest by Euler-Maclaurin, an erfc
 integral plus P = 6 derivative corrections, from where the terms vary
 on scales S0 = 8 barriers wide.  The clamp's end and the stop come from
 closed forms settled by the terms next to them, so no per-state term
-count is needed.  numpy's log and exp may differ from ``math``'s in the
-last ulp, so the sum can differ from the exact sum of a per-term
-``math`` loop's terms in the 16th significant digit.
+count is needed, and heads stay a few hundred terms long.  numpy's log
+and exp may differ from ``math``'s in the last ulp, so the sum can
+differ from the exact sum of a per-term ``math`` loop's terms in the
+16th significant digit.
 
 The constants are crude by design: they are fully explicit, monotone in
 the inputs, and meant to dominate the observed errors, not to hug them.
@@ -37,8 +38,6 @@ from .utility import PowerUtility
 
 #: summed tail terms below this are dropped
 _TAIL_CUTOFF = 1.0e-16
-#: most head terms one state may evaluate; heads run to a few hundred
-_TAIL_MAX_TERMS = 10_000_000
 #: states whose heads fit this many terms together share one evaluation; 64 KiB arrays stay
 #: under glibc's 128 KiB mmap threshold, so the heap reuses them (2^14 read 0.1-0.3 MiB more RSS)
 _TAIL_BLOCK = 2**13
@@ -110,7 +109,7 @@ class ConstantSet:
 
 def constant_set(bounds, horizon):
     """ConstantSet from CoefficientBounds."""
-    if horizon <= 0.0:
+    if not horizon > 0.0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     return ConstantSet(drift_bound=bounds.drift, vol_bound=bounds.vol, horizon=float(horizon))
 
@@ -121,7 +120,7 @@ def em_bound(step, x, lipschitz, constants):
     Order sqrt(step), with the quadratic dependence on the start state
     kept explicit.  Past the float range it raises NumericalFailure.
     """
-    if step <= 0.0:
+    if not step > 0.0:
         raise ValueError(f"step must be positive, got {step}")
     k1, t = constants.growth_rate, constants.horizon
     growth = constants.exp_growth(4.0, "em_bound envelope")
@@ -141,7 +140,7 @@ def gh_bound(step, x, rule, lipschitz, constants):
     leaves order step^((M-1)/2M) with the coefficient below and the
     polynomial growth 1 + x^{2M} of the bounded-moment regime.
     """
-    if step <= 0.0:
+    if not step > 0.0:
         raise ValueError(f"step must be positive, got {step}")
     m = rule.order
     two_m = 2 * m
@@ -172,14 +171,18 @@ def _gaussian_tail_weight(log_ratio, drift_bound, vol_bound, horizon):
 
 
 def _tail_rate(constants):
-    """k = 3 / (8 c_psi^2 T); past the float range it raises NumericalFailure naming T and c_psi."""
+    """k = 3 / (8 c_psi^2 T); past the float range it raises NumericalFailure naming T and c_psi.
+
+    So does a k whose tail integral factor sqrt(pi / k) e^{c_mu T + 1/(4k)} is past it.
+    """
     spread = 8.0 * constants.vol_bound**2 * constants.horizon
     k = 3.0 / spread if spread > 0.0 else math.inf
+    where = f"T = {constants.horizon}, c_psi = {constants.vol_bound}"
     if not math.isfinite(k):
-        raise NumericalFailure(
-            f"truncation allowance: k = 3 / (8 c_psi^2 T) is {k} "
-            f"at T = {constants.horizon}, c_psi = {constants.vol_bound}"
-        )
+        raise NumericalFailure(f"truncation allowance: k = 3 / (8 c_psi^2 T) is {k} at {where}")
+    if not (k > 0.0 and _integral_log_scale(k, constants) < _LOG_FLOAT_MAX):
+        factor = "the tail integral's factor sqrt(pi / k) e^{c_mu T + 1/(4k)}"
+        raise NumericalFailure(f"truncation allowance: {factor} overflows at k = {k:.6g}, {where}")
     return k
 
 
@@ -319,23 +322,17 @@ def _tail_sums(states, rho, constants):
     its first barrier whose term is below ``_TAIL_CUTOFF``.  Terms
     clamped to one are counted, those before the Euler-Maclaurin start
     of ``_head_ends`` are summed, and the rest go to ``_em_tails``.
-    Every state's head width is checked against ``_TAIL_MAX_TERMS``
-    before any head is evaluated.  Consecutive states whose heads fit
-    ``_TAIL_BLOCK`` terms together share one evaluation; a longer head
-    is evaluated that many terms at a time.
+    Consecutive states whose heads fit ``_TAIL_BLOCK`` terms together
+    share one evaluation; heads run to a few hundred terms, so each fits.
     """
     first = max(math.floor(rho), 1)
     k = _tail_rate(constants)
     stops = _crossings(states, first, _TAIL_CUTOFF, k, constants)
     starts = _crossings(states, first, 1.0, k, constants)
-    # past exp's range the integral's factor overflows, so the heads run to the stops
-    live = (starts < stops) & (_integral_log_scale(k, constants) < _LOG_FLOAT_MAX)
+    live = starts < stops
     ends = stops.copy()
     ends[live] = _head_ends(states[live], starts[live], stops[live], k, constants)
     widths = ends - starts
-    _refuse(states, widths > _TAIL_MAX_TERMS, lambda i: (
-        f"needs {widths[i]} head terms, more than {_TAIL_MAX_TERMS}"
-    ))
     sums = np.zeros(states.size)
     totals, start = np.cumsum(widths), 0
     while start < states.size:
@@ -354,18 +351,8 @@ def _head_block(states, starts, widths, constants):
     """Head sums of ``states``, from one evaluation of all their terms.
 
     Each state's terms are added over their own stretch, so a state's
-    sum is the same in any block.  A head longer than ``_TAIL_BLOCK``
-    is alone in its block, and its terms are evaluated and added that
-    many at a time, the chunks' sums added pairwise in turn.
+    sum is the same in any block.
     """
-    if widths[0] > _TAIL_BLOCK:
-        lows = np.arange(starts[0], starts[0] + widths[0], _TAIL_BLOCK)
-        sizes = np.minimum(starts[0] + widths[0] - lows, _TAIL_BLOCK)
-        sums = [
-            np.add.reduce(_tail_terms(states, lows[i : i + 1], sizes[i : i + 1], constants))
-            for i in range(lows.size)
-        ]
-        return [np.add.reduce(np.array(sums))]
     terms = _tail_terms(states, starts, widths, constants)
     ends = np.cumsum(widths).tolist()
     # pairwise, so the rounding grows like log(count), not like count
@@ -397,20 +384,18 @@ def truncation_allowance(x, utility, rho, c0, constants):
     P derivative corrections.  The clamp's end and the stop come from
     closed forms, each settled by the terms next to it, so both are a
     per-term loop's.  There is no per-state term count: heads run to a
-    few hundred terms (724 at most over k from 0.1 to 4e11), and on the
-    nodes of the bundled configs' gap levels (merton k=3, cuoco-liu k=4)
-    about 1,900 and 39,000 of the 2.56M and 186K terms are evaluated.
+    few hundred terms (727 at most over k from 3.5e-4 to 7.5e13), and on
+    the nodes of the bundled configs' gap levels (merton k=3, cuoco-liu
+    k=4) about 1,900 and 39,000 of the 2.56M and 186K terms are evaluated.
     There the tail sums lie within 6e-16 relative of ``math.fsum`` over
     the loop's terms.  Consecutive states whose heads fit ``_TAIL_BLOCK``
-    terms together are evaluated in one pass, a longer head alone and
-    ``_TAIL_BLOCK`` terms at a time, so no evaluation outgrows a block.
-    Where the integral's factor sqrt(pi / k) e^{c_mu T + 1/(4k)} is past
-    the float range (k below about 3.5e-4), every head runs to its stop.  A
-    head longer than ``_TAIL_MAX_TERMS`` raises NumericalFailure before
-    any head is evaluated, as does a stop from 2^53 on, where barriers
-    are no longer exact floats, or a k past the float range (a horizon
-    of 1e-320, say), naming T, c_psi and k.  A non-finite x, rho or c0
-    raises ValueError naming it.
+    terms together are evaluated in one pass, so no evaluation outgrows
+    a block.  An integral factor sqrt(pi / k) e^{c_mu T + 1/(4k)} past
+    the float range (k below about 3.5e-4 at c_mu = 0, where em_bound has
+    overflowed already) raises NumericalFailure naming it, k, T and
+    c_psi, as does a k past the float range (a horizon of 1e-320, say),
+    or a stop from 2^53 on, where barriers are no longer exact floats.
+    A non-finite x, rho or c0 raises ValueError naming it.
     """
     states = np.asarray(x, dtype=float)
     if states.ndim > 1:
@@ -427,7 +412,7 @@ def truncation_allowance(x, utility, rho, c0, constants):
         raise ValueError("tail weights need positive x, rho, c0")
     if not isinstance(utility, PowerUtility):
         raise ValueError(f"the allowance needs the power base, got {type(utility).__name__}")
-    if constants.vol_bound <= 0.0 or constants.horizon <= 0.0:
+    if not (constants.vol_bound > 0.0 and constants.horizon > 0.0):
         raise ValueError("tail weights need positive volatility bound and horizon")
     tails = _tail_sums(nodes, rho, constants)[0]
     # math's log, not numpy's, which may differ in the last ulp

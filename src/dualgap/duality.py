@@ -135,7 +135,7 @@ def aposteriori_bounds(
     """
     if order < 1:
         raise ValueError(f"quadrature order must be positive, got {order}")
-    if step <= 0.0 or spacing <= 0.0:
+    if not (step > 0.0 and spacing > 0.0):
         raise ValueError("step and spacing must be positive")
     two_m = 2 * order
     slack = np.asarray(allowance, dtype=float)

@@ -2,7 +2,7 @@
 
 
 class NumericalFailure(RuntimeError):
-    """A computation left the float range or would exceed a term or branch cap."""
+    """A computation left the float range or would exceed a branch cap."""
 
 
 class ConfigError(ValueError):

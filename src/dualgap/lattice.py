@@ -30,7 +30,7 @@ class SpaceGrid:
     cells: int
 
     def __post_init__(self):
-        if self.length <= 0.0:
+        if not self.length > 0.0:
             raise ValueError(f"grid length must be positive, got {self.length}")
         if self.cells < 1:
             raise ValueError(f"grid needs at least one cell, got {self.cells}")
@@ -61,7 +61,7 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if self.horizon <= 0.0:
+        if not self.horizon > 0.0:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
         if self.steps < 1:
             raise ValueError(f"need at least one time step, got {self.steps}")
@@ -266,7 +266,7 @@ def control_mesh(interval, count):
     lo, hi = float(interval[0]), float(interval[1])
     if count < 2:
         raise ValueError(f"need at least two mesh points, got {count}")
-    if lo > hi:
+    if not lo <= hi:
         raise ValueError(f"empty control interval [{lo}, {hi}]")
     if lo == hi:
         return np.array([lo])

@@ -51,9 +51,9 @@ class MarketModel:
     horizon: float
 
     def __post_init__(self):
-        if self.vol <= 0.0:
+        if not self.vol > 0.0:
             raise ValueError(f"volatility must be positive, got {self.vol}")
-        if self.horizon <= 0.0:
+        if not self.horizon > 0.0:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
         if not self.vertices or len(self.values) != len(self.vertices):
             raise ValueError(f"need one value per vertex, got {self.values} at {self.vertices}")
@@ -64,7 +64,7 @@ class MarketModel:
         if any(left >= right for left, right in zip(self.vertices, self.vertices[1:])):
             raise ValueError(f"vertices {self.vertices} must ascend strictly")
         lo, hi = self.gamma_interval
-        if lo > hi:
+        if not lo <= hi:
             raise ValueError(f"empty control interval [{lo}, {hi}]")
 
     @property

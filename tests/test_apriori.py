@@ -7,21 +7,24 @@ horizon one half) and were cross-checked against hand arithmetic.
 
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dualgap import (
     CoefficientBounds,
     ConstantSet,
+    GapReport,
     NumericalFailure,
     SpaceGrid,
+    TimeGrid,
+    aposteriori_bounds,
     coefficient_bounds,
     conjugate_spec,
     constant_set,
+    control_mesh,
     cuoco_liu_model,
     dual_coefficient_bounds,
     em_bound,
@@ -194,14 +197,6 @@ def test_allowance_monotone_in_state(primal_constants):
     assert all(a <= b + 1.0e-12 for a, b in zip(values, values[1:]))
 
 
-def test_allowance_refuses_a_cut_off_tail(primal_constants, monkeypatch):
-    """A head longer than the cap is refused: a partial sum would cut the tail off."""
-    monkeypatch.setattr(apriori, "_TAIL_MAX_TERMS", 3)
-    message = "tail sum from state 1.0 needs 62 head terms, more than 3"
-    with pytest.raises(NumericalFailure, match=f"^{re.escape(message)}$"):
-        truncation_allowance(1.0, power_utility(0.5), 18.0, 8.0, primal_constants)
-
-
 def test_allowance_refuses_a_tail_still_above_the_cutoff_at_its_last_barrier(
     primal_constants, monkeypatch
 ):
@@ -250,6 +245,61 @@ def test_allowance_refuses_a_stop_past_exact_barriers(primal_constants):
         truncation_allowance(1.0e13, power_utility(0.5), 18.0, 8.0, primal_constants)
 
 
+@pytest.mark.parametrize("vol, k", [(46.4, "0.000348358"), (60.0, "0.000208333")])
+def test_allowance_refuses_an_integral_factor_past_the_float_range(vol, k):
+    """At T = 1/2 the factor sqrt(pi / k) e^{1/(4k)} overflows from about c_psi = 45.997 on.
+
+    It is refused at any state, before any term is evaluated: a sum of
+    every term instead gave a number only for states below about 1e-135.
+    """
+    constants = ConstantSet(drift_bound=0.0, vol_bound=vol, horizon=0.5)
+    message = (
+        "truncation allowance: the tail integral's factor sqrt(pi / k) e^{c_mu T + 1/(4k)} "
+        f"overflows at k = {k}, T = 0.5, c_psi = {vol}"
+    )
+    for x in (1.0e-200, 1.0e-130, 1.0):
+        with pytest.raises(NumericalFailure, match=f"^{re.escape(message)}$"):
+            truncation_allowance(x, power_utility(0.5), 18.0, 8.0, constants)
+
+
+def test_allowance_just_inside_the_float_range_keeps_its_value():
+    """c_psi = 45.9, T = 1/2: a log factor of 706.8, so x = 1e-130 still takes the one path."""
+    constants = ConstantSet(drift_bound=0.0, vol_bound=45.9, horizon=0.5)
+    got = truncation_allowance(1.0e-130, power_utility(0.5), 18.0, 8.0, constants)
+    assert got == pytest.approx(3.2088796252991373e-06, rel=1.0e-14, abs=0.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    log_vol=st.floats(min_value=-7.0, max_value=math.log10(46.0)),
+    horizon=st.floats(min_value=0.01, max_value=5.0),
+    shift=st.floats(min_value=0.0, max_value=250.0),
+    rho=st.floats(min_value=1.0, max_value=1.0e4),
+    offset=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_live_heads_fit_a_block(log_vol, horizon, shift, rho, offset):
+    """Every live head has at most 1,024 terms, so one ``_TAIL_BLOCK`` evaluation holds it.
+
+    The head stops where L >= S0 (2 k m(L) + sqrt(4 k P)), so it cannot
+    grow with the tail: 727 terms is the widest measured.  The states
+    sweep, log-evenly, from those whose terms are all under the cutoff
+    to the last whose stop is below 2^53.
+    """
+    constants = ConstantSet(drift_bound=shift / horizon, vol_bound=10.0**log_vol, horizon=horizon)
+    k = 3.0 / (8.0 * constants.vol_bound**2 * horizon)
+    assume(apriori._integral_log_scale(k, constants) < apriori._LOG_FLOAT_MAX)
+    assert apriori._tail_rate(constants) == k
+    reach = constants.drift_bound * horizon + math.sqrt(math.log(2.0 / apriori._TAIL_CUTOFF) / k)
+    lo, hi = math.log(rho) - reach - 1.0, math.log(apriori._BARRIER_LIMIT) - reach - 1.0e-9
+    states = np.exp(lo + (hi - lo) * (np.arange(1000) + offset) / 1000)
+    first = max(math.floor(rho), 1)
+    starts = apriori._crossings(states, first, 1.0, k, constants)
+    stops = apriori._crossings(states, first, apriori._TAIL_CUTOFF, k, constants)
+    live = starts < stops
+    ends = apriori._head_ends(states[live], starts[live], stops[live], k, constants)
+    assert np.max(ends - starts[live], initial=0) <= 1024 < apriori._TAIL_BLOCK
+
+
 def test_allowance_validation(primal_constants):
     with pytest.raises(ValueError):
         truncation_allowance(-1.0, power_utility(0.5), 18.0, 8.0, primal_constants)
@@ -274,20 +324,6 @@ def test_allowance_validation_covers_every_node(primal_constants):
         truncation_allowance(np.array([1.0, np.nan]), base, 18.0, 8.0, primal_constants)
     with pytest.raises(ValueError):
         truncation_allowance(np.ones((2, 2)), base, 18.0, 8.0, primal_constants)
-
-
-def test_allowance_cap_raises_before_it_allocates(primal_constants, monkeypatch):
-    """Every head width is checked before any head is evaluated; only the settling windows are."""
-    monkeypatch.setattr(apriori, "_TAIL_MAX_TERMS", 92)
-
-    def evaluated(*args):
-        raise AssertionError("a head was evaluated")
-
-    monkeypatch.setattr(apriori, "_head_block", evaluated)
-    message = "tail sum from state 0.1 needs 93 head terms, more than 92"
-    xs = np.linspace(0.1, 2.0, 2000)
-    with pytest.raises(NumericalFailure, match=f"^{re.escape(message)}$"):
-        truncation_allowance(xs, power_utility(0.5), 18.0, 8.0, primal_constants)
 
 
 def test_allowance_array_equals_scalar_calls(primal_constants):
@@ -397,41 +433,6 @@ def test_allowance_matches_the_loop_far_from_the_barrier(primal_constants):
     assert got == pytest.approx(expected, rel=1.0e-14, abs=0.0)
 
 
-def test_allowance_sums_every_term_where_the_integral_factor_overflows(monkeypatch):
-    """c_psi = 60, T = 1/2: e^{1/(4k)} is past the float range, so x = 1e-178 sums all 2,189,272.
-
-    The value is that of pairwise numpy sums over every term.
-    """
-
-    def integral(*args):
-        raise AssertionError("Euler-Maclaurin was used")
-
-    monkeypatch.setattr(apriori, "_em_tails", integral)
-    constants = ConstantSet(drift_bound=0.0, vol_bound=60.0, horizon=0.5)
-    got = truncation_allowance(1.0e-178, power_utility(0.5), 18.0, 8.0, constants)
-    assert got == pytest.approx(6.264825632038257e-11, rel=1.0e-14, abs=0.0)
-
-
-def test_a_long_head_is_evaluated_a_block_at_a_time():
-    """x = 1e-178 at c_psi = 60, T = 1/2: a 2,189,272-term head in 8,192-term chunks.
-
-    Evaluated whole, the head's terms and their temporaries held 50 MiB
-    at once; chunked, the sum is the loop's to the blocks' rtol.
-    """
-    constants = ConstantSet(drift_bound=0.0, vol_bound=60.0, horizon=0.5)
-    states = np.array([1.0e-178])
-    tracemalloc.start()
-    try:
-        sums, counts = apriori._tail_sums(states, 18.0, constants)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 2**20
-    total, stop = tail_sum_loop(1.0e-178, 18.0, constants, apriori._TAIL_CUTOFF)
-    assert counts.tolist() == [stop - 18] == [2_189_272]
-    np.testing.assert_allclose(sums, [total], rtol=1.0e-15, atol=0.0)
-
-
 @pytest.mark.parametrize("x", [4722.0, 1.0e5])
 def test_euler_maclaurin_tails_lie_between_their_integral_bounds(primal_constants, x):
     """g decreases from the head's end a on, so its sum over [a, stop) is sandwiched by integrals.
@@ -458,3 +459,59 @@ def test_envelope_constants_frozen(primal_constants, dual_constants, rule4):
     assert c_dual == pytest.approx(2.7985811792035236, rel=1.0e-12)
     assert c_primal > 1.0 and c_dual > 1.0
 
+
+#: the benchmark market's primal constants
+_UNIT = ConstantSet(drift_bound=1.2, vol_bound=1.0, horizon=0.5)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SpaceGrid(math.nan, 4), "grid length must be positive, got nan"),
+        (lambda: TimeGrid(math.nan, 4), "horizon must be positive, got nan"),
+        (lambda: control_mesh((math.nan, 1.0), 5), "empty control interval [nan, 1.0]"),
+        (lambda: merton_model(sigma=math.nan), "volatility must be positive, got nan"),
+        (lambda: cuoco_liu_model(sigma=math.nan), "volatility must be positive, got nan"),
+        (lambda: merton_model(horizon=math.nan), "horizon must be positive, got nan"),
+        (
+            lambda: merton_model(gamma_interval=(math.nan, 0.0)),
+            "empty control interval [nan, 0.0]",
+        ),
+        (
+            lambda: constant_set(CoefficientBounds(drift=1.2, vol=1.0), math.nan),
+            "horizon must be positive, got nan",
+        ),
+        (lambda: em_bound(math.nan, 1.0, 1.0, _UNIT), "step must be positive, got nan"),
+        (
+            lambda: gh_bound(math.nan, 1.0, gauss_hermite_rule(4), 1.0, _UNIT),
+            "step must be positive, got nan",
+        ),
+        (
+            lambda: truncation_allowance(
+                1.0, power_utility(0.5), 18.0, 8.0, ConstantSet(1.2, math.nan, 0.5)
+            ),
+            "tail weights need positive volatility bound and horizon",
+        ),
+        (lambda: _bounds(step=math.nan), "step and spacing must be positive"),
+        (lambda: _bounds(spacing=math.nan), "step and spacing must be positive"),
+    ],
+    ids=[
+        "SpaceGrid", "TimeGrid", "control_mesh", "merton-vol", "cuoco-liu-vol",
+        "market-horizon", "gamma-interval", "constant_set", "em_bound", "gh_bound",
+        "allowance", "bounds-step", "bounds-spacing",
+    ],
+)
+def test_a_nan_fails_every_positivity_check(call, message):
+    """Each check is written so that NaN fails it, with the message a nonpositive value gets."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def _bounds(step=0.25, spacing=0.25):
+    report = GapReport(
+        x=np.ones(1), gap=np.zeros(1), argmin_y=np.ones(1), boundary_hit=np.zeros(1, dtype=bool)
+    )
+    return aposteriori_bounds(
+        report, order=4, step=step, spacing=spacing, lip_primal=1.0, lip_dual=1.0,
+        c_primal=1.0, c_dual=1.0, allowance=np.zeros(1),
+    )

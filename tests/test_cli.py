@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualgap import ConfigError, analytics
+from dualgap import ConfigError, NumericalFailure, analytics, apriori, market
 from dualgap.cli import build_problem, load_config, resolve_config_path, run
 
 REPO = Path(__file__).resolve().parents[1]
@@ -656,6 +656,26 @@ def test_an_em_bound_product_overflow_exits_3_without_writing_inf(capsys, tmp_pa
     assert run(["bounds", "--config", str(cfg), "--out", str(out)]) == 3
     assert capsys.readouterr().err == (
         "numerical failure: em_bound envelope: its product overflows at k1 = 346.68, T = 0.5\n"
+    )
+    assert not any(out.iterdir())
+
+
+def test_an_allowance_factor_overflow_meets_the_envelope_refusal_first(capsys, tmp_path):
+    """sigma = 46.4: the allowance's tail integral factor is past the float range.
+
+    ``gap`` runs the envelopes before the allowance, and exp(4 k1 T) has
+    overflowed already, so no pipeline reaches the allowance's refusal.
+    """
+    path = write_cfg(tmp_path, "problem = merton\nsigma = 46.4\n")
+    cfg = load_config(path)
+    problem = build_problem(cfg)
+    constants = apriori.constant_set(market.coefficient_bounds(problem.model), cfg.T)
+    with pytest.raises(NumericalFailure, match="factor .* overflows at k = 0.000348358,"):
+        apriori.truncation_allowance(1.0, problem.reward.base, cfg.rho, cfg.c0, constants)
+    out = tmp_path / "out"
+    assert run(["gap", "--config", str(path), "--out", str(out), "--level", "1"]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: em_bound envelope: exp(4 k1 T) overflows at k1 = 2153.68, T = 0.5\n"
     )
     assert not any(out.iterdir())
 
