@@ -88,8 +88,20 @@ class ConstantSet:
 
     @property
     def growth_rate(self):
-        """c_mu^2 T + c_psi^2, the exponential rate of second moments."""
-        return self.drift_bound**2 * self.horizon + self.vol_bound**2
+        """k1 = c_mu^2 T + c_psi^2, the exponential rate of second moments.
+
+        Past the float range it raises NumericalFailure naming k1, c_mu, c_psi and T.
+        """
+        try:
+            k1 = self.drift_bound**2 * self.horizon + self.vol_bound**2
+        except OverflowError:
+            k1 = math.inf
+        if not math.isfinite(k1):
+            raise NumericalFailure(
+                f"growth rate k1 = c_mu^2 T + c_psi^2 overflows at c_mu = {self.drift_bound:.6g}, "
+                f"c_psi = {self.vol_bound:.6g}, T = {self.horizon:g}"
+            )
+        return k1
 
     @property
     def defect_envelope(self):
@@ -118,7 +130,8 @@ def em_bound(step, x, lipschitz, constants):
     """Lipschitz-weighted distance between the chain and its diffusion.
 
     Order sqrt(step), with the quadratic dependence on the start state
-    kept explicit.  Past the float range it raises NumericalFailure.
+    kept explicit.  Past the float range it raises NumericalFailure; its
+    c_psi^2 is at most k1, so it is finite once ``growth_rate`` is.
     """
     if not step > 0.0:
         raise ValueError(f"step must be positive, got {step}")
@@ -138,14 +151,23 @@ def gh_bound(step, x, rule, lipschitz, constants):
     The rule is exact through degree 2M - 1, so the defect starts at the
     2M-th moment of the branch factors; collecting powers of sqrt(step)
     leaves order step^((M-1)/2M) with the coefficient below and the
-    polynomial growth 1 + x^{2M} of the bounded-moment regime.
+    polynomial growth 1 + x^{2M} of the bounded-moment regime.  A
+    c_psi^{2M} past the float range raises NumericalFailure naming it,
+    c_psi and T.
     """
     if not step > 0.0:
         raise ValueError(f"step must be positive, got {step}")
     m = rule.order
     two_m = 2 * m
     moment = float(double_factorial(two_m - 1)) + moment_defect(rule)
-    coeff = (2.0 ** (two_m - 1) / math.factorial(two_m)) * constants.vol_bound**two_m * moment
+    try:
+        power = constants.vol_bound**two_m
+    except OverflowError as exc:
+        raise NumericalFailure(
+            f"gh_bound coefficient: c_psi^{two_m} overflows at c_psi = "
+            f"{constants.vol_bound:.6g}, T = {constants.horizon:g}"
+        ) from exc
+    coeff = (2.0 ** (two_m - 1) / math.factorial(two_m)) * power * moment
     growth = 1.0 + x**two_m
     return (
         lipschitz
@@ -173,11 +195,17 @@ def _gaussian_tail_weight(log_ratio, drift_bound, vol_bound, horizon):
 def _tail_rate(constants):
     """k = 3 / (8 c_psi^2 T); past the float range it raises NumericalFailure naming T and c_psi.
 
-    So does a k whose tail integral factor sqrt(pi / k) e^{c_mu T + 1/(4k)} is past it.
+    So do a c_psi^2 past it and a k whose tail integral factor
+    sqrt(pi / k) e^{c_mu T + 1/(4k)} is past it.
     """
-    spread = 8.0 * constants.vol_bound**2 * constants.horizon
-    k = 3.0 / spread if spread > 0.0 else math.inf
     where = f"T = {constants.horizon}, c_psi = {constants.vol_bound}"
+    try:
+        spread = 8.0 * constants.vol_bound**2 * constants.horizon
+    except OverflowError as exc:
+        raise NumericalFailure(
+            f"truncation allowance: c_psi^2 in k = 3 / (8 c_psi^2 T) overflows at {where}"
+        ) from exc
+    k = 3.0 / spread if spread > 0.0 else math.inf
     if not math.isfinite(k):
         raise NumericalFailure(f"truncation allowance: k = 3 / (8 c_psi^2 T) is {k} at {where}")
     if not (k > 0.0 and _integral_log_scale(k, constants) < _LOG_FLOAT_MAX):

@@ -427,21 +427,23 @@ def cmd_polar_check(cfg, problem, out, args):
     _check_drift(model, min(_POLAR_STEPS))
     rule = gauss_hermite_rule(cfg.M)
     rng = np.random.default_rng(cfg.seed)
+    lo, hi = model.gamma_interval
     rows = []
     for steps in _POLAR_STEPS:
         step = cfg.T / steps
-        ratios = []
-        violation = 0.0
-        for _ in range(_POLAR_DRAWS):
-            primal_policy = rng.uniform(model.a_interval[0], model.a_interval[1], size=steps)
-            lo, hi = model.gamma_interval
-            dual_policy = rng.uniform(lo, hi, size=steps) if hi > lo else np.full(steps, lo)
-            _, defect = duality.polar_defect(
-                model, rule, steps, step, (1.0, 1.0),
-                tuple(primal_policy), tuple(dual_policy),
-            )
-            ratios.append(abs(defect) / step)
-            violation = max(violation, max(defect, 0.0) / step)
+        # one stream, draw by draw: a primal policy, then a dual one where gamma may move
+        if hi > lo:
+            ends = np.array([model.a_interval, model.gamma_interval])
+            draws = rng.uniform(ends[:, :1], ends[:, 1:], size=(_POLAR_DRAWS, 2, steps))
+            primal_policies, dual_policies = draws[:, 0], draws[:, 1]
+        else:
+            primal_policies = rng.uniform(*model.a_interval, size=(_POLAR_DRAWS, steps))
+            dual_policies = np.full((_POLAR_DRAWS, steps), lo)
+        _, defects = duality.polar_defect(
+            model, rule, steps, step, (1.0, 1.0), primal_policies, dual_policies
+        )
+        ratios = np.abs(defects) / step
+        violation = max(0.0, float(np.max(defects)) / step)
         rows.append((steps, step, float(np.mean(ratios)), float(np.max(ratios)), violation))
     path = out / "polar.csv"
     columns = "N,h,c_abs_mean,c_abs_max,violation_max"
@@ -461,33 +463,50 @@ _PIPELINES = {
 }
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
+#: per command, its help line and the options it takes beyond --config and --out
+_COMMANDS = {
+    "solve-primal": ("solve the maximising surface at one level", ("--level",)),
+    "solve-dual": ("solve the minimising surface at one level", ("--level",)),
+    "gap": ("duality gap with two-sided bounds at one level", ("--level",)),
+    "convergence": ("norms and orders over the refinement ladder", ("--mode",)),
+    "bounds": ("a priori envelopes against observed errors and gaps", ()),
+    "polar-check": ("product-chain supermartingale diagnostic", ()),
+}
+
+#: every command's options, each with its ``add_argument`` keywords
+_OPTIONS = {
+    "--config": {"required": True, "help": "config file path or bundled name"},
+    "--out": {"help": "output directory (default from config)"},
+    "--level": {"type": int, "help": "ladder level k"},
+    "--mode": {"choices": _MODES, "help": "error or gap ladder"},
+}
+
+
+def parse_args(argv=None):
+    """The command line's namespace: its ``command`` and that command's options.
+
+    One parser reads the command, the first argument, and a second reads
+    the command's options from the rest, so no other command's parser is
+    built.  A bad command line exits 2 with argparse's message.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    root = argparse.ArgumentParser(
         prog="dualgap",
         description="Primal and dual value function experiments with duality gap diagnostics.",
+        epilog="commands:\n" + "\n".join(f"  {n:<14}{h}" for n, (h, _) in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "solve-primal": "solve the maximising surface at one level",
-        "solve-dual": "solve the minimising surface at one level",
-        "gap": "duality gap with two-sided bounds at one level",
-        "convergence": "norms and orders over the refinement ladder",
-        "bounds": "a priori envelopes against observed errors and gaps",
-        "polar-check": "product-chain supermartingale diagnostic",
-    }
-    for name, help_text in specs.items():
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", required=True, help="config file path or bundled name")
-        cmd.add_argument("--out", default=None, help="output directory (default from config)")
-        if name in ("solve-primal", "solve-dual", "gap"):
-            cmd.add_argument("--level", type=int, default=None, help="ladder level k")
-        if name == "convergence":
-            cmd.add_argument("--mode", choices=_MODES, default=None, help="error or gap ladder")
-    return parser
+    root.add_argument("command", choices=_COMMANDS, help="the pipeline to run")
+    command = root.parse_args(argv[:1]).command
+    summary, extra = _COMMANDS[command]
+    parser = argparse.ArgumentParser(prog=f"dualgap {command}", description=summary)
+    for option in ("--config", "--out", *extra):
+        parser.add_argument(option, **_OPTIONS[option])
+    return parser.parse_args(argv[1:], argparse.Namespace(command=command))
 
 
 def run(argv=None):
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
         cfg = load_config(args.config)
         out = Path(args.out if args.out is not None else cfg.out)

@@ -16,7 +16,9 @@ The polar check validates the mechanism the gap rests on: along any
 pair of policies the product of the two chains, driven by the same
 branch noise, must stay an expectation supermartingale up to O(h).
 Branches are independent across steps, so that expectation is a
-product of per-step branch means: O(N M) work, not M^N branches.
+product of per-step branch means: O(N M) work, not M^N branches.  A
+batch of policy draws shaped (..., N) is one pass over (..., N, M)
+factors, each draw's result bit for bit what a call on it alone gives.
 """
 
 from dataclasses import dataclass
@@ -161,7 +163,10 @@ def aposteriori_bounds(
 def polar_defect(model, rule, steps, step, start, primal_policy, dual_policy):
     """Expectation of the coupled product chain and its defect from x y.
 
-    Returns (E[X Y], E[X Y] - x y).  Both chains take one shared branch
+    Returns (E[X Y], E[X Y] - x y): two floats for policies of one draw,
+    shaped (steps,) or longer, and two arrays shaped (...) for a batch of
+    draws shaped (..., steps), each draw's entries what a call on that
+    draw alone returns, bit for bit.  Both chains take one shared branch
     per step, independent across steps, so E[X_N Y_N] is exactly
     x y prod_n sum_b w_b fx_n[b] fy_n[b] over the ``coupled_factors``.
     Each mean is an elementwise product summed over branches, not a BLAS
@@ -169,21 +174,32 @@ def polar_defect(model, rule, steps, step, start, primal_policy, dual_policy):
     be O(step) uniformly in the policies: each step multiplies the
     expectation by 1 + h (g - conj(g) - a gamma) - h^2 mu (r + conj(g))
     whose middle term is nonpositive by conjugacy.  A product that
-    overflows raises a NumericalFailure naming N and the largest mean,
-    whatever the caller's numpy error settings.
+    overflows raises a NumericalFailure naming N and the largest mean of
+    the first draw that overflows, whatever the caller's numpy error
+    settings.
     """
     fxs, fys = coupled_factors(model, rule, steps, step, primal_policy, dual_policy)
-    means = np.sum(rule.weights * fxs * fys, axis=1)
+    means = np.sum(rule.weights * fxs * fys, axis=-1)
     origin = float(start[0]) * float(start[1])
+    expectation = _product(means, origin, steps)
+    if expectation.ndim == 0:
+        return float(expectation), float(expectation) - origin
+    return expectation, expectation - origin
+
+
+def _product(means, origin, steps):
+    """origin times the product over the last axis of the branch means."""
     try:
         with np.errstate(over="raise", invalid="raise"):
-            expectation = origin * float(np.prod(means))
+            return origin * np.prod(means, axis=-1)
     except FloatingPointError as exc:
+        if means.ndim > 1:
+            for draw in means.reshape(-1, steps):
+                _product(draw, origin, steps)  # the first draw that overflows raises
         largest = float(np.abs(means).max())
         raise NumericalFailure(
             f"polar check: {exc} (N={steps}); largest |branch mean| = {largest:.6g}"
         ) from exc
-    return expectation, expectation - origin
 
 
 def write_gap_csv(report, path, header, bounds):

@@ -402,17 +402,25 @@ def solve(model, terminal, disc, direction="primal"):
 
 
 def coupled_factors(model, rule, steps, step, primal_policy, dual_policy):
-    """Each chain's (steps, branches) factors, from one ``step_factors`` call.
+    """Each chain's (..., steps, branches) factors, from one ``step_factors`` call.
 
-    Row n holds step n's factors; the coupled chains take the same
-    branch, with that branch's weight, in both.
+    The policies are shaped (..., L) with L >= ``steps``, one row of
+    controls per draw, and both must have the same batch shape (...).
+    Row n of a draw holds its step n's factors; the coupled chains take
+    the same branch, with that branch's weight, in both.
     """
     if steps < 0:
         raise ValueError(f"step count must be nonnegative, got {steps}")
-    if len(primal_policy) < steps or len(dual_policy) < steps:
+    primal = np.asarray(primal_policy, dtype=float)
+    dual = np.asarray(dual_policy, dtype=float)
+    if primal.ndim == 0 or dual.ndim == 0 or min(primal.shape[-1], dual.shape[-1]) < steps:
         raise ValueError(f"both policies must cover {steps} steps")
-    fxs = step_factors(model, primal_policy[:steps], rule, step, "primal")
-    fys = step_factors(model, dual_policy[:steps], rule, step, "dual")
+    if primal.shape[:-1] != dual.shape[:-1]:
+        raise ValueError(
+            f"policy batch shapes differ: primal {primal.shape[:-1]}, dual {dual.shape[:-1]}"
+        )
+    fxs = step_factors(model, primal[..., :steps], rule, step, "primal")
+    fys = step_factors(model, dual[..., :steps], rule, step, "dual")
     return fxs, fys
 
 

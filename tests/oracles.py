@@ -36,6 +36,11 @@ It assumes nothing about kinks, so the naive sweep uses it too.
 the model stored it as vertex values: the closed formula, evaluated
 wherever it is asked.
 
+``polar_check_rows`` is the polar check's loop as it was before it drew
+a step count's policies as one batch: one primal and then, where the
+gamma interval is not a point, one dual policy per draw from one
+generator, and one ``polar_defect`` call per draw.
+
 ``scan_coefficient_bounds`` and ``scan_dual_coefficient_bounds`` are the
 coefficient sizes as they were before they were evaluated at the
 penalty's vertices: the largest values on a 1e-4-spaced control mesh and
@@ -50,6 +55,7 @@ from numbers import Integral
 
 import numpy as np
 
+from dualgap.duality import polar_defect
 from dualgap.lattice import SpaceGrid, TimeGrid, control_mesh
 from dualgap.market import CoefficientBounds, cuoco_liu_model, merton_model, penalty_conjugate
 from dualgap.optim import golden_max
@@ -400,6 +406,27 @@ def random_setup(rng):
         y_max=float(rng.choice([2.0, 4.0])),
     )
     return model, terminal, disc, direction
+
+
+def polar_check_rows(model, rule, horizon, seed, step_counts, draws):
+    """``polar.csv``'s rows (N, h, mean and max |defect| / h, max violation / h), draw by draw."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for steps in step_counts:
+        step = horizon / steps
+        ratios = []
+        violation = 0.0
+        for _ in range(draws):
+            primal_policy = rng.uniform(model.a_interval[0], model.a_interval[1], size=steps)
+            lo, hi = model.gamma_interval
+            dual_policy = rng.uniform(lo, hi, size=steps) if hi > lo else np.full(steps, lo)
+            _, defect = polar_defect(
+                model, rule, steps, step, (1.0, 1.0), tuple(primal_policy), tuple(dual_policy)
+            )
+            ratios.append(abs(defect) / step)
+            violation = max(violation, max(defect, 0.0) / step)
+        rows.append((steps, step, float(np.mean(ratios)), float(np.max(ratios)), violation))
+    return rows
 
 
 def csv_cell(value):

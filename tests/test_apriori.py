@@ -235,6 +235,37 @@ def test_allowance_refuses_a_subnormal_horizon_by_name():
         truncation_allowance(1.0, power_utility(0.5), 18.0, 8.0, constants)
 
 
+def test_a_squared_coefficient_past_the_float_range_names_its_constant():
+    """c_psi = 1e200: its square, and so k1 and k, are past the float range; each says which."""
+    rule = gauss_hermite_rule(4)
+    constants = ConstantSet(drift_bound=1.2, vol_bound=1.0e200, horizon=0.5)
+    growth = "growth rate k1 = c_mu^2 T + c_psi^2 overflows at c_mu = 1.2, c_psi = 1e+200, T = 0.5"
+    for call in (
+        lambda: constants.growth_rate,
+        lambda: em_bound(0.1, 1.0, 1.0, constants),
+        lambda: envelope_constants(constants, constants, rule),
+    ):
+        with pytest.raises(NumericalFailure, match=f"^{re.escape(growth)}$"):
+            call()
+    message = (
+        "truncation allowance: c_psi^2 in k = 3 / (8 c_psi^2 T) overflows at T = 0.5, c_psi = 1e+200"
+    )
+    with pytest.raises(NumericalFailure, match=f"^{re.escape(message)}$"):
+        truncation_allowance(1.0, power_utility(0.5), 18.0, 8.0, constants)
+    drift = ConstantSet(drift_bound=1.0e200, vol_bound=1.0, horizon=0.5)
+    message = "growth rate k1 = c_mu^2 T + c_psi^2 overflows at c_mu = 1e+200, c_psi = 1, T = 0.5"
+    with pytest.raises(NumericalFailure, match=f"^{re.escape(message)}$"):
+        drift.growth_rate
+
+
+def test_a_gh_coefficient_past_the_float_range_names_its_power():
+    """c_psi = 1e10 has a finite square, but c_psi^40 of a 20-point rule is past the float range."""
+    constants = ConstantSet(drift_bound=0.0, vol_bound=1.0e10, horizon=0.5)
+    message = "gh_bound coefficient: c_psi^40 overflows at c_psi = 1e+10, T = 0.5"
+    with pytest.raises(NumericalFailure, match=f"^{re.escape(message)}$"):
+        gh_bound(0.1, 0.0, gauss_hermite_rule(20), 1.0, constants)
+
+
 def test_allowance_refuses_a_stop_past_exact_barriers(primal_constants):
     """From 2^53 on, consecutive barriers are no longer distinct floats."""
     message = (

@@ -11,8 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualgap import ConfigError, NumericalFailure, analytics, apriori, market
+from dualgap import ConfigError, NumericalFailure, analytics, apriori, cli, market
 from dualgap.cli import build_problem, load_config, resolve_config_path, run
+from dualgap.quadrature import gauss_hermite_rule
+
+import oracles
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -304,6 +307,85 @@ def test_an_output_file_that_cannot_be_written_exits_2(capsys, tmp_path):
     assert blocked.is_dir() and not any(blocked.iterdir())
 
 
+#: each command's documented options beyond --config and --out, with a value to pass
+DOCUMENTED = {
+    "solve-primal": {"level": 2},
+    "solve-dual": {"level": 2},
+    "gap": {"level": 2},
+    "convergence": {"mode": "gap"},
+    "bounds": {},
+    "polar-check": {},
+}
+
+
+@pytest.mark.parametrize("command", sorted(DOCUMENTED))
+def test_each_command_accepts_its_documented_options(monkeypatch, tmp_path, command):
+    monkeypatch.chdir(tmp_path)  # the bare run writes to the config's default out, results
+    seen = []
+    monkeypatch.setitem(cli._PIPELINES, command, lambda *call: seen.append(call))
+    out = tmp_path / "out"
+    given = [command, "--config", "merton", "--out", str(out)]
+    for key, value in DOCUMENTED[command].items():
+        given += [f"--{key}", str(value)]
+    assert run([command, "--config", "merton"]) == 0
+    assert run(given) == 0
+    (cfg, problem, where, bare), (_, _, _, args) = seen
+    assert cfg == load_config("merton") and problem.model == build_problem(cfg).model
+    assert where == Path("results") and (tmp_path / "results").is_dir() and out.is_dir()
+    assert (bare.command, bare.config, bare.out) == (command, "merton", None)
+    assert (args.command, args.config, args.out) == (command, "merton", str(out))
+    for key, value in DOCUMENTED[command].items():
+        assert getattr(bare, key) is None
+        assert getattr(args, key) == value
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["convergence", "--config", "merton", "--level", "3"], "unrecognized arguments: --level 3"),
+        (["gap", "--config", "merton", "--mode", "gap"], "unrecognized arguments: --mode gap"),
+        (["bounds", "--config", "merton", "--level", "1"], "unrecognized arguments: --level 1"),
+        (
+            ["certify", "--config", "merton"],
+            "argument command: invalid choice: 'certify' (choose from 'solve-primal', "
+            "'solve-dual', 'gap', 'convergence', 'bounds', 'polar-check')",
+        ),
+        ([], "the following arguments are required: command"),
+        (["gap"], "the following arguments are required: --config"),
+        (["gap", "--config", "merton", "--level", "x"], "argument --level: invalid int value: 'x'"),
+    ],
+)
+def test_a_command_line_argparse_refuses_exits_2_with_its_message(capsys, argv, message):
+    with pytest.raises(SystemExit) as stop:
+        run(argv)
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(rf"dualgap( [a-z-]+)?: error: {re.escape(message)}", captured.err.splitlines()[-1])
+    assert captured.err.startswith("usage: dualgap") and "Traceback" not in captured.err
+
+
+def test_command_help_lists_its_options_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as stop:
+        run(["gap", "-h"])
+    assert stop.value.code == 0
+    text = capsys.readouterr().out
+    assert text.startswith("usage: dualgap gap [-h] --config CONFIG [--out OUT] [--level LEVEL]\n")
+    for option in ("--config CONFIG", "--out OUT", "--level LEVEL"):
+        assert f"\n  {option} " in text
+    with pytest.raises(SystemExit) as stop:
+        run(["-h"])
+    assert stop.value.code == 0
+    text = capsys.readouterr().out
+    assert text.startswith("usage: dualgap [-h]")
+    for command, summary in (
+        ("solve-primal", "solve the maximising surface at one level"),
+        ("convergence", "norms and orders over the refinement ladder"),
+        ("polar-check", "product-chain supermartingale diagnostic"),
+    ):
+        assert re.search(rf"\n +{command} +{summary}\n", text)
+
+
 def test_gap_sums_tails_of_any_length(tmp_path):
     """The allowance's tail from x = 10000 runs to 2.15e7 terms; none is counted, so gap writes."""
     path = write_cfg(tmp_path, "problem = merton\nx_max = 10000\n")
@@ -533,6 +615,25 @@ def test_polar_pipeline(tmp_path):
         assert cells[4] == "0.000000000000000e+00"
 
 
+@pytest.mark.parametrize("order", [4, 20])
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("name", ["merton", "cuoco_liu"])
+def test_polar_check_matches_the_per_draw_referee(tmp_path, name, seed, order):
+    """One batch per step count writes the polar.csv that one call per draw wrote, byte for byte."""
+    text = resolve_config_path(name).read_text(encoding="utf-8")
+    path = write_cfg(tmp_path, text.replace("seed = 0", f"seed = {seed}").replace("M = 4", f"M = {order}"))
+    out = tmp_path / "out"
+    assert run(["polar-check", "--config", str(path), "--out", str(out)]) == 0
+    cfg = load_config(str(path))
+    assert (cfg.seed, cfg.M) == (seed, order)
+    rule = gauss_hermite_rule(cfg.M)
+    rows = oracles.polar_check_rows(
+        build_problem(cfg).model, rule, cfg.T, cfg.seed, cli._POLAR_STEPS, cli._POLAR_DRAWS
+    )
+    want = oracles.csv_text(cfg.echo(), "N,h,c_abs_mean,c_abs_max,violation_max", rows)
+    assert (out / "polar.csv").read_text(encoding="utf-8") == want
+
+
 def test_overflow_exits_3_before_any_csv_is_written(capsys, tmp_path):
     """A floating-point overflow is a numerical failure, not a result.
 
@@ -645,6 +746,25 @@ def test_an_envelope_overflow_names_it_and_exits_3(capsys, tmp_path, command):
     assert run([command, "--config", str(cfg), "--out", str(out)]) == 3
     assert capsys.readouterr().err == (
         "numerical failure: em_bound envelope: exp(4 k1 T) overflows at k1 = 400.72, T = 0.5\n"
+    )
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "problem, command",
+    [("merton", "gap"), ("cuoco-liu", "gap"), ("merton", "bounds")],
+)
+def test_a_squared_volatility_overflow_names_the_growth_rate_and_exits_3(
+    capsys, tmp_path, problem, command
+):
+    """sigma = 1e200 solves, but c_psi^2 in k1 = c_mu^2 T + c_psi^2 is past the float range."""
+    cfg = write_cfg(tmp_path, f"problem = {problem}\nsigma = 1e200\nk_min = 1\nk_max = 1\n")
+    out = tmp_path / "out"
+    level = ["--level", "1"] if command == "gap" else []
+    assert run([command, "--config", str(cfg), "--out", str(out), *level]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: growth rate k1 = c_mu^2 T + c_psi^2 overflows at c_mu = 1.2, "
+        "c_psi = 1e+200, T = 0.5\n"
     )
     assert not any(out.iterdir())
 

@@ -264,6 +264,79 @@ def test_polar_product_form_beyond_the_enumerator():
     assert defect == pytest.approx(want - x0 * y0, abs=1.0e-14)
 
 
+def bits(value):
+    """The bytes of a float64, so that -0.0 and 0.0 (and any two NaNs) compare as they are stored."""
+    return np.float64(value).tobytes()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    constrained=st.booleans(),
+    order=st.sampled_from([2, 4, 5, 20]),
+    steps=st.integers(0, 8),
+    draws=st.integers(1, 16),
+    extra=st.integers(0, 2),
+    start=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+    data=st.data(),
+)
+def test_a_batch_of_draws_is_each_draw_bit_for_bit(
+    constrained, order, steps, draws, extra, start, data
+):
+    """Policies shaped (draws, L >= steps) give each draw's single-call floats, bit for bit.
+
+    Merton's gamma interval is the point 0, so its dual policies are all 0.
+    """
+    model = cuoco_liu_model() if constrained else merton_model()
+    rule = gauss_hermite_rule(order)
+    step = 0.5 / max(steps, 1)
+
+    def policies(lo, hi):
+        row = st.lists(st.floats(lo, hi), min_size=steps + extra, max_size=steps + extra)
+        return np.array(data.draw(st.lists(row, min_size=draws, max_size=draws))).reshape(draws, -1)
+
+    primal, dual = policies(*model.a_interval), policies(*model.gamma_interval)
+    expect, defect = polar_defect(model, rule, steps, step, start, primal, dual)
+    assert expect.shape == defect.shape == (draws,)
+    for i in range(draws):
+        one = polar_defect(model, rule, steps, step, start, tuple(primal[i]), tuple(dual[i]))
+        assert all(isinstance(value, float) for value in one)
+        assert (bits(expect[i]), bits(defect[i])) == (bits(one[0]), bits(one[1]))
+    nested = polar_defect(
+        model, rule, steps, step, start, primal[:, None], dual[:, None]
+    )
+    assert [bits(v) for v in nested[0].ravel()] == [bits(v) for v in expect]
+    assert nested[0].shape == (draws, 1)
+
+
+def test_a_batch_overflow_names_its_first_overflowing_draw():
+    """sigma = 1e100: a = 0 keeps the means finite, a != 0 leaves a rounding residual near 1e82.
+
+    The batch raises what a call on its first overflowing draw raises,
+    not its largest mean over every draw (6.07084e+82 at a = 1).
+    """
+    model, rule = merton_model(sigma=1e100), gauss_hermite_rule(4)
+    primal = np.array([[0.0] * 4, [0.5] * 4, [1.0] * 4])
+    dual = np.zeros((3, 4))
+    expect, _ = polar_defect(model, rule, 4, 0.125, (1.0, 1.0), primal[0], dual[0])
+    assert math.isfinite(expect)
+    message = (
+        "polar check: overflow encountered in reduce (N=4); largest |branch mean| = 3.03542e+82"
+    )
+    for policies in ((primal[1], dual[1]), (primal, dual), (primal[:, None], dual[:, None])):
+        with pytest.raises(NumericalFailure, match=f"^{re.escape(message)}$"):
+            polar_defect(model, rule, 4, 0.125, (1.0, 1.0), *policies)
+
+
+def test_mismatched_policy_batches_are_refused_by_shape():
+    model, rule = merton_model(), gauss_hermite_rule(2)
+    with pytest.raises(ValueError, match=re.escape("primal (3,), dual (2,)")):
+        polar_defect(model, rule, 2, 0.1, (1.0, 1.0), np.zeros((3, 2)), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match=re.escape("primal (3,), dual ()")):
+        polar_defect(model, rule, 2, 0.1, (1.0, 1.0), np.zeros((3, 2)), np.zeros(2))
+    with pytest.raises(ValueError, match="both policies must cover 2 steps"):
+        polar_defect(model, rule, 2, 0.1, (1.0, 1.0), np.zeros((3, 2)), np.zeros((3, 1)))
+
+
 def test_polar_validation():
     model, rule = merton_model(), gauss_hermite_rule(2)
     with pytest.raises(ValueError, match="step count must be nonnegative, got -1"):
