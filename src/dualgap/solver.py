@@ -457,9 +457,12 @@ def enumerate_coupled(model, rule, steps, step, start, primal_policy, dual_polic
 def write_surface_csv(surface, path, header):
     """Dump a surface as ``t,x,value`` rows, time-major, 16 significant digits.
 
-    One block per time row, a fixed-width byte row per node: the t and x
-    cells are formatted once per file and the value cells written per row.
-    A row that does not fit that width is one ``%`` call (``csvout.grid``).
+    One block per slab of whole time rows, at most 8,192 cells, a
+    fixed-width byte line per node: the t and x cells are formatted once
+    per file, the x cells and commas laid out once, and the t and value
+    cells written per slab, the value digits by exact integer arithmetic.
+    A slab that does not fit that width is written row by row, and a row
+    that does not fit it is one ``%`` call (``csvout.grid``).
     """
     blocks = csvout.grid(surface.time.times, surface.grid.nodes, surface.data)
     csvout.write_csv(path, header, "t,x,value", blocks)

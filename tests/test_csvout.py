@@ -127,16 +127,94 @@ def test_grid_cell_is_the_per_cell_format(value):
     _grid_matches_the_oracle(_surface(np.array([[1.0, value, 2.5], [value] * 3])))
 
 
-def test_grid_without_extended_precision_writes_the_same_bytes(monkeypatch):
-    """With the tie margin at 1/2, as where long double is a plain double, every cell is %'s."""
-    rng = np.random.default_rng(5)
-    data = 10.0 ** rng.uniform(-12, 15, size=(3, 200))
+def _tie(s):
+    """Exact decimal ties at scale s: q / 2**(s + 1), q odd, is a 16-digit n plus 1/2 over 10**s.
+
+    5**s divides q 5**s = 2 n + 1, which lies in [2e15, 2e16).
+    """
+    least = -(-2 * 10**15 // 5**s)
+    most = (2 * 10**16 - 1) // 5**s
+    return st.integers(least // 2, (most - 1) // 2).map(lambda i: (2 * i + 1) / 2 ** (s + 1))
+
+
+def _float(bits):
+    return float(np.uint64(bits).view(np.float64))
+
+
+# the values below 1e15 whose digits the kernel computes, from 2**-38 (about 3.64e-12) on
+_DECIDED = st.integers(_bits(2.0**-38), _bits(1e15) - 1).map(_float)
+_POWER_NEIGHBOURS = st.builds(
+    lambda k, ulps: _float(_bits(10.0**k) + ulps), st.integers(-11, 14), st.integers(-3, 3)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.integers(1, 23).flatmap(_tie), _POWER_NEIGHBOURS, _DECIDED),
+        min_size=1,
+        max_size=16,
+    )
+)
+@example([2.0**48 + 0.25, 2.0**48 + 1.75, 9.999999999999998e-12, 1e-7, 1e-6, 1e-11])
+def test_digits_decide_ties_and_powers_of_ten_without_the_per_cell_format(values):
+    """Exact ties round half to even and a value next to a power of ten gets its exponent."""
+    values = np.array(values)
+    assert np.all((values >= 2.0**-38) & (values < 1e15))
+    cells = np.zeros(len(values), csvout._CELL)
+    assert csvout._digits(values, cells).size == 0
+    assert cells.tobytes() == b"".join(b"%.15e" % v for v in values.tolist())
+    assert csvout._fill(values, cells)
+
+
+def test_digits_at_every_scale_threshold():
+    """Per binade, the least value whose digits round up to a power of ten, and the one below."""
+    (_, _, threshold, _), *_ = csvout._tables()
+    least = threshold[(threshold >= 2.0**-38) & (threshold < 2.0**52)]
+    values = np.concatenate([np.nextafter(least, 0.0), least])
+    cells = np.zeros(len(values), csvout._CELL)
+    assert csvout._digits(values, cells).size == 0
+    assert cells.tobytes() == b"".join(b"%.15e" % v for v in values.tolist())
+
+
+def test_digits_write_positive_zero_and_leave_negative_zero():
+    """+0.0 is always 0.000000000000000e+00; -0.0 is 22 bytes, so its row is one % format."""
+    values = np.array([0.0, 1.0, -0.0])
+    cells = np.zeros(3, csvout._CELL)
+    assert csvout._digits(values, cells).tolist() == [2]
+    assert cells[0].tobytes() == b"0.000000000000000e+00"
+    assert not csvout._fill(values, cells)
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32])
+def test_grid_of_a_narrower_float_type_is_the_per_cell_format(dtype):
+    """Cells are the exact float64 values of float16 or float32 data."""
+    rng = np.random.default_rng(7)
+    data = (10.0 ** rng.uniform(-4, 4, size=(4, 50))).astype(dtype)
+    data[0, :3] = [0.0, -0.0, -1.5]
+    data[1, 0] = 0.0
+    _grid_matches_the_oracle(_surface(data, inner=np.linspace(0.0, 20.0, 50)))
+
+
+def test_grid_slabs_are_the_per_cell_format():
+    """Rows of other widths in the first, a middle and the last slab, among full slabs.
+
+    Each block is a copy: the joined blocks are the oracle's only if no
+    block shares its bytes with the next slab's.
+    """
+    cols = 301
+    per_slab = csvout._SLAB // cols
+    rows = 3 * per_slab + per_slab // 2
+    rng = np.random.default_rng(11)
+    data = 10.0 ** rng.uniform(-12, 15, size=(rows, cols))
     data[:, 0] = 0.0
-    surface = _surface(data, inner=np.linspace(0.0, 20.0, 200))
-    fast = b"".join(csvout.grid(surface.time.times, surface.grid.nodes, data))
-    monkeypatch.setattr(csvout, "_TIE", 0.5)
-    exact = b"".join(csvout.grid(surface.time.times, surface.grid.nodes, data))
-    assert exact == fast
+    data[0, 5] = -2.5
+    data[per_slab + per_slab // 2, 7] = float("nan")
+    data[-1, -1] = -0.0
+    surface = _surface(data, inner=np.linspace(0.0, 20.0, cols))
+    blocks = list(csvout.grid(surface.time.times, surface.grid.nodes, surface.data))
+    # the first, second and last slabs row by row, the third whole
+    assert len(blocks) == per_slab + per_slab + 1 + (rows - 3 * per_slab)
     _grid_matches_the_oracle(surface)
 
 
